@@ -2,13 +2,15 @@
 // DESIGN.md §12, proven three ways.
 //
 //   * crash-point sweep: a child process is forked for every mutating I/O
-//     operation the reference workload performs (artifact publish + journaled
-//     tuning session) and killed with _exit at exactly that op — writes die
-//     half-written, so torn frames are part of the sweep. For every crash
-//     point: the published artifact is either absent or bit-complete (never
-//     torn), journal recovery succeeds, and the resumed session reaches the
-//     uninterrupted baseline's OutcomeChecksum with a byte-identical final
-//     journal.
+//     operation the reference workload performs (artifact publish + a serial
+//     and a batched journaled tuning session) and killed with _exit at
+//     exactly that op — writes die half-written, so torn frames are part of
+//     the sweep, and the batched session's group commit puts crash points
+//     between a lane's write and its wave's fsync. For every crash point:
+//     the published artifact is either absent or bit-complete (never torn),
+//     journal recovery succeeds and keeps whole waves only, and each resumed
+//     session reaches its uninterrupted baseline's OutcomeChecksum with a
+//     byte-identical final journal.
 //   * fault-schedule matrix: sessions run under FaultInjectingIoEnv with
 //     transient storms (EINTR/short-write/EIO — must be absorbed by bounded
 //     retries) and hard faults (ENOSPC, persistent EIO, fsync failure —
@@ -55,9 +57,19 @@ namespace atune {
 namespace bench {
 namespace {
 
-const size_t kBudget = SmokeSize(12, 6);
 constexpr uint64_t kSeed = 7;
-constexpr char kTuner[] = "ituned";
+
+/// A journaled session of the reference workload.
+struct SessionKind {
+  const char* tuner;
+  size_t parallelism;
+  size_t budget;
+};
+/// Serial iTuned: one fsync per record. The fault matrix runs it too.
+const SessionKind kSerial{"ituned", 1, SmokeSize(12, 6)};
+/// Random-search at p4: the defaults, then three group-committed waves of
+/// four lanes (one fsync each). Kept whole under ATUNE_SMOKE.
+const SessionKind kBatched{"random-search", 4, 13};
 
 /// Deterministic multi-KB artifact payload: big enough that a mid-publish
 /// crash would visibly tear it if the publish were not atomic.
@@ -79,19 +91,20 @@ struct RunResult {
 };
 
 /// One tuning session. `journal` empty = un-journaled.
-RunResult RunSession(const std::string& journal, JournalPolicy policy,
-                     bool resume) {
+RunResult RunSession(const SessionKind& kind, const std::string& journal,
+                     JournalPolicy policy, bool resume) {
   RunResult out;
   TunerRegistry registry;
   RegisterBuiltinTuners(&registry);
-  auto tuner = registry.Create(kTuner);
+  auto tuner = registry.Create(kind.tuner);
   if (!tuner.ok()) {
     out.status = tuner.status();
     return out;
   }
+  (*tuner)->set_parallelism(kind.parallelism);
   auto dbms = MakeDbms(kSeed + 1);
   SessionOptions options;
-  options.budget = TuningBudget{kBudget};
+  options.budget = TuningBudget{kind.budget};
   options.seed = kSeed + 100;
   options.measure_default = false;
   options.journal_path = journal;
@@ -112,12 +125,35 @@ RunResult RunSession(const std::string& journal, JournalPolicy policy,
 }
 
 /// The reference workload the crash-point sweep interrupts: publish one
-/// artifact atomically, then run a full journaled session. Everything here
-/// goes through IoEnv::Current(), so every mutating op is a crash point.
-void DoCrashWork(const std::string& artifact, const std::string& journal,
-                 const std::string& payload) {
+/// artifact atomically, then run the serial and the batched journaled
+/// session. Everything here goes through IoEnv::Current(), so every
+/// mutating op is a crash point.
+void DoCrashWork(const std::string& artifact, const std::string& serial,
+                 const std::string& batched, const std::string& payload) {
   (void)AtomicWriteFile(artifact, payload);
-  (void)RunSession(journal, JournalPolicy::kStrict, /*resume=*/false);
+  (void)RunSession(kSerial, serial, JournalPolicy::kStrict, /*resume=*/false);
+  (void)RunSession(kBatched, batched, JournalPolicy::kStrict,
+                   /*resume=*/false);
+}
+
+/// True when every batched record recovered from `journal` belongs to a
+/// whole wave: lanes 0..batch_size-1 in order, none missing at the end. A
+/// missing journal (the crash came before its Create) holds no waves.
+bool RecoversWholeWaves(const std::string& journal) {
+  auto recovered = TrialJournal::OpenForResume(journal);
+  if (!recovered.ok()) {
+    return recovered.status().code() == StatusCode::kNotFound;
+  }
+  uint64_t expected_lane = 0;
+  for (const JournalRecord& record : recovered->records) {
+    if (record.batch_size <= 1) {
+      if (expected_lane != 0) return false;
+      continue;
+    }
+    if (record.lane != expected_lane) return false;
+    expected_lane = record.lane + 1 == record.batch_size ? 0 : record.lane + 1;
+  }
+  return expected_lane == 0;
 }
 
 std::string SlurpOrEmpty(const std::string& path) {
@@ -126,27 +162,42 @@ std::string SlurpOrEmpty(const std::string& path) {
   return contents;
 }
 
+/// What the uninterrupted reference workload left behind for one session.
+struct Baseline {
+  uint64_t checksum = 0;
+  std::string journal;  // final journal bytes
+};
+
 struct CrashPoint {
   uint64_t op = 0;
   bool crashed = false;          // child died at the armed op, exit 42
   bool artifact_intact = false;  // absent or bit-complete, never torn
+  bool whole_waves = false;      // batched recovery kept whole waves only
+  // The rest hold for both sessions:
   bool recovered = false;        // resume reached a final outcome
   bool checksum_match = false;   // ... identical to the uninterrupted run
   bool journal_identical = false;  // final journal bytes == baseline's
 };
 
 CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
-                         uint64_t baseline_checksum,
-                         const std::string& baseline_journal) {
+                         const Baseline& serial_base,
+                         const Baseline& batched_base) {
   CrashPoint cp;
   cp.op = op;
-  const std::string artifact = StrFormat("bench_crash_artifact_%llu.dat",
-                                         static_cast<unsigned long long>(op));
-  const std::string journal = StrFormat("bench_crash_journal_%llu.wal",
-                                        static_cast<unsigned long long>(op));
-  std::remove(artifact.c_str());
-  std::remove((artifact + ".tmp").c_str());
-  std::remove(journal.c_str());
+  const auto op_path = [op](const char* stem, const char* ext) {
+    return StrFormat("bench_crash_%s_%llu.%s", stem,
+                     static_cast<unsigned long long>(op), ext);
+  };
+  const std::string artifact = op_path("artifact", "dat");
+  const std::string serial = op_path("journal", "wal");
+  const std::string batched = op_path("batched", "wal");
+  const auto remove_all = [&]() {
+    for (const std::string& path :
+         {artifact, artifact + ".tmp", serial, batched}) {
+      std::remove(path.c_str());
+    }
+  };
+  remove_all();
 
   std::fflush(stdout);
   std::fflush(stderr);
@@ -163,7 +214,7 @@ CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
       ::close(devnull);
     }
     SetCrashAtIoOp(op);
-    DoCrashWork(artifact, journal, payload);
+    DoCrashWork(artifact, serial, batched, payload);
     ::_exit(0);
   }
   int wstatus = 0;
@@ -176,18 +227,27 @@ CrashPoint RunCrashPoint(uint64_t op, const std::string& payload,
   std::string seen = SlurpOrEmpty(artifact);
   cp.artifact_intact = seen.empty() || seen == payload;
 
-  // Longest-valid-prefix recovery + deterministic replay must reproduce the
-  // uninterrupted session exactly, whatever state the crash left behind
-  // (no journal, a torn header, a half-written frame...).
-  RunResult resumed = RunSession(journal, JournalPolicy::kStrict,
-                                 /*resume=*/true);
-  cp.recovered = resumed.ok;
-  cp.checksum_match = resumed.ok && resumed.checksum == baseline_checksum;
-  cp.journal_identical = SlurpOrEmpty(journal) == baseline_journal;
+  // Group commit leaves the lanes a wave wrote before the crash on disk
+  // without their fsync; recovery must drop such a partial wave.
+  cp.whole_waves = RecoversWholeWaves(batched);
 
-  std::remove(artifact.c_str());
-  std::remove((artifact + ".tmp").c_str());
-  std::remove(journal.c_str());
+  // Longest-valid-prefix recovery + deterministic replay must reproduce the
+  // uninterrupted sessions exactly, whatever state the crash left behind
+  // (no journal, a torn header, a half-written frame, part of a wave...).
+  cp.recovered = cp.checksum_match = cp.journal_identical = true;
+  const auto resume = [&cp](const SessionKind& kind,
+                            const std::string& journal, const Baseline& base) {
+    RunResult resumed = RunSession(kind, journal, JournalPolicy::kStrict,
+                                   /*resume=*/true);
+    cp.recovered = cp.recovered && resumed.ok;
+    cp.checksum_match = cp.checksum_match && resumed.ok &&
+                        resumed.checksum == base.checksum;
+    cp.journal_identical =
+        cp.journal_identical && SlurpOrEmpty(journal) == base.journal;
+  };
+  resume(kSerial, serial, serial_base);
+  resume(kBatched, batched, batched_base);
+  remove_all();
   return cp;
 }
 
@@ -223,7 +283,8 @@ FaultRow RunFaultSchedule(const std::string& name,
   {
     FaultInjectingIoEnv env(IoEnv::Default(), schedule);
     ScopedIoEnv install(&env);
-    strict = RunSession(path, JournalPolicy::kStrict, /*resume=*/false);
+    strict = RunSession(kSerial, path, JournalPolicy::kStrict,
+                        /*resume=*/false);
   }
   row.strict_status = StatusCodeToString(strict.status.code());
   row.fatal = !is_clean(strict.status);
@@ -238,7 +299,8 @@ FaultRow RunFaultSchedule(const std::string& name,
   {
     FaultInjectingIoEnv env(IoEnv::Default(), schedule);
     ScopedIoEnv install(&env);
-    degrade = RunSession(path, JournalPolicy::kDegrade, /*resume=*/false);
+    degrade = RunSession(kSerial, path, JournalPolicy::kDegrade,
+                         /*resume=*/false);
   }
   row.fatal = row.fatal || !is_clean(degrade.status);
   // Degrade trades resumability for availability: the session must finish
@@ -247,7 +309,7 @@ FaultRow RunFaultSchedule(const std::string& name,
   row.degrade_checksum_match =
       degrade.ok && degrade.checksum == unjournaled_checksum;
   if (degrade.ok && degrade.degraded) {
-    RunResult resumed = RunSession(path, JournalPolicy::kStrict,
+    RunResult resumed = RunSession(kSerial, path, JournalPolicy::kStrict,
                                    /*resume=*/true);
     row.resume_refused =
         resumed.status.code() == StatusCode::kFailedPrecondition;
@@ -365,23 +427,34 @@ int main() {
 
   const std::string payload = ArtifactPayload();
 
-  // Uninterrupted baseline: checksum, final journal bytes, and the number of
-  // mutating I/O ops the whole workload performs (= the sweep domain).
+  // Uninterrupted baseline: per session the checksum and final journal
+  // bytes, and the number of mutating I/O ops the whole workload performs
+  // (= the sweep domain).
   const std::string base_artifact = "bench_crash_artifact_base.dat";
-  const std::string base_journal = "bench_crash_journal_base.wal";
-  std::remove(base_artifact.c_str());
-  std::remove(base_journal.c_str());
+  const std::string base_serial = "bench_crash_journal_base.wal";
+  const std::string base_batched = "bench_crash_batched_base.wal";
+  for (const std::string& path : {base_artifact, base_serial, base_batched}) {
+    std::remove(path.c_str());
+  }
   const uint64_t ops_before = IoOpCount();
-  DoCrashWork(base_artifact, base_journal, payload);
+  DoCrashWork(base_artifact, base_serial, base_batched, payload);
   const uint64_t total_ops = IoOpCount() - ops_before;
-  RunResult baseline = RunSession(base_journal, JournalPolicy::kStrict,
-                                  /*resume=*/true);  // intact: pure replay
-  const std::string baseline_journal = SlurpOrEmpty(base_journal);
-  std::remove(base_artifact.c_str());
-  std::remove(base_journal.c_str());
-  if (!baseline.ok || total_ops == 0 || baseline_journal.empty()) {
-    std::printf("FAIL: could not establish uninterrupted baseline (%s)\n",
-                baseline.status.message().c_str());
+  // Resuming an intact journal is pure replay.
+  RunResult serial_run = RunSession(kSerial, base_serial,
+                                    JournalPolicy::kStrict, /*resume=*/true);
+  RunResult batched_run = RunSession(kBatched, base_batched,
+                                     JournalPolicy::kStrict, /*resume=*/true);
+  const Baseline serial_base{serial_run.checksum, SlurpOrEmpty(base_serial)};
+  const Baseline batched_base{batched_run.checksum,
+                              SlurpOrEmpty(base_batched)};
+  for (const std::string& path : {base_artifact, base_serial, base_batched}) {
+    std::remove(path.c_str());
+  }
+  if (!serial_run.ok || !batched_run.ok || total_ops == 0 ||
+      serial_base.journal.empty() || batched_base.journal.empty()) {
+    std::printf("FAIL: could not establish uninterrupted baseline (%s; %s)\n",
+                serial_run.status.message().c_str(),
+                batched_run.status.message().c_str());
     return 1;
   }
 
@@ -396,24 +469,24 @@ int main() {
     for (uint64_t op = 1; op <= total_ops; ++op) points.insert(op);
   }
 
-  std::printf("\ncrash-point sweep (%zu points over %llu mutating ops, "
-              "budget %zu):\n",
+  std::printf("\ncrash-point sweep (%zu points over %llu mutating ops; %s "
+              "budget %zu, %s p%zu budget %zu):\n",
               points.size(), static_cast<unsigned long long>(total_ops),
-              kBudget);
+              kSerial.tuner, kSerial.budget, kBatched.tuner,
+              kBatched.parallelism, kBatched.budget);
   std::vector<CrashPoint> sweep;
   bool sweep_pass = true;
   size_t crashed = 0;
   for (uint64_t op : points) {
-    CrashPoint cp = RunCrashPoint(op, payload, baseline.checksum,
-                                  baseline_journal);
-    bool pass = cp.crashed && cp.artifact_intact && cp.recovered &&
-                cp.checksum_match && cp.journal_identical;
+    CrashPoint cp = RunCrashPoint(op, payload, serial_base, batched_base);
+    bool pass = cp.crashed && cp.artifact_intact && cp.whole_waves &&
+                cp.recovered && cp.checksum_match && cp.journal_identical;
     if (!pass) {
-      std::printf("  op %4llu: crash=%d artifact=%d recovered=%d "
+      std::printf("  op %4llu: crash=%d artifact=%d waves=%d recovered=%d "
                   "checksum=%d journal=%d  <-- FAIL\n",
                   static_cast<unsigned long long>(cp.op), cp.crashed,
-                  cp.artifact_intact, cp.recovered, cp.checksum_match,
-                  cp.journal_identical);
+                  cp.artifact_intact, cp.whole_waves, cp.recovered,
+                  cp.checksum_match, cp.journal_identical);
     }
     sweep_pass = sweep_pass && pass;
     crashed += cp.crashed ? 1 : 0;
@@ -423,7 +496,7 @@ int main() {
               sweep.size(), sweep_pass ? "PASS" : "FAIL");
 
   // Fault-schedule matrix.
-  RunResult unjournaled = RunSession("", JournalPolicy::kStrict,
+  RunResult unjournaled = RunSession(kSerial, "", JournalPolicy::kStrict,
                                      /*resume=*/false);
   std::vector<FaultRow> faults;
   {
@@ -479,7 +552,8 @@ int main() {
   const size_t iters = 50000;
   const size_t reps = 5;
   const size_t frame_bytes = std::max<size_t>(
-      512, baseline_journal.size() / std::max<size_t>(1, baseline.trials));
+      512,
+      serial_base.journal.size() / std::max<size_t>(1, serial_run.trials));
   const std::string buf(frame_bytes, 'j');
   double warm_s = 0.0, warm_r = 0.0;
   (void)RunOverheadRep(buf, iters, &warm_s, &warm_r, nullptr);  // warmup
@@ -542,18 +616,24 @@ int main() {
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"bench_crashsafety\",\n";
-  json << StrFormat("  \"budget\": %zu,\n  \"total_ops\": %llu,\n", kBudget,
+  json << StrFormat("  \"budget\": %zu,\n  \"batched_budget\": %zu,\n"
+                    "  \"total_ops\": %llu,\n",
+                    kSerial.budget, kBatched.budget,
                     static_cast<unsigned long long>(total_ops));
-  json << StrFormat("  \"baseline_checksum\": \"%016llx\",\n  \"sweep\": [\n",
-                    static_cast<unsigned long long>(baseline.checksum));
+  json << StrFormat("  \"baseline_checksum\": \"%016llx\",\n"
+                    "  \"batched_baseline_checksum\": \"%016llx\",\n"
+                    "  \"sweep\": [\n",
+                    static_cast<unsigned long long>(serial_base.checksum),
+                    static_cast<unsigned long long>(batched_base.checksum));
   for (size_t i = 0; i < sweep.size(); ++i) {
     const CrashPoint& cp = sweep[i];
     json << StrFormat(
         "    {\"op\": %llu, \"crashed\": %s, \"artifact_intact\": %s, "
-        "\"recovered\": %s, \"checksum_match\": %s, \"journal_identical\": "
-        "%s}%s\n",
+        "\"whole_waves\": %s, \"recovered\": %s, \"checksum_match\": %s, "
+        "\"journal_identical\": %s}%s\n",
         static_cast<unsigned long long>(cp.op), cp.crashed ? "true" : "false",
-        cp.artifact_intact ? "true" : "false", cp.recovered ? "true" : "false",
+        cp.artifact_intact ? "true" : "false",
+        cp.whole_waves ? "true" : "false", cp.recovered ? "true" : "false",
         cp.checksum_match ? "true" : "false",
         cp.journal_identical ? "true" : "false",
         i + 1 < sweep.size() ? "," : "");
@@ -583,12 +663,13 @@ int main() {
     std::printf("wrote BENCH_crashsafety.json\n");
   }
 
-  TableWriter csv({"op", "crashed", "artifact_intact", "recovered",
-                   "checksum_match", "journal_identical"});
+  TableWriter csv({"op", "crashed", "artifact_intact", "whole_waves",
+                   "recovered", "checksum_match", "journal_identical"});
   for (const CrashPoint& cp : sweep) {
     csv.AddRow({StrFormat("%llu", static_cast<unsigned long long>(cp.op)),
                 cp.crashed ? "1" : "0", cp.artifact_intact ? "1" : "0",
-                cp.recovered ? "1" : "0", cp.checksum_match ? "1" : "0",
+                cp.whole_waves ? "1" : "0", cp.recovered ? "1" : "0",
+                cp.checksum_match ? "1" : "0",
                 cp.journal_identical ? "1" : "0"});
   }
   if (csv.WriteCsvFile("BENCH_crashsafety.csv").ok()) {

@@ -503,9 +503,10 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
     record_ends.push_back(offset);
   }
 
-  // Drop a trailing incomplete batch: its lanes were committed one by one,
-  // so a crash mid-batch leaves a prefix of the wave. Replay hands a
-  // batch-aware tuner whole waves only; the dropped lanes re-execute.
+  // Drop a trailing incomplete batch: its lanes are written one by one and
+  // committed together after the last, so a crash mid-batch can leave a
+  // prefix of the wave. Replay hands a batch-aware tuner whole waves only;
+  // the dropped lanes re-execute.
   size_t dropped_lanes = 0;
   while (!recovered.records.empty()) {
     const JournalRecord& last = recovered.records.back();
@@ -555,7 +556,8 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
 }
 
 Status TrialJournal::Append(const JournalRecord& record) {
-  return AppendRef(RefOf(record));
+  ATUNE_RETURN_IF_ERROR(AppendRef(RefOf(record)));
+  return Commit();
 }
 
 Status TrialJournal::AppendRef(const JournalRecordRef& record) {
@@ -580,28 +582,46 @@ Status TrialJournal::AppendRef(const JournalRecordRef& record) {
                              frame_buf_.size(), &retries, &shorts);
   write_retries_ += retries;
   short_writes_ += shorts;
-  if (status.ok() && sync_) status = file_->Sync();
-  if (!status.ok()) {
-    // The write failed partway, or the fsync failed — either way the bytes
-    // past append_offset_ are in an unknown state (fsyncgate: a failed
-    // fsync may have dropped the dirty pages, and retrying it would just
-    // report success on whatever survived). Restore the invariant that the
-    // on-disk journal is exactly the longest valid prefix.
-    Status reverify = ReverifyTail();
-    if (!reverify.ok()) {
-      return Status::IoError(StrFormat(
-          "%s; tail re-verify also failed: %s", status.message().c_str(),
-          reverify.message().c_str()));
-    }
-    return status;
-  }
-  last_frame_start_ = append_offset_;
-  append_offset_ += frame_buf_.size();
+  if (!status.ok()) return DropPendingTail(std::move(status));
+  written_frame_start_ = written_offset_;
+  written_offset_ += frame_buf_.size();
   next_seq_ = record.seq + 1;
   return Status::OK();
 }
 
+Status TrialJournal::Commit() {
+  if (written_offset_ == append_offset_) return Status::OK();
+  if (sync_) {
+    Status status = file_->Sync();
+    if (!status.ok()) return DropPendingTail(std::move(status));
+  }
+  append_offset_ = written_offset_;
+  last_frame_start_ = written_frame_start_;
+  durable_seq_ = next_seq_;
+  return Status::OK();
+}
+
+Status TrialJournal::DropPendingTail(Status status) {
+  // The write failed partway, or the fsync failed — either way every byte
+  // past append_offset_ is in an unknown state (fsyncgate: a failed fsync
+  // may have dropped the dirty pages, and retrying it would just report
+  // success on whatever survived). Restore the invariant that the on-disk
+  // journal is exactly the longest valid prefix.
+  Status reverify = ReverifyTail();
+  if (!reverify.ok()) {
+    return Status::IoError(StrFormat("%s; tail re-verify also failed: %s",
+                                     status.message().c_str(),
+                                     reverify.message().c_str()));
+  }
+  return status;
+}
+
 Status TrialJournal::ReverifyTail() {
+  // The pending frames are gone whatever happens below: the truncation
+  // discards them, or the journal stays closed.
+  written_offset_ = append_offset_;
+  written_frame_start_ = last_frame_start_;
+  next_seq_ = durable_seq_;
   if (file_ != nullptr) {
     (void)file_->Close();
     file_.reset();

@@ -139,13 +139,20 @@ enum class JournalReplayMode { kAuto, kStreaming, kMmap };
 void SetJournalReplayModeForTesting(JournalReplayMode mode);
 JournalReplayMode JournalReplayModeForTesting();
 
-/// Write-ahead trial journal: an append-only file of fsynced, checksummed
-/// records, one per committed observation, written by the Evaluator before
-/// the measurement reaches the tuner. Because every tuner is deterministic
+/// Write-ahead trial journal: an append-only file of checksummed records,
+/// one per committed observation, written by the Evaluator before the
+/// measurement reaches the tuner. Because every tuner is deterministic
 /// given (seed, evaluator responses), the journal is a complete checkpoint:
 /// ResumeTuningSession re-runs the tuner from scratch while the Evaluator
 /// serves journaled observations instead of executing the system, then goes
 /// live — no tuner needs bespoke serialization (DESIGN.md §8).
+///
+/// Group commit: the unit of durability is the wave — every lane of one
+/// EvaluateBatch call, or a single serial record (a wave of one). AppendRef
+/// writes a frame into the pending tail past the durable prefix; Commit
+/// makes the whole pending tail durable with one fsync. Recovery drops a
+/// trailing incomplete wave anyway, so an fsync per lane would protect no
+/// record that recovery keeps.
 ///
 /// On-disk format (little-endian):
 ///   magic "ATUNEWAL" | version u32 | frame(header) | frame(record)*
@@ -187,23 +194,35 @@ class TrialJournal {
   /// *corrupt* file recovers (possibly to zero records) rather than erroring.
   static Result<Recovered> OpenForResume(const std::string& path);
 
-  /// Appends one record: frames it with a CRC32, writes, and (by default)
-  /// fsyncs before returning, so a committed record survives any crash.
-  /// `record.seq` is written verbatim — callers stamp it with next_seq().
+  /// Appends one record as a wave of one: AppendRef, then Commit. On OK the
+  /// record is durable (fsynced) and survives any crash.
   Status Append(const JournalRecord& record);
 
-  /// Allocation-free Append: serializes into a reused member buffer and
-  /// borrows config/result through the ref. Byte-identical on disk to
-  /// Append with the equivalent JournalRecord. Not thread-safe (the
-  /// Evaluator serializes commits under its own lock).
+  /// Writes one record into the pending tail: frames it with a CRC32 and
+  /// writes it after the last written frame, without syncing. It becomes
+  /// durable only with the next successful Commit; until then a crash may
+  /// lose it. `record.seq` is written verbatim — callers stamp it with
+  /// next_seq(), which advances past pending records, so a wave's lanes
+  /// are numbered densely. A failed write discards the whole pending tail
+  /// (see ReverifyTail), not just this record. Allocation-free: serializes
+  /// into a reused member buffer and borrows config/result through the
+  /// ref. Byte-identical on disk to Append with the equivalent
+  /// JournalRecord. Not thread-safe (the Evaluator serializes commits under
+  /// its own lock).
   Status AppendRef(const JournalRecordRef& record);
+
+  /// Makes every pending record durable with one fsync. A no-op (no fsync)
+  /// when nothing is pending. A failed fsync discards the whole pending
+  /// tail: the file goes back to the durable prefix and next_seq() back to
+  /// the first pending record's seq, so a retried wave stays dense.
+  Status Commit();
 
   /// Sequence number the next appended record should carry.
   uint64_t next_seq() const { return next_seq_; }
   const std::string& path() const { return path_; }
 
-  /// Disables the per-append fsync (testing only; the durability guarantee
-  /// requires it on).
+  /// Disables the commit fsync (testing only; the durability guarantee
+  /// requires it on). Commit still advances the durable prefix.
   void set_sync(bool sync) { sync_ = sync; }
 
   /// Cumulative transient-error retries / short-write continuations the
@@ -220,29 +239,44 @@ class TrialJournal {
         env_(env),
         file_(std::move(file)),
         next_seq_(next_seq),
+        durable_seq_(next_seq),
         append_offset_(append_offset),
-        last_frame_start_(last_frame_start) {}
+        last_frame_start_(last_frame_start),
+        written_offset_(append_offset),
+        written_frame_start_(last_frame_start) {}
 
   /// fsyncgate recovery: after a failed write or fsync the page-cache state
-  /// is unknown, so the journal closes its handle, physically truncates the
-  /// file back to the last offset known durable (`append_offset_`), reads
-  /// the kept tail frame back and re-verifies its CRC, then re-opens for
-  /// appending. On success the on-disk journal is once again exactly the
-  /// longest valid prefix; on failure the journal stays closed and every
-  /// later Append returns FailedPrecondition.
+  /// of every byte past the durable prefix is unknown, so the journal drops
+  /// the whole pending tail (next_seq_ rolls back to durable_seq_), closes
+  /// its handle, physically truncates the file back to `append_offset_`,
+  /// reads the durable prefix's final frame back and re-verifies its CRC,
+  /// then re-opens for appending. On success the on-disk journal is once
+  /// again exactly the longest valid prefix; on failure the journal stays
+  /// closed and every later Append returns FailedPrecondition.
   Status ReverifyTail();
+  /// ReverifyTail after the I/O failure `status`; returns `status`, or an
+  /// error naming both failures when the re-verify fails too.
+  Status DropPendingTail(Status status);
 
   std::string path_;
   IoEnv* env_ = nullptr;       ///< captured at open; borrowed
   std::unique_ptr<IoFile> file_;
+  /// Seq of the next record, counting pending ones.
   uint64_t next_seq_ = 0;
+  /// next_seq_ as of the last commit: the rollback target of a failure.
+  uint64_t durable_seq_ = 0;
   bool sync_ = true;
-  /// End offset of the durable prefix: preamble + every frame whose append
-  /// completed (write + fsync). Bytes past it are unverified.
+  /// End offset of the durable prefix: preamble + every committed frame.
+  /// Bytes past it are unverified.
   uint64_t append_offset_ = 0;
   /// Start offset of the final frame in the durable prefix (the header
   /// frame when no record survived) — the frame ReverifyTail re-checks.
   uint64_t last_frame_start_ = 0;
+  /// End offset and final-frame start of the written tail: the durable
+  /// prefix plus the pending frames. Equal to the durable pair when
+  /// nothing is pending; Commit promotes them.
+  uint64_t written_offset_ = 0;
+  uint64_t written_frame_start_ = 0;
   uint64_t write_retries_ = 0;
   uint64_t short_writes_ = 0;
   /// Reused frame buffer for AppendRef: after the first append it has the

@@ -381,6 +381,9 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
     begin_ns = tracer_->NowNs();
   }
   Status status = journal_->AppendRef(rec);
+  // Group commit: a wave's lanes are written unsynced and its last lane
+  // makes them all durable with one fsync.
+  if (status.ok() && lane + 1 == batch_size) status = journal_->Commit();
   last_commit_allocs_ = SampleAllocCount() - commit_allocs_sample_;
   RecordIoTelemetry();
   if (!status.ok()) {
@@ -398,8 +401,9 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
   }
   // The append is the commit boundary: firing the interrupt here (rather
   // than at the next call's entry gate) means a kill lands with the record
-  // durable but the measurement never reaching the tuner — exactly the
-  // crash the journal defends against — and stops a long batch mid-commit.
+  // written but the measurement never reaching the tuner — exactly the
+  // crash the journal defends against — and stops a long batch mid-commit
+  // (EvaluateBatch then commits the lanes written so far).
   if (InterruptRequested()) return InterruptedStatus();
   return Status::OK();
 }
@@ -433,6 +437,7 @@ Status Evaluator::JournalUnit(const Configuration& config, size_t unit_index,
     begin_ns = tracer_->NowNs();
   }
   Status status = journal_->AppendRef(rec);
+  if (status.ok()) status = journal_->Commit();  // a wave of one
   last_commit_allocs_ = SampleAllocCount() - sample;
   RecordIoTelemetry();
   if (!status.ok()) {
@@ -447,6 +452,13 @@ Status Evaluator::JournalUnit(const Configuration& config, size_t unit_index,
   }
   if (InterruptRequested()) return InterruptedStatus();
   return Status::OK();
+}
+
+Status Evaluator::CommitJournal(uint64_t parent_span) {
+  if (journal_ == nullptr) return Status::OK();
+  Status status = journal_->Commit();
+  if (status.ok()) return status;
+  return HandleJournalFailure(std::move(status), parent_span);
 }
 
 Status Evaluator::HandleJournalFailure(Status status, uint64_t parent_span) {
@@ -799,12 +811,18 @@ Result<std::vector<double>> Evaluator::EvaluateBatch(
   // repairs (transient retries, outlier re-measurement) re-execute on the
   // parent — realigned by SkipRuns above — so a faulty wave behaves like a
   // parallel wave followed by a serial repair phase; with nothing to repair
-  // this is bit-identical to committing the wave directly.
+  // this is bit-identical to committing the wave directly. The journal
+  // group-commits the wave: the last lane's append fsyncs every lane, and
+  // a return before it commits the lanes written so far, so the wave's
+  // records are durable however the call ends.
   std::vector<double> objectives;
   objectives.reserve(k);
   double reserved = static_cast<double>(k);  // base cost of uncommitted lanes
   for (size_t i = 0; i < k; ++i) {
-    if (!results[i].ok()) return results[i].status();
+    if (!results[i].ok()) {
+      ATUNE_RETURN_IF_ERROR(CommitJournal(batch_span.id()));
+      return results[i].status();
+    }
     double cost = 1.0;
     bool exclude = false;
     ExecutionResult repaired = ApplyRobustnessPolicy(
@@ -821,7 +839,10 @@ Result<std::vector<double>> Evaluator::EvaluateBatch(
     Status append_status = JournalTrial(/*batch_size=*/k, /*lane=*/i,
                                         lane_span_id(i));
     if (tracer_ != nullptr) lane_spans[i].reset();  // lane committed
-    ATUNE_RETURN_IF_ERROR(append_status);
+    if (!append_status.ok()) {
+      ATUNE_RETURN_IF_ERROR(CommitJournal(batch_span.id()));
+      return append_status;
+    }
     objectives.push_back(history_.back().objective);
   }
   return objectives;

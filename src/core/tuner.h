@@ -153,11 +153,13 @@ class Evaluator {
   const RobustnessPolicy& robustness_policy() const { return policy_; }
 
   /// Attaches a write-ahead trial journal (not owned): every committed
-  /// observation — trial or unit run — is appended, checksummed, and fsynced
-  /// before its measurement is returned to the tuner, so a crashed session
-  /// can be reconstructed by ResumeTuningSession. A journal append failure
-  /// is sticky and fails the session (measurements must never outrun the
-  /// journal). Set before the first Evaluate call.
+  /// observation — trial or unit run — is appended and checksummed, and its
+  /// wave is fsynced before the call returns its measurement to the tuner,
+  /// so a crashed session can be reconstructed by ResumeTuningSession. A
+  /// wave is one EvaluateBatch call (one fsync for all its lanes) or one
+  /// serial call (one fsync per record). A journal append failure is sticky
+  /// and fails the session (measurements must never outrun the journal).
+  /// Set before the first Evaluate call.
   void set_journal(TrialJournal* journal) { journal_ = journal; }
   const Status& journal_error() const { return journal_error_; }
 
@@ -196,8 +198,8 @@ class Evaluator {
   /// polled at the top of every Evaluate* call; once it returns true the
   /// evaluator refuses all further measurements with kAborted, marks the
   /// budget refused so `while (!Exhausted())` tuners wind down, and the
-  /// session reports kAborted. The journal is per-record durable, so an
-  /// interrupted session is already checkpointed.
+  /// session reports kAborted. A call commits its journal records before it
+  /// returns, so an interrupted session is already checkpointed.
   void set_interrupt_check(std::function<bool()> check) {
     interrupt_check_ = std::move(check);
   }
@@ -450,14 +452,21 @@ class Evaluator {
                                          const Workload& workload);
 
   /// Appends a journal record for history_.back() (call after the trial is
-  /// fully finalized, including RecordCompositeTrial's cost stamp). A
-  /// failure is sticky in journal_error_ and returned.
+  /// fully finalized, including RecordCompositeTrial's cost stamp). The
+  /// wave's last lane (a serial trial's only one) commits it with one
+  /// fsync; earlier lanes stay pending. A failure is sticky in
+  /// journal_error_ and returned.
   Status JournalTrial(uint64_t batch_size, uint64_t lane,
                       uint64_t parent_span);
-  /// Appends a kUnit record for an EvaluateUnit measurement.
+  /// Appends and commits a kUnit record for an EvaluateUnit measurement.
   Status JournalUnit(const Configuration& config, size_t unit_index,
                      const ExecutionResult& result, double cost,
                      uint64_t parent_span);
+
+  /// Commits the journal's pending records (the lanes of a wave cut short by
+  /// a lane error or an interrupt) with one fsync; a failure goes through
+  /// HandleJournalFailure. No-op without a journal or pending records.
+  Status CommitJournal(uint64_t parent_span);
 
   /// Converts a journal append failure into the policy's outcome: strict
   /// latches it into journal_error_ and returns it; degrade detaches the

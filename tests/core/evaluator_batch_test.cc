@@ -2,11 +2,18 @@
 // of k configurations must commit exactly the trials the serial loop would
 // have — bit-identical configs, objectives, runtimes, costs, budget — with
 // only Trial::round differing (the whole batch is one wall-clock round).
+// Its durability contract (DESIGN.md §8): a journaled batch is one wave,
+// group-committed with a single fsync however it returns.
 
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
+#include "core/journal.h"
 #include "core/tuner.h"
 #include "systems/dbms/dbms_system.h"
 #include "systems/dbms/dbms_workloads.h"
@@ -174,6 +181,117 @@ TEST(EvaluatorBatchTest, NonClonableSystemFallsBackToSerial) {
   EXPECT_EQ(system.executions(), 3u);
   EXPECT_DOUBLE_EQ(evaluator.used(), 3.0);
   EXPECT_EQ(evaluator.history()[0].round, evaluator.history()[2].round);
+}
+
+// A journal whose I/O goes through `env`: with an empty fault schedule, a
+// FaultInjectingIoEnv is just a per-kind op counter.
+std::unique_ptr<TrialJournal> CountedJournal(FaultInjectingIoEnv* env,
+                                             const std::string& name) {
+  std::string path = ::testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  ScopedIoEnv install(env);
+  JournalHeader header;
+  header.tuner_name = "evaluator-batch-test";
+  auto journal = TrialJournal::Create(path, header);
+  EXPECT_TRUE(journal.ok()) << journal.status().ToString();
+  return journal.ok() ? std::move(*journal) : nullptr;
+}
+
+TEST(EvaluatorBatchTest, JournaledBatchIsOneFsync) {
+  auto system = MakeDbms(41);
+  std::vector<Configuration> configs = SampleConfigs(system->space(), 5);
+  FaultInjectingIoEnv env(IoEnv::Default(), IoFaultSchedule{});
+  auto journal = CountedJournal(&env, "evaluator_batch_fsync.wal");
+  ASSERT_NE(journal, nullptr);
+  Evaluator evaluator(system.get(), MakeDbmsOlapWorkload(0.5),
+                      TuningBudget{10});
+  evaluator.set_journal(journal.get());
+
+  const uint64_t syncs = env.ops(IoOpKind::kSync);
+  const uint64_t writes = env.ops(IoOpKind::kWrite);
+  auto objs = evaluator.EvaluateBatch(configs, /*parallelism=*/4);
+  ASSERT_TRUE(objs.ok()) << objs.status().ToString();
+  EXPECT_EQ(env.ops(IoOpKind::kWrite) - writes, 5u);  // one frame per lane
+  EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);    // one per wave
+  EXPECT_EQ(journal->next_seq(), 5u);
+}
+
+TEST(EvaluatorBatchTest, JournaledSerialTrialsFsyncEach) {
+  auto system = MakeDbms(43);
+  std::vector<Configuration> configs = SampleConfigs(system->space(), 3);
+  FaultInjectingIoEnv env(IoEnv::Default(), IoFaultSchedule{});
+  auto journal = CountedJournal(&env, "evaluator_serial_fsync.wal");
+  ASSERT_NE(journal, nullptr);
+  Evaluator evaluator(system.get(), MakeDbmsOlapWorkload(0.5),
+                      TuningBudget{10});
+  evaluator.set_journal(journal.get());
+
+  for (const Configuration& c : configs) {
+    const uint64_t syncs = env.ops(IoOpKind::kSync);
+    ASSERT_TRUE(evaluator.Evaluate(c).ok());
+    EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);
+  }
+  EXPECT_EQ(journal->next_seq(), 3u);
+}
+
+TEST(EvaluatorBatchTest, InterruptMidWaveCommitsTheLanesSoFar) {
+  auto system = MakeDbms(47);
+  std::vector<Configuration> configs = SampleConfigs(system->space(), 4);
+  FaultInjectingIoEnv env(IoEnv::Default(), IoFaultSchedule{});
+  auto journal = CountedJournal(&env, "evaluator_interrupt_fsync.wal");
+  ASSERT_NE(journal, nullptr);
+  Evaluator evaluator(system.get(), MakeDbmsOlapWorkload(0.5),
+                      TuningBudget{10});
+  evaluator.set_journal(journal.get());
+  evaluator.set_interrupt_after_records(2);
+
+  const uint64_t syncs = env.ops(IoOpKind::kSync);
+  auto objs = evaluator.EvaluateBatch(configs, /*parallelism=*/4);
+  EXPECT_EQ(objs.status().code(), StatusCode::kAborted);
+  EXPECT_TRUE(evaluator.interrupted());
+  EXPECT_EQ(evaluator.history().size(), 2u);
+  EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);
+  // That one fsync covered both lanes: nothing is left to commit.
+  EXPECT_EQ(journal->next_seq(), 2u);
+  ASSERT_TRUE(journal->Commit().ok());
+  EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);
+  // Recovery keeps whole waves only, so the two lanes re-execute on resume.
+  auto recovered = TrialJournal::OpenForResume(journal->path());
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE(recovered->records.empty());
+  ASSERT_EQ(recovered->warnings.size(), 1u);
+  EXPECT_NE(recovered->warnings[0].find("dropped 2 trailing lane(s)"),
+            std::string::npos)
+      << recovered->warnings[0];
+}
+
+// A system whose third execution errors out (a Status, not a failed run).
+class ThirdRunErrors : public testing_util::QuadraticSystem {
+ public:
+  Result<ExecutionResult> Execute(const Configuration& config,
+                                  const Workload& workload) override {
+    if (executions() == 2) return Status::Internal("execution error");
+    return QuadraticSystem::Execute(config, workload);
+  }
+};
+
+TEST(EvaluatorBatchTest, LaneErrorCommitsTheLanesSoFar) {
+  ThirdRunErrors system;
+  FaultInjectingIoEnv env(IoEnv::Default(), IoFaultSchedule{});
+  auto journal = CountedJournal(&env, "evaluator_lane_error_fsync.wal");
+  ASSERT_NE(journal, nullptr);
+  Evaluator evaluator(&system, testing_util::MockWorkload(), TuningBudget{10});
+  evaluator.set_journal(journal.get());
+
+  Configuration c = system.space().DefaultConfiguration();
+  const uint64_t syncs = env.ops(IoOpKind::kSync);
+  auto objs = evaluator.EvaluateBatch({c, c, c, c}, /*parallelism=*/4);
+  EXPECT_EQ(objs.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(evaluator.history().size(), 2u);
+  EXPECT_EQ(journal->next_seq(), 2u);
+  EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);
+  ASSERT_TRUE(journal->Commit().ok());
+  EXPECT_EQ(env.ops(IoOpKind::kSync) - syncs, 1u);
 }
 
 }  // namespace

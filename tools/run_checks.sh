@@ -79,6 +79,15 @@
 #                                   # reruns the drift detector, drifting
 #                                   # workload, and adaptive-retune suites
 #                                   # under sanitizers.
+#   tools/run_checks.sh --perfbench # perfbench/run.py (which builds its own
+#                                   # Release copy of src/) on both gated
+#                                   # workloads, gp-serial and batch-durable,
+#                                   # at seed 1 with --seconds 2 --trace 0;
+#                                   # fails unless each result line reports
+#                                   # "correct": true with "failed": 0 (the
+#                                   # seed-1 goldens, and every resumed twin
+#                                   # equal to its reference), so a broken
+#                                   # checksum shows before a timed run
 #   tools/run_checks.sh --coverage  # instrumented Debug build + full ctest +
 #                                   # per-directory line-coverage summary for
 #                                   # src/. Uses gcovr if installed, else
@@ -419,6 +428,26 @@ if [ "${1:-}" = "--drift" ]; then
   echo "drift checks passed: adaptive recovery >= 2x static after the shift,"
   echo "no budget leak under drift storms, whole-registry resume identical"
   echo "under drift with detection rounds matching live vs replay"
+  exit 0
+fi
+
+if [ "${1:-}" = "--perfbench" ]; then
+  # Short runs: the timings are meaningless at 2 s, but every output check
+  # of a full run still runs. The last line of run.py's stdout is the JSON
+  # result; its exit status is nonzero when a check failed.
+  for workload in gp-serial batch-durable; do
+    echo "=== [perfbench] $workload (seed 1, --seconds 2 --trace 0) ==="
+    if ! result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 2 --trace 0 | tail -n 1)" ||
+        ! printf '%s\n' "$result" | grep -q '"correct": true' ||
+        ! printf '%s\n' "$result" | grep -q '"failed": 0,'; then
+      echo "perfbench $workload gate FAILED: ${result:-<no result line>}" >&2
+      exit 1
+    fi
+    echo "perfbench $workload: correct, 0 failed"
+  done
+  echo "perfbench checks passed: goldens and resumed twins match on both"
+  echo "workloads"
   exit 0
 fi
 
