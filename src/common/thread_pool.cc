@@ -59,4 +59,9 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+size_t HelperThreadCount() {
+  unsigned cores = std::thread::hardware_concurrency();
+  return cores > 1 ? cores - 1 : 1;
+}
+
 }  // namespace atune

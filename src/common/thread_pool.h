@@ -78,6 +78,10 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
+/// Pool size that, together with the calling thread, occupies every core:
+/// hardware_concurrency() - 1, and at least one.
+size_t HelperThreadCount();
+
 }  // namespace atune
 
 #endif  // ATUNE_COMMON_THREAD_POOL_H_

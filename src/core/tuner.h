@@ -292,8 +292,12 @@ class Evaluator {
       const std::vector<Configuration>& configs, size_t parallelism);
 
   /// Shared worker pool for batch evaluation and tuner-internal parallel
-  /// work (e.g. GP hyperparameter search). Created lazily; grows if a
-  /// larger `min_threads` is requested later.
+  /// work (e.g. the GP hyperparameter search and acquisition scan).
+  /// Created lazily; grows if a larger `min_threads` is requested later.
+  /// Growing replaces the pool: the old one drains, joins and is destroyed,
+  /// so every pointer returned earlier dangles. Fetch the pool where it is
+  /// used instead of caching it across calls that may grow it —
+  /// EvaluateBatch asks for `parallelism` threads.
   ThreadPool* thread_pool(size_t min_threads);
 
   /// Like Evaluate, but kills the run once it exceeds `abort_at_seconds`

@@ -320,7 +320,9 @@ bool BlockedCholesky4(const double* a, double* ld, size_t n) {
   // Row i, columns blocked by four: four independent subtraction chains
   // over the shared prefix k < j, then a sequential in-block tail. Same
   // ascending-k order per element as reference::Cholesky — bit-identical;
-  // the blocking only buys instruction-level parallelism.
+  // the blocking only buys instruction-level parallelism. Reads only A's
+  // lower triangle, each entry before the factor entry at the same
+  // position is written, so a == ld factors in place.
   for (size_t i = 0; i < n; ++i) {
     const double* ai = a + i * n;
     double* li = ld + i * n;
@@ -466,7 +468,7 @@ __attribute__((target("avx"))) void PanelBulkPairAvx(
 }
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 
-bool PanelCholesky8(const double* a, double* ld, size_t n) {
+bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
   // Left-looking, eight columns at a time. For each column panel
   // [j0, j0+8) the prefixes of its eight factor rows (columns < j0, all
   // final by now) are copied once into a small transposed buffer
@@ -481,8 +483,11 @@ bool PanelCholesky8(const double* a, double* ld, size_t n) {
   // instruction-level parallelism (the naive loop is one serial FMA chain
   // per element). Hand-written intrinsics because GCC's auto-vectorizer
   // turns the same loop into a shuffle storm that is slower than scalar.
+  // `pt` is caller storage of kPanel * n doubles. Like BlockedCholesky4,
+  // a == ld factors in place: each lower-triangle entry of A is read before
+  // its factor entry is written, and the diagonal blocks' upper entries
+  // only fill accumulator lanes that are never used.
   constexpr size_t kPanel = 8;
-  std::vector<double> pt(kPanel * n);
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
   const bool use_avx = AvxAvailable();
 #else
@@ -491,7 +496,7 @@ bool PanelCholesky8(const double* a, double* ld, size_t n) {
   for (size_t j0 = 0; j0 < n; j0 += kPanel) {
     const size_t w = std::min(kPanel, n - j0);
     for (size_t k = 0; k < j0; ++k) {
-      double* ptk = pt.data() + k * kPanel;
+      double* ptk = pt + k * kPanel;
       for (size_t c = 0; c < w; ++c) ptk[c] = ld[(j0 + c) * n + k];
       for (size_t c = w; c < kPanel; ++c) ptk[c] = 0.0;
     }
@@ -504,12 +509,12 @@ bool PanelCholesky8(const double* a, double* ld, size_t n) {
       for (size_t c = 0; c < w; ++c) acc[c] = ai[j0 + c];
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
       if (use_avx) {
-        PanelBulkRowAvx(pt.data(), j0, li, acc);
+        PanelBulkRowAvx(pt, j0, li, acc);
       } else {
-        PanelBulkRowSse2(pt.data(), j0, li, acc);
+        PanelBulkRowSse2(pt, j0, li, acc);
       }
 #else
-      PanelBulkRowSse2(pt.data(), j0, li, acc);
+      PanelBulkRowSse2(pt, j0, li, acc);
 #endif
       for (size_t j = j0; j < i; ++j) {
         const double* rj = ld + j * n;
@@ -534,12 +539,12 @@ bool PanelCholesky8(const double* a, double* ld, size_t n) {
       for (size_t c = 0; c < kPanel; ++c) accq[c] = bi[j0 + c];
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
       if (use_avx) {
-        PanelBulkPairAvx(pt.data(), j0, li, mi, accp, accq);
+        PanelBulkPairAvx(pt, j0, li, mi, accp, accq);
       } else {
-        PanelBulkPairSse2(pt.data(), j0, li, mi, accp, accq);
+        PanelBulkPairSse2(pt, j0, li, mi, accp, accq);
       }
 #else
-      PanelBulkPairSse2(pt.data(), j0, li, mi, accp, accq);
+      PanelBulkPairSse2(pt, j0, li, mi, accp, accq);
 #endif
       for (size_t c = 0; c < w; ++c) {
         const size_t j = j0 + c;
@@ -563,12 +568,12 @@ bool PanelCholesky8(const double* a, double* ld, size_t n) {
       for (size_t c = 0; c < kPanel; ++c) accp[c] = ai[j0 + c];
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
       if (use_avx) {
-        PanelBulkRowAvx(pt.data(), j0, li, accp);
+        PanelBulkRowAvx(pt, j0, li, accp);
       } else {
-        PanelBulkRowSse2(pt.data(), j0, li, accp);
+        PanelBulkRowSse2(pt, j0, li, accp);
       }
 #else
-      PanelBulkRowSse2(pt.data(), j0, li, accp);
+      PanelBulkRowSse2(pt, j0, li, accp);
 #endif
       for (size_t c = 0; c < w; ++c) {
         const size_t j = j0 + c;
@@ -743,7 +748,13 @@ Result<Matrix> Matrix::Cholesky() const {
 #if defined(ATUNE_HAVE_SSE2)
   // The panel kernel's transpose-buffer setup only pays for itself once the
   // O(n^3) bulk dominates; small factors stay on the block-of-four path.
-  pd = n >= 128 ? PanelCholesky8(a, ld, n) : BlockedCholesky4(a, ld, n);
+  std::vector<double> pt;
+  if (n >= 128) {
+    pt.resize(8 * n);
+    pd = PanelCholesky8(a, ld, n, pt.data());
+  } else {
+    pd = BlockedCholesky4(a, ld, n);
+  }
 #else
   pd = BlockedCholesky4(a, ld, n);
 #endif
@@ -752,6 +763,19 @@ Result<Matrix> Matrix::Cholesky() const {
         "matrix is not positive definite (Cholesky pivot <= 0)");
   }
   return l;
+}
+
+bool Matrix::CholeskyInPlace(double* panel) {
+  assert(rows_ == cols_);
+  double* ld = data_.data();
+#if defined(ATUNE_HAVE_SSE2)
+  // The same kernel choice as Cholesky(), so the factors are bit-identical.
+  return rows_ >= 128 ? PanelCholesky8(ld, ld, rows_, panel)
+                      : BlockedCholesky4(ld, ld, rows_);
+#else
+  (void)panel;
+  return BlockedCholesky4(ld, ld, rows_);
+#endif
 }
 
 Status Matrix::CholeskyAppendRow(const Vec& row) {

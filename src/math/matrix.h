@@ -95,6 +95,20 @@ class Matrix {
   /// Returns the lower-triangular factor, or an error if not SPD.
   Result<Matrix> Cholesky() const;
 
+  /// In-place Cholesky for a caller-owned square buffer: *this holds the
+  /// lower triangle (diagonal included) of an SPD matrix A, and that
+  /// triangle is overwritten with the factor L of A = L Lᵀ. It runs
+  /// Cholesky()'s kernels (PanelCholesky8 from n = 128, BlockedCholesky4
+  /// below) on the same arithmetic, so L is bit-identical to Cholesky()'s.
+  /// The strict upper triangle is never written: a buffer that starts
+  /// zeroed ends as a factor byte-equal to Cholesky()'s. `panel` is caller
+  /// storage of at least 8 * rows() doubles for the panel kernel, so the
+  /// call allocates nothing and may run on a pool worker. Returns false,
+  /// with a partial factor in the lower triangle, when A is not positive
+  /// definite. Fast kernels only: SetScalarKernelsForTesting does not
+  /// reroute it, so the scalar half of an A/B keeps calling Cholesky().
+  bool CholeskyInPlace(double* panel);
+
   /// Treating *this as the lower Cholesky factor L of an n x n SPD matrix
   /// A, grows it in place to the factor of A bordered by one symmetric
   /// row/column: `row` holds the n cross terms followed by the new diagonal

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -32,6 +34,156 @@ double ScaledDistance(const Vec& a, const Vec& b,
     acc += d * d;
   }
   return std::sqrt(acc);
+}
+
+/// Candidates per PredictBatch chunk: the panel solve streams the whole
+/// Cholesky factor once per chunk, so wider chunks halve the dominant memory
+/// traffic versus 8.
+constexpr size_t kPredictLanes = 16;
+
+/// Hyper-search probe slices: the calling thread plus two pool workers. Each
+/// slice owns one n x n buffer, so three stay within what one probe's fit
+/// held before the in-place factor (kernel, jittered copy, factor).
+constexpr size_t kMaxProbeSlices = 3;
+
+/// out[i - begin] = k(x, p_i) for the rows p_i, i in [begin, end), of the
+/// row-major point matrix `pts` (row stride d). `ls` holds the lengthscales
+/// with ScaledDistance's clamp baked in and the kernel switch is hoisted;
+/// the accumulation (x minus point, per dimension, ascending) and the
+/// sqrt→kernel round trip are exactly KernelValue's, so each output is
+/// bit-identical.
+void KernelRowInto(const double* x, const double* pts, size_t begin,
+                   size_t end, size_t d, const double* ls, bool se, double sv,
+                   double* out) {
+  for (size_t i = begin; i < end; ++i) {
+    const double* xi = pts + i * d;
+    double acc = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      double diff = (x[j] - xi[j]) / ls[j];
+      acc += diff * diff;
+    }
+    double r = std::sqrt(acc);
+    if (se) {
+      out[i - begin] = sv * std::exp(-0.5 * r * r);
+    } else {
+      double s = std::sqrt(5.0) * r;
+      out[i - begin] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
+    }
+  }
+}
+
+/// Builds the lower triangle of K + jitter I over the n x d row-major
+/// training matrix `xs` into `k` and factors it in place, retrying with the
+/// jitter raised tenfold (at least 1e-10) up to six tries in all — Fit's
+/// escalation. Entry (i, j < i) is k(x_i, x_j): IEEE subtraction is
+/// sign-symmetric, so each squared difference, and with it the entry,
+/// equals the symmetric build's k(x_j, x_i). On success *jitter holds the
+/// jitter that factored. Allocates nothing: `panel` is CholeskyInPlace's.
+bool FactorKernelInPlace(const double* xs, size_t n, size_t d,
+                         const double* ls, bool se, double sv, double* jitter,
+                         Matrix* k, double* panel) {
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    if (attempt > 0) *jitter = std::max(*jitter * 10.0, 1e-10);
+    for (size_t i = 0; i < n; ++i) {
+      double* ki = k->RowPtr(i);
+      KernelRowInto(xs + i * d, xs, 0, i, d, ls, se, sv, ki);
+      ki[i] = sv + *jitter;
+    }
+    if (k->CholeskyInPlace(panel)) return true;
+  }
+  return false;
+}
+
+/// log p(y) = -1/2 y^T alpha - 1/2 log|K| - n/2 log(2 pi), from the centred
+/// targets, alpha = K^{-1} y and K's Cholesky factor.
+double LogMarginal(const double* centered, const double* alpha,
+                   const Matrix& chol) {
+  size_t n = chol.rows();
+  double fit_term = -0.5 * DotSpan(centered, alpha, n);
+  double det_term = -0.5 * Matrix::LogDetFromCholesky(chol);
+  double const_term = -0.5 * static_cast<double>(n) * std::log(kTwoPi);
+  return fit_term + det_term + const_term;
+}
+
+/// Runs fn(0) on the calling thread and fn(1), ..., fn(slices - 1) on
+/// `pool`, returning once every slice has finished.
+template <typename Fn>
+void RunSlices(size_t slices, ThreadPool* pool, const Fn& fn) {
+  std::vector<std::future<void>> rest;
+  rest.reserve(slices - 1);
+  for (size_t s = 1; s < slices; ++s) {
+    rest.push_back(pool->Submit([&fn, s]() { fn(s); }));
+  }
+  fn(0);
+  for (std::future<void>& f : rest) f.get();
+}
+
+/// One hyper-search slice's storage, all sized on the calling thread so the
+/// worker that scores the slice allocates nothing: a worker's first malloc
+/// would give it a glibc arena of its own.
+struct ProbeSlice {
+  Vec ls;     // the probe's clamped lengthscales
+  Vec panel;  // CholeskyInPlace's 8n panel buffer
+  Vec y1;     // L^{-1} (y - mean)
+  Vec alpha;  // K^{-1} (y - mean)
+  Matrix k;   // K + jitter I, then its factor in place
+};
+
+/// FitWithHyperSearch's in-place scoring of exact probes over equal-length
+/// inputs: (*lml)[c] is the log marginal likelihood Fit would give
+/// candidates[c], bit for bit, or NaN when its kernel stays indefinite
+/// through the jitter retries.
+void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
+                      const std::vector<GpHyperParams>& candidates,
+                      ThreadPool* pool, std::vector<double>* lml) {
+  const size_t n = xs.size();
+  const size_t d = xs[0].size();
+  const size_t count = candidates.size();
+  const size_t slices =
+      std::min({kMaxProbeSlices, count,
+                1 + (pool != nullptr ? pool->num_threads() : 0)});
+  // Shared and read-only while the slices run; the targets are centred as
+  // RecomputePosterior centres them.
+  Vec flat(n * d);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(xs[i].begin(), xs[i].end(), flat.begin() + i * d);
+  }
+  double mean = 0.0;
+  for (double y : ys) mean += y;
+  mean /= static_cast<double>(n);
+  Vec centered(n);
+  for (size_t i = 0; i < n; ++i) centered[i] = ys[i] - mean;
+  // The small per-slice vectors first, then the n x n buffers back to back:
+  // interleaving them fragments the heap and raises the peak RSS.
+  std::vector<ProbeSlice> work(slices);
+  for (ProbeSlice& w : work) {
+    w.ls.resize(d);
+    w.panel.resize(8 * n);
+    w.y1.resize(n);
+    w.alpha.resize(n);
+  }
+  for (ProbeSlice& w : work) w.k = Matrix(n, n);
+  RunSlices(slices, pool, [&](size_t s) {
+    ProbeSlice& w = work[s];
+    for (size_t c = count * s / slices; c < count * (s + 1) / slices; ++c) {
+      const GpHyperParams& cand = candidates[c];
+      for (size_t j = 0; j < d; ++j) {
+        double l = cand.lengthscales[j];
+        w.ls[j] = l > 1e-12 ? l : 1e-12;
+      }
+      double jitter = cand.noise_variance;
+      if (!FactorKernelInPlace(flat.data(), n, d, w.ls.data(),
+                               cand.kernel == KernelType::kSquaredExponential,
+                               cand.signal_variance, &jitter, &w.k,
+                               w.panel.data())) {
+        (*lml)[c] = std::numeric_limits<double>::quiet_NaN();
+        continue;
+      }
+      Matrix::ForwardSolveInto(w.k, centered.data(), w.y1.data());
+      Matrix::BackwardSolveTransposeInto(w.k, w.y1.data(), w.alpha.data());
+      (*lml)[c] = LogMarginal(centered.data(), w.alpha.data(), w.k);
+    }
+  });
 }
 }  // namespace
 
@@ -76,29 +228,10 @@ void GaussianProcess::RebuildFlatCache() {
 
 void GaussianProcess::KernelRowRangeInto(const double* x, size_t begin,
                                          size_t end, double* out) const {
-  size_t d = clamped_ls_.size();
-  const double* ls = clamped_ls_.data();
-  // ScaledDistance's per-element clamp is baked into clamped_ls_ and the
-  // kernel switch is hoisted; the accumulation (candidate minus point, per
-  // dimension, ascending) and the sqrt→kernel round trip are exactly
-  // KernelValue's, so each output is bit-identical.
-  bool se = params_.kernel == KernelType::kSquaredExponential;
-  double sv = params_.signal_variance;
-  for (size_t i = begin; i < end; ++i) {
-    const double* xi = xs_flat_.data() + i * d;
-    double acc = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      double diff = (x[j] - xi[j]) / ls[j];
-      acc += diff * diff;
-    }
-    double r = std::sqrt(acc);
-    if (se) {
-      out[i - begin] = sv * std::exp(-0.5 * r * r);
-    } else {
-      double s = std::sqrt(5.0) * r;
-      out[i - begin] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
-    }
-  }
+  KernelRowInto(x, xs_flat_.data(), begin, end, clamped_ls_.size(),
+                clamped_ls_.data(),
+                params_.kernel == KernelType::kSquaredExponential,
+                params_.signal_variance, out);
 }
 
 Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
@@ -120,20 +253,22 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
                     // untouched by the sparse path's existence
   RebuildFlatCache();
 
-  Matrix k(n, n);
+  double jitter = params_.noise_variance;
+  bool factored;
   if (flat_ok_ && !ScalarKernelsForTesting()) {
-    // Upper triangle row by row through the shared kernel-row builder
-    // (contiguous spans, hoisted clamp/switch), then mirror — the values
-    // are bit-identical to the per-pair KernelValue loop below.
-    for (size_t i = 0; i < n; ++i) {
-      k.At(i, i) = SelfKernel();
-      KernelRowRangeInto(xs_flat_.data() + i * dims, i + 1, n,
-                         k.RowPtr(i) + i + 1);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) k.At(j, i) = k.At(i, j);
-    }
+    // K + jitter I goes straight into the factor's storage and is factored
+    // there: one n x n buffer. Nothing writes a fresh buffer's strict upper
+    // triangle, so chol_ is byte-equal to Cholesky()'s zero-filled factor.
+    chol_ = Matrix(n, n);
+    Vec panel(8 * n);
+    factored = FactorKernelInPlace(
+        xs_flat_.data(), n, dims, clamped_ls_.data(),
+        params_.kernel == KernelType::kSquaredExponential, SelfKernel(),
+        &jitter, &chol_, panel.data());
   } else {
+    // Scalar A/B half and ragged fallback: the per-pair KernelValue loop
+    // and a jittered copy per retry through Cholesky().
+    Matrix k(n, n);
     for (size_t i = 0; i < n; ++i) {
       k.At(i, i) = SelfKernel();
       for (size_t j = i + 1; j < n; ++j) {
@@ -142,20 +277,22 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
         k.At(j, i) = v;
       }
     }
+    Result<Matrix> chol = Status::Internal("unset");
+    for (int attempt = 0; attempt < 6; ++attempt) {
+      Matrix kj = k;
+      kj.AddDiagonal(jitter);
+      chol = kj.Cholesky();
+      if (chol.ok()) break;
+      jitter = std::max(jitter * 10.0, 1e-10);
+    }
+    factored = chol.ok();
+    if (factored) chol_ = std::move(chol).value();
   }
-  double jitter = params_.noise_variance;
-  Result<Matrix> chol = Status::Internal("unset");
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Matrix kj = k;
-    kj.AddDiagonal(jitter);
-    chol = kj.Cholesky();
-    if (chol.ok()) break;
-    jitter = std::max(jitter * 10.0, 1e-10);
-  }
-  if (!chol.ok()) {
+  if (!factored) {
+    // The in-place factor now holds a partial factorization: never serve it.
+    fitted_ = false;
     return Status::Internal("GP Fit: kernel matrix not positive definite");
   }
-  chol_ = std::move(chol).value();
   jitter_ = jitter;
   RecomputePosterior();
   return Status::OK();
@@ -178,11 +315,7 @@ void GaussianProcess::RecomputePosterior() {
   alpha_.resize(n);
   Matrix::BackwardSolveTransposeInto(chol_, y1.data(), alpha_.data());
 
-  // log p(y) = -1/2 y^T alpha - 1/2 log|K| - n/2 log(2 pi)
-  double fit_term = -0.5 * Dot(centered, alpha_);
-  double det_term = -0.5 * Matrix::LogDetFromCholesky(chol_);
-  double const_term = -0.5 * static_cast<double>(n) * std::log(kTwoPi);
-  log_marginal_likelihood_ = fit_term + det_term + const_term;
+  log_marginal_likelihood_ = LogMarginal(centered.data(), alpha_.data(), chol_);
   fitted_ = true;
 }
 
@@ -323,22 +456,35 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
 
   // Score each candidate's log marginal likelihood (NaN = failed fit).
   std::vector<double> lml(candidates.size());
-  auto score = [&xs, &ys](const GpHyperParams& cand) -> double {
-    GaussianProcess probe(cand);
-    if (!probe.Fit(xs, ys).ok()) {
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return probe.LogMarginalLikelihood();
-  };
-  if (pool != nullptr && candidates.size() > 1) {
-    std::vector<std::future<double>> futures;
-    futures.reserve(candidates.size());
-    for (const GpHyperParams& cand : candidates) {
-      futures.push_back(pool->Submit([&score, &cand]() { return score(cand); }));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) lml[i] = futures[i].get();
+  const bool equal_length =
+      dims > 0 && std::all_of(xs.begin(), xs.end(), [dims](const Vec& x) {
+        return x.size() == dims;
+      });
+  const bool exact =
+      params_.max_exact_points == 0 || xs.size() <= params_.max_exact_points;
+  if (equal_length && exact && !ScalarKernelsForTesting()) {
+    ScoreExactProbes(xs, ys, candidates, pool, &lml);
   } else {
-    for (size_t i = 0; i < candidates.size(); ++i) lml[i] = score(candidates[i]);
+    auto score = [&xs, &ys](const GpHyperParams& cand) -> double {
+      GaussianProcess probe(cand);
+      if (!probe.Fit(xs, ys).ok()) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
+      return probe.LogMarginalLikelihood();
+    };
+    if (pool != nullptr && candidates.size() > 1) {
+      std::vector<std::future<double>> futures;
+      futures.reserve(candidates.size());
+      for (const GpHyperParams& cand : candidates) {
+        futures.push_back(
+            pool->Submit([&score, &cand]() { return score(cand); }));
+      }
+      for (size_t i = 0; i < futures.size(); ++i) lml[i] = futures[i].get();
+    } else {
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        lml[i] = score(candidates[i]);
+      }
+    }
   }
 
   // First strictly-better candidate wins — index order breaks ties exactly
@@ -400,7 +546,8 @@ GpPrediction GaussianProcess::Predict(const Vec& x) const {
 }
 
 void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                                   std::vector<GpPrediction>* out) const {
+                                   std::vector<GpPrediction>* out,
+                                   ThreadPool* pool) const {
   size_t m = candidates.rows();
   out->assign(m, GpPrediction{});
   if (!fitted_ || m == 0) return;
@@ -419,18 +566,34 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
     for (size_t r = 0; r < m; ++r) (*out)[r] = Predict(candidates.Row(r));
     return;
   }
-  // 16 lanes: the panel solve streams the whole Cholesky factor once per
-  // chunk, so wider chunks halve the dominant memory traffic versus 8.
-  constexpr size_t kLanes = 16;
+  constexpr size_t kLanes = kPredictLanes;
+  const size_t chunks = (m + kLanes - 1) / kLanes;
+  const size_t slices =
+      std::min(chunks, 1 + (pool != nullptr ? pool->num_threads() : 0));
+  // Every slice's panels are carved here, before any worker starts.
   ScratchArena& arena = scratch->arena_;
   arena.Reset();
-  double* ct = arena.AllocateArray<double>(d * kLanes);
-  double* panel = arena.AllocateArray<double>(n * kLanes);
+  double* ct = arena.AllocateArray<double>(slices * d * kLanes);
+  double* panel = arena.AllocateArray<double>(slices * n * kLanes);
+  GpPrediction* dst = out->data();
+  RunSlices(slices, pool, [&](size_t s) {
+    PredictRows(candidates, chunks * s / slices * kLanes,
+                std::min(m, chunks * (s + 1) / slices * kLanes),
+                ct + s * d * kLanes, panel + s * n * kLanes, dst);
+  });
+}
+
+void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
+                                  size_t end, double* ct, double* panel,
+                                  GpPrediction* out) const {
+  constexpr size_t kLanes = kPredictLanes;
+  size_t n = xs_.size();
+  size_t d = clamped_ls_.size();
   bool se = params_.kernel == KernelType::kSquaredExponential;
   double sv = params_.signal_variance;
   const double* ls = clamped_ls_.data();
-  for (size_t c0 = 0; c0 < m; c0 += kLanes) {
-    size_t w = std::min(kLanes, m - c0);
+  for (size_t c0 = begin; c0 < end; c0 += kLanes) {
+    size_t w = std::min(kLanes, end - c0);
     // Transpose the candidate chunk to d x kLanes so the per-dimension loop
     // below is lane-contiguous; dead lanes repeat the last real candidate
     // (finite arithmetic, results discarded).
@@ -549,7 +712,7 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
     }
 #endif
     for (size_t c = 0; c < w; ++c) {
-      GpPrediction& p = (*out)[c0 + c];
+      GpPrediction& p = out[c0 + c];
       p.mean = y_mean_ + mean_acc[c];
       p.variance = std::max(SelfKernel() - var_acc[c], 0.0);
     }

@@ -44,9 +44,11 @@ struct GpPrediction {
 
 /// Reusable scratch for GaussianProcess::PredictBatch. Owns the arena the
 /// batched kernels carve their candidate-transpose and kernel-row panels
-/// from; after the first batch at a given (n, d) it is in steady state and
-/// a PredictBatch call performs zero heap allocations. One scratch per
-/// thread — it is not synchronized.
+/// from; after the first batch at a given (n, d, slice count) it is in
+/// steady state and an unpooled PredictBatch call performs zero heap
+/// allocations. A pooled call carves every slice's panels from it on the
+/// calling thread before any worker starts, so one scratch serves the whole
+/// call; it is not synchronized — one scratch per calling thread.
 class GpScratch {
  public:
   GpScratch() = default;
@@ -73,7 +75,10 @@ class GaussianProcess {
   explicit GaussianProcess(GpHyperParams params) : params_(std::move(params)) {}
 
   /// Fits the posterior for the given data with the current hyperparameters.
-  /// Adds jitter to the kernel diagonal as needed for stability.
+  /// Adds jitter to the kernel diagonal as needed for stability. The kernel
+  /// matrix is built straight into the factor's storage and factored in
+  /// place (one n x n buffer). A kernel that stays indefinite through every
+  /// jitter retry returns kInternal and leaves the model unfitted.
   Status Fit(const std::vector<Vec>& xs, const Vec& ys);
 
   /// Incrementally absorbs one observation into a fitted model. Appends a
@@ -104,10 +109,24 @@ class GaussianProcess {
 
   /// Fits hyperparameters by maximizing the log marginal likelihood over a
   /// random search of `budget` candidate hyperparameter settings, then fits
-  /// the posterior with the winner. With a non-null `pool`, candidate fits
-  /// are evaluated concurrently on it; candidates are pre-drawn from `rng`
-  /// and ties broken by candidate index, so the winner — and therefore the
-  /// fitted model — is identical to the serial search.
+  /// the posterior with the winner. Candidates are pre-drawn from `rng` and
+  /// ties broken by candidate index, so the winner — and therefore the
+  /// fitted model — is the same with or without a pool.
+  ///
+  /// Exact probes over equal-length inputs score in place: one flattened
+  /// training matrix and one centred target vector are shared, and each
+  /// probe builds K + jitter I straight into its slice's n x n buffer and
+  /// factors it there (Matrix::CholeskyInPlace), with Fit's arithmetic, so
+  /// every score is bit-identical to fitting a GaussianProcess with that
+  /// candidate. The candidates split into at most three contiguous slices:
+  /// the calling thread scores the first and, with a non-null `pool`, two
+  /// workers score the others. At most three n x n buffers are live, what
+  /// one probe's fit held before the in-place factor (kernel, jittered
+  /// copy, factor), and every buffer a worker touches is sized on the
+  /// calling thread first, so workers never allocate. Under
+  /// SetScalarKernelsForTesting, for ragged inputs and for sparse probes
+  /// (n past max_exact_points) each candidate instead fits its own
+  /// GaussianProcess, one pool task per candidate.
   Status FitWithHyperSearch(const std::vector<Vec>& xs, const Vec& ys,
                             size_t budget, Rng* rng,
                             ThreadPool* pool = nullptr);
@@ -118,14 +137,19 @@ class GaussianProcess {
   /// Batched Predict over a whole candidate matrix (one candidate per row,
   /// candidates.cols() == input dims). (*out)[r] is bit-identical to
   /// Predict(candidates.Row(r)) — same per-element operation order — but the
-  /// kernel rows are built eight candidates at a time over the contiguous
-  /// training-point cache and the eight triangular solves share the factor's
-  /// memory traffic (internal::ForwardSolvePanel), which is where the
-  /// acquisition-scan speedup gated by bench_hotpath comes from. `scratch`
-  /// provides the panel storage and is reused across calls; `out` is
-  /// resized (capacity persists for the caller's reuse).
+  /// kernel rows are built sixteen candidates at a time over the contiguous
+  /// training-point cache and the sixteen triangular solves share the
+  /// factor's memory traffic (internal::ForwardSolvePanel), which is where
+  /// the acquisition-scan speedup gated by bench_hotpath comes from.
+  /// `scratch` provides the panel storage and is reused across calls; `out`
+  /// is resized (capacity persists for the caller's reuse). With a non-null
+  /// `pool` the rows split into contiguous 16-aligned slices, one for the
+  /// calling thread and one per worker; a slice computes its chunks exactly
+  /// as the unsliced scan does, so the output is bit-identical, and the
+  /// workers only use panels carved from `scratch` beforehand.
   void PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                    std::vector<GpPrediction>* out) const;
+                    std::vector<GpPrediction>* out,
+                    ThreadPool* pool = nullptr) const;
 
   /// Batched kernel-row builder: rows->At(r, i) = k(candidates row r, x_i)
   /// for every training point i, bit-identical to the per-point KernelValue
@@ -150,10 +174,14 @@ class GaussianProcess {
   /// KernelValue(x, xs_[i]) (same per-dimension accumulation order, with
   /// the lengthscale clamp and kernel-type switch hoisted out of the loop).
   /// Requires flat_ok_ and x spanning clamped_ls_.size() doubles. Routes
-  /// Predict's kstar, AddObservation's bordered row, Fit's kernel matrix,
-  /// and BuildKernelRows.
+  /// Predict's kstar, AddObservation's bordered row and BuildKernelRows;
+  /// Fit and the hyper-search probes build K with the same row kernel.
   void KernelRowRangeInto(const double* x, size_t begin, size_t end,
                           double* out) const;
+  /// PredictBatch's fast path over rows [begin, end), begin a multiple of
+  /// 16: `ct` holds d x 16 and `panel` n x 16 doubles of the caller's.
+  void PredictRows(const Matrix& candidates, size_t begin, size_t end,
+                   double* ct, double* panel, GpPrediction* out) const;
   /// Rebuilds xs_flat_/clamped_ls_ from xs_ and params_ (flat_ok_ = false
   /// when xs_ is ragged; every fast path then falls back to KernelValue).
   void RebuildFlatCache();

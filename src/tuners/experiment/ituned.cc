@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "math/sampling.h"
 #include "ml/acquisition.h"
 #include "obs/trace.h"
@@ -34,6 +35,7 @@ struct AcquisitionWorkspace {
 /// Acquisition-maximizing candidate over `acquisition_candidates` random
 /// proposals (a third perturb the incumbent). Shared by the serial loop and
 /// the constant-liar batch loop; `xs`/`ys` may include liar observations.
+/// The prediction scan is sliced over the calling thread and `pool`.
 ///
 /// The candidates are pre-generated into ws->cands with exactly the rng draw
 /// order of the old per-point loop (Predict consumed no randomness), then
@@ -41,7 +43,8 @@ struct AcquisitionWorkspace {
 /// therefore selects the bit-identical winner the per-point scan did.
 Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
                      const std::vector<Vec>& xs, const Vec& ys, size_t dims,
-                     Rng* rng, AcquisitionWorkspace* ws, double* best_acq_out) {
+                     Rng* rng, AcquisitionWorkspace* ws, ThreadPool* pool,
+                     double* best_acq_out) {
   ScopedSpan span(CurrentTracer(), "acquisition");
   if (span.active()) {
     span.AddArg("candidates", std::to_string(options.acquisition_candidates));
@@ -70,7 +73,7 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
       for (size_t d = 0; d < dims; ++d) cand[d] = rng->Uniform();
     }
   }
-  gp.PredictBatch(ws->cands, &ws->gp, &ws->preds);
+  gp.PredictBatch(ws->cands, &ws->gp, &ws->preds, pool);
   if (options.acquisition == "pi") {
     ProbabilityOfImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
   } else if (options.acquisition == "lcb") {
@@ -131,13 +134,18 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
   size_t model_failures = 0;
   double last_acq = 0.0;
   AcquisitionWorkspace ws;
+  // The surrogate runs on the calling thread plus a pool that fills the
+  // remaining cores; bit-identical to running it on one.
+  const size_t helpers = HelperThreadCount();
   while (!evaluator->Exhausted()) {
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
-    Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng);
+    Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng,
+                                       evaluator->thread_pool(helpers));
     Vec next;
     if (fit.ok()) {
       model_failures = 0;
-      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, &ws, &last_acq);
+      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, &ws,
+                              evaluator->thread_pool(helpers), &last_acq);
     } else {
       // Degenerate GP (e.g. constant responses): one-off failures fall back
       // to a random draw, which usually adds enough diversity to recover.
@@ -220,7 +228,7 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
   // heuristic — after each pick, pretend the point observed the incumbent
   // best ("lie"), absorb it into the GP incrementally (AddObservation,
   // O(n²)), and re-run the acquisition so the k proposals repel each other.
-  ThreadPool* pool = evaluator->thread_pool(parallelism);
+  // The pool is fetched at each use: a later EvaluateBatch may replace it.
   size_t bo_rounds = 0;
   size_t proposed = 0;
   size_t model_failures = 0;
@@ -232,8 +240,8 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
     size_t k = std::min(parallelism, affordable);
     if (k == 0) break;
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
-    Status fit =
-        gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng, pool);
+    Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng,
+                                       evaluator->thread_pool(parallelism));
     std::vector<Vec> proposals;
     std::vector<Configuration> batch;
     proposals.reserve(k);
@@ -245,7 +253,8 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
       Vec lie_ys = ys;
       for (size_t j = 0; j < k; ++j) {
         Vec cand = ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng,
-                                    &ws, &last_acq);
+                                    &ws, evaluator->thread_pool(parallelism),
+                                    &last_acq);
         batch.push_back(space.FromUnitVector(cand));
         if (j + 1 < k) {
           // Liar update; a degenerate append falls back to a full refit

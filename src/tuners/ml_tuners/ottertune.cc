@@ -10,6 +10,7 @@
 #include "common/file_util.h"
 #include "common/stats.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "math/sampling.h"
 #include "ml/acquisition.h"
 #include "ml/gaussian_process.h"
@@ -349,6 +350,9 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
   std::vector<GpPrediction> acq_preds;
   Vec acq_values;
   GpScratch gp_scratch;
+  // The surrogate runs on the calling thread plus a pool that fills the
+  // remaining cores; bit-identical to running it on one.
+  const size_t helpers = HelperThreadCount();
   while (!evaluator->Exhausted()) {
     mapped = MapWorkload(repository_, metric_idx, target_configs,
                          target_metrics);
@@ -373,7 +377,8 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
     }
 
     GaussianProcess gp;
-    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng);
+    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng,
+                                       evaluator->thread_pool(helpers));
     Vec next(dims);
     Vec incumbent = target_configs[static_cast<size_t>(
         std::min_element(target_objectives.begin(), target_objectives.end()) -
@@ -399,7 +404,8 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
                         : rng->Uniform();
         }
       }
-      gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds);
+      gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds,
+                      evaluator->thread_pool(helpers));
       ExpectedImprovementBatch(acq_preds, best_log, 0.0, &acq_values);
       double best_acq = -std::numeric_limits<double>::infinity();
       size_t best_c = kAcqCandidates;

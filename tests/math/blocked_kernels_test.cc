@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "math/matrix.h"
@@ -105,6 +106,28 @@ TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
     ASSERT_EQ(fast.ok(), ref.ok()) << "n=" << n;
     if (fast.ok()) EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n;
   }
+}
+
+TEST(BlockedKernels, CholeskyInPlaceMatchesCholesky) {
+  mt19937_64 gen(19);
+  // Both kernels (the panel kernel from n = 128) and their edges.
+  for (size_t n : {1, 5, 64, 127, 128, 131, 200}) {
+    Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
+    auto want = a.Cholesky();
+    ASSERT_TRUE(want.ok());
+    // Only the lower triangle of A goes in; the zeroed upper triangle must
+    // come out untouched, so the buffer ends byte-equal to Cholesky()'s.
+    Matrix l(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j <= i; ++j) l.At(i, j) = a.At(i, j);
+    }
+    std::vector<double> panel(8 * n);
+    ASSERT_TRUE(l.CholeskyInPlace(panel.data())) << "n=" << n;
+    EXPECT_TRUE(BitIdentical(l, *want)) << "n=" << n;
+  }
+  Matrix indefinite({{1.0, 0.0}, {2.0, 1.0}});
+  std::vector<double> panel(16);
+  EXPECT_FALSE(indefinite.CholeskyInPlace(panel.data()));
 }
 
 TEST(BlockedKernels, CholeskyNotPositiveDefiniteSameError) {

@@ -1,0 +1,70 @@
+// Verifies that pool workers allocate nothing while they run the GP
+// surrogate's slices (DESIGN.md §11): every buffer a hyper-search probe
+// slice or a PredictBatch slice touches is sized on the calling thread
+// first. A worker's first malloc would give it a glibc arena of its own and
+// raise the process's peak RSS. This binary links
+// common/alloc_hook_override.cc, so SampleAllocCount() counts the calling
+// thread's operator-new calls.
+
+#include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
+
+#include "common/alloc_hook.h"
+#include "common/random.h"
+#include "common/thread_pool.h"
+#include "ml/gaussian_process.h"
+
+namespace atune {
+namespace {
+
+TEST(GpPoolAlloc, WorkersAllocateNothing) {
+  // One worker, so every pool task below runs on the same thread and the
+  // worker's count can be sampled before and after the surrogate's slices.
+  ThreadPool pool(1);
+  auto worker_count = [&pool]() {
+    return pool.Submit([]() { return SampleAllocCount(); }).get();
+  };
+  // The hook is live on the worker: a direct operator-new call counts.
+  uint64_t probe = worker_count();
+  pool.Submit([]() { ::operator delete(::operator new(64)); }).get();
+  ASSERT_GT(worker_count(), probe);
+
+  std::mt19937_64 gen(7);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const size_t n = 200;
+  const size_t d = 6;
+  std::vector<Vec> xs(n, Vec(d));
+  Vec ys(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : xs[i]) v = u(gen);
+    ys[i] = 3.0 * u(gen) - 1.5;
+  }
+  Matrix cands(2000, d);
+  for (size_t r = 0; r < cands.rows(); ++r) {
+    for (size_t j = 0; j < d; ++j) cands.At(r, j) = u(gen);
+  }
+
+  GaussianProcess gp;
+  Rng rng(3);
+  GpScratch scratch;
+  std::vector<GpPrediction> preds;
+  uint64_t before = worker_count();
+  ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool).ok());
+  gp.PredictBatch(cands, &scratch, &preds, &pool);
+  EXPECT_EQ(worker_count(), before);
+  ASSERT_EQ(preds.size(), cands.rows());
+
+  // The worker did score: the sliced results equal the unpooled ones.
+  GaussianProcess serial;
+  Rng serial_rng(3);
+  ASSERT_TRUE(serial.FitWithHyperSearch(xs, ys, 8, &serial_rng).ok());
+  EXPECT_EQ(serial.LogMarginalLikelihood(), gp.LogMarginalLikelihood());
+  std::vector<GpPrediction> serial_preds;
+  serial.PredictBatch(cands, &scratch, &serial_preds);
+  EXPECT_EQ(serial_preds.back().mean, preds.back().mean);
+}
+
+}  // namespace
+}  // namespace atune

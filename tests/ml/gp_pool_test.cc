@@ -1,0 +1,271 @@
+// Bit-identity tests for the pooled GP surrogate (DESIGN.md §6, §11): the
+// hyper search scores its probes in place in up to three slices, and
+// PredictBatch splits its rows into 16-aligned slices over the calling
+// thread and the pool. Neither may change a bit: the fitted params, the log
+// marginal likelihood and every prediction must equal the unpooled run's,
+// and the fast in-place path must equal the scalar reference path.
+
+#include <cstring>
+#include <memory>
+#include <random>
+#include <vector>
+
+#include "common/random.h"
+#include "common/thread_pool.h"
+#include "gtest/gtest.h"
+#include "ml/gaussian_process.h"
+
+namespace atune {
+namespace {
+
+using std::mt19937_64;
+
+std::vector<Vec> RandomPoints(size_t n, size_t d, mt19937_64* gen) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<Vec> xs(n, Vec(d));
+  for (auto& x : xs) {
+    for (double& v : x) v = u(*gen);
+  }
+  return xs;
+}
+
+Vec RandomTargets(size_t n, mt19937_64* gen) {
+  std::uniform_real_distribution<double> u(-3.0, 3.0);
+  Vec ys(n);
+  for (double& y : ys) y = u(*gen);
+  return ys;
+}
+
+Matrix RandomCandidates(size_t m, size_t d, mt19937_64* gen) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  Matrix c(m, d);
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t j = 0; j < d; ++j) c.At(r, j) = u(*gen);
+  }
+  return c;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Restores the fast kernels even when an assertion returns early.
+class ScalarKernels {
+ public:
+  ScalarKernels() { SetScalarKernelsForTesting(true); }
+  ~ScalarKernels() { SetScalarKernelsForTesting(false); }
+};
+
+/// Pools of 1..4 workers, built once for the whole binary.
+ThreadPool* Pool(size_t workers) {
+  static std::vector<std::unique_ptr<ThreadPool>> pools = [] {
+    std::vector<std::unique_ptr<ThreadPool>> p;
+    for (size_t w = 1; w <= 4; ++w) {
+      p.push_back(std::make_unique<ThreadPool>(w));
+    }
+    return p;
+  }();
+  return pools[workers - 1].get();
+}
+
+/// Everything a fitted model exposes, as raw bits.
+std::vector<double> Fingerprint(const GaussianProcess& gp,
+                                const Matrix& probes) {
+  const GpHyperParams& p = gp.params();
+  std::vector<double> out = {static_cast<double>(p.kernel), p.signal_variance,
+                             p.noise_variance, gp.LogMarginalLikelihood(),
+                             static_cast<double>(gp.num_points()),
+                             gp.fitted() ? 1.0 : 0.0};
+  out.insert(out.end(), p.lengthscales.begin(), p.lengthscales.end());
+  for (size_t r = 0; r < probes.rows(); ++r) {
+    GpPrediction pred = gp.Predict(probes.Row(r));
+    out.push_back(pred.mean);
+    out.push_back(pred.variance);
+  }
+  return out;
+}
+
+void ExpectSameBits(const std::vector<double>& want,
+                    const std::vector<double>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(SameBits(want[i], got[i]))
+        << what << " entry " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+/// Runs the same seeded hyper search without a pool, with pools of 1..4
+/// workers and under the scalar kernels, and requires identical bits.
+void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
+                         GpHyperParams params, size_t budget,
+                         const Matrix& probes) {
+  auto search = [&](ThreadPool* pool) {
+    GaussianProcess gp(params);
+    Rng rng(17);
+    Status fit = gp.FitWithHyperSearch(xs, ys, budget, &rng, pool);
+    EXPECT_TRUE(fit.ok()) << fit.ToString();
+    return gp;
+  };
+  GaussianProcess serial = search(nullptr);
+  ASSERT_TRUE(serial.fitted());
+  const std::vector<double> want = Fingerprint(serial, probes);
+  for (size_t workers = 1; workers <= 4; ++workers) {
+    ExpectSameBits(want, Fingerprint(search(Pool(workers)), probes),
+                   "pooled search");
+  }
+  GaussianProcess scalar;
+  {
+    ScalarKernels guard;
+    scalar = search(nullptr);
+  }
+  ExpectSameBits(want, Fingerprint(scalar, probes), "scalar search");
+}
+
+TEST(GpPool, HyperSearchIsBitIdenticalAcrossSlicesAndKernels) {
+  mt19937_64 gen(5);
+  // n = 127 and 128 straddle the switch from BlockedCholesky4 to
+  // PanelCholesky8; budget 7 leaves the three slices uneven.
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    for (size_t n : {40, 127, 128, 200}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " kernel="
+                                      << static_cast<int>(kernel));
+      const size_t d = 4;
+      ExpectSearchesAgree(RandomPoints(n, d, &gen), RandomTargets(n, &gen),
+                          GpHyperParams{kernel, {}, 1.0, 1e-4}, 7,
+                          RandomCandidates(5, d, &gen));
+    }
+  }
+}
+
+TEST(GpPool, HyperSearchOverDuplicateDesignIsBitIdentical) {
+  mt19937_64 gen(9);
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    for (size_t distinct : {14, 50}) {
+      // Every point three times: 42 and 150 rows, one per Cholesky kernel.
+      std::vector<Vec> base = RandomPoints(distinct, 3, &gen);
+      std::vector<Vec> xs;
+      for (int copy = 0; copy < 3; ++copy) {
+        xs.insert(xs.end(), base.begin(), base.end());
+      }
+      ExpectSearchesAgree(xs, RandomTargets(xs.size(), &gen),
+                          GpHyperParams{kernel, {}, 1.0, 1e-4}, 6,
+                          RandomCandidates(4, 3, &gen));
+    }
+  }
+}
+
+TEST(GpPool, JitterEscalationIsBitIdenticalInPlace) {
+  // The search's candidates keep their noise above 2e-7 of the signal
+  // variance, so their kernels factor at the first try; Fit shares the
+  // in-place escalation, so force it there. With x_0 duplicated, unit
+  // signal variance and a noise below the rounding of 1.0, the first pivot
+  // after the duplicate is exactly <= 0; the retry at jitter 1e-10 must
+  // give the bits of a fit that starts at 1e-10, on both kernel paths.
+  mt19937_64 gen(13);
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    for (size_t n : {40, 200}) {
+      std::vector<Vec> xs = RandomPoints(n, 3, &gen);
+      xs[n / 2] = xs[0];
+      Vec ys = RandomTargets(n, &gen);
+      Matrix probes = RandomCandidates(4, 3, &gen);
+      auto fit = [&](double noise) {
+        GaussianProcess gp(GpHyperParams{kernel, {0.4, 0.3, 0.5}, 1.0, noise});
+        EXPECT_TRUE(gp.Fit(xs, ys).ok());
+        return Fingerprint(gp, probes);
+      };
+      // The noise itself is part of the fingerprint; compare the rest.
+      std::vector<double> escalated = fit(1e-20);
+      std::vector<double> direct = fit(1e-10);
+      escalated[2] = direct[2] = 0.0;
+      ExpectSameBits(direct, escalated, "escalated fit");
+      std::vector<double> scalar;
+      {
+        ScalarKernels guard;
+        scalar = fit(1e-20);
+      }
+      scalar[2] = 0.0;
+      ExpectSameBits(escalated, scalar, "scalar escalated fit");
+    }
+  }
+}
+
+TEST(GpPool, FitThatNeverFactorsLeavesTheModelUnfitted) {
+  // A slightly negative signal variance: a single point factors once the
+  // jitter reaches 1e-5, but n duplicates of it have the eigenvalue
+  // n * sv + jitter, which no retry (the jitter tops out at 1e-5) keeps
+  // positive past n = 10. The in-place factor of the failed refit is
+  // garbage, so the model must report itself unfitted, on both paths.
+  for (bool scalar : {false, true}) {
+    SetScalarKernelsForTesting(scalar);
+    GaussianProcess gp(GpHyperParams{KernelType::kMatern52, {0.3}, -1e-6,
+                                     1e-10});
+    Status fit = gp.Fit({{0.5}}, Vec{1.0});
+    bool fitted_once = gp.fitted();
+    for (int i = 0; i < 20 && fit.ok(); ++i) {
+      fit = gp.AddObservation({0.5}, 1.0);
+    }
+    SetScalarKernelsForTesting(false);
+    EXPECT_TRUE(fitted_once);
+    EXPECT_EQ(fit.code(), StatusCode::kInternal);
+    EXPECT_FALSE(gp.fitted());
+    EXPECT_EQ(gp.Predict({0.5}).variance, 0.0);
+  }
+}
+
+TEST(GpPool, SparseProbesAgreeWithAndWithoutPool) {
+  // Past max_exact_points every probe fits the DTC approximation through
+  // its own GaussianProcess, one pool task per candidate.
+  mt19937_64 gen(33);
+  std::vector<Vec> xs = RandomPoints(60, 3, &gen);
+  Vec ys = RandomTargets(60, &gen);
+  Matrix probes = RandomCandidates(4, 3, &gen);
+  GpHyperParams params{KernelType::kMatern52, {}, 1.0, 1e-4};
+  params.max_exact_points = 25;
+  auto search = [&](ThreadPool* pool) {
+    GaussianProcess gp(params);
+    Rng rng(4);
+    EXPECT_TRUE(gp.FitWithHyperSearch(xs, ys, 6, &rng, pool).ok());
+    EXPECT_TRUE(gp.sparse());
+    return Fingerprint(gp, probes);
+  };
+  const std::vector<double> want = search(nullptr);
+  for (size_t workers : {1, 3}) {
+    ExpectSameBits(want, search(Pool(workers)), "pooled sparse search");
+  }
+}
+
+TEST(GpPool, SlicedPredictBatchIsBitIdentical) {
+  mt19937_64 gen(41);
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    const size_t n = 70;
+    const size_t d = 5;
+    GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
+    ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen)).ok());
+    GpScratch scratch;  // reused across slice counts on purpose
+    for (size_t m : {1, 15, 16, 17, 1500, 2000}) {
+      Matrix cands = RandomCandidates(m, d, &gen);
+      std::vector<GpPrediction> want(m);
+      for (size_t r = 0; r < m; ++r) want[r] = gp.Predict(cands.Row(r));
+      // Slices: 1 (no pool) through 5 (four workers).
+      for (size_t workers = 0; workers <= 4; ++workers) {
+        std::vector<GpPrediction> got;
+        gp.PredictBatch(cands, &scratch, &got,
+                        workers == 0 ? nullptr : Pool(workers));
+        ASSERT_EQ(got.size(), m);
+        for (size_t r = 0; r < m; ++r) {
+          ASSERT_TRUE(SameBits(want[r].mean, got[r].mean))
+              << "m=" << m << " workers=" << workers << " row " << r;
+          ASSERT_TRUE(SameBits(want[r].variance, got[r].variance))
+              << "m=" << m << " workers=" << workers << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace atune
