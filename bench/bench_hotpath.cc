@@ -14,13 +14,21 @@
 //   * replay: journal recovery MB/s, mmap vs forced streaming, identical
 //     records in every mode including the ATUNE_JOURNAL_NO_MMAP env
 //     fallback.
-//   * identity: whole-registry tuning sessions — serial, batched p=8, and
-//     kill/resume — run under fast and scalar kernels must produce equal
-//     OutcomeChecksums, structural trace trees, and journal file bytes.
+//   * identity: whole-registry tuning sessions — serial, batched p=8,
+//     kill/resume, and batched p=8 on a faulty DBMS (FaultProfile rate 0.15,
+//     3600 s watchdog, 3.5 MAD outlier threshold, so lane repairs run) —
+//     run under fast and scalar kernels must produce equal OutcomeChecksums,
+//     structural trace trees, and journal file bytes. Each leg also prints a
+//     `fingerprint` line (outcome checksum, FNV-1a of the journal bytes and
+//     of the structural tree) that is stable across builds: diffing those
+//     lines between two commits shows whether a refactor changed any
+//     session's bytes, which the in-build fast-vs-scalar gate cannot see.
 //
 // Results go to console + BENCH_hotpath.json. Kernel/acquisition problem
-// sizes are constant under ATUNE_SMOKE (they are cheap); only the session
-// budget shrinks. The identity/alloc/replay flags gate even at smoke scale
+// sizes and the session budget are constant under ATUNE_SMOKE (they are
+// cheap, and budget 14 is what lets the faulted leg reach the watchdog and
+// re-measurement); only timing reps and the replay record count shrink. The
+// identity/alloc/replay flags gate even at smoke scale
 // via tools/run_checks.sh --hotpath (correctness, not paper-scale numbers);
 // the speedup gates use the binary's own exit code (advisory under smoke).
 
@@ -31,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -50,6 +59,7 @@
 #include "ml/gaussian_process.h"
 #include "obs/trace.h"
 #include "systems/dbms/dbms_workloads.h"
+#include "systems/fault_injector.h"
 #include "tuners/builtin.h"
 
 #ifndef ATUNE_BUILD_FLAGS
@@ -60,7 +70,7 @@ namespace atune {
 namespace bench {
 namespace {
 
-const size_t kBudget = SmokeSize(14, 8);
+const size_t kBudget = 14;
 const uint64_t kSeed = 5;
 const int kTimingReps = SmokeMode() ? 3 : 7;
 
@@ -352,16 +362,36 @@ struct SessionResult {
   std::string journal_bytes;
 };
 
+/// One identity leg: how a session is run before its fast and scalar
+/// results are compared.
+struct IdentityLeg {
+  const char* name;
+  size_t parallelism;
+  uint64_t kill_after;  ///< > 0: kill after this many records, then resume
+  bool faulted;         ///< faulty DBMS with watchdog and outlier repair
+};
+
+constexpr IdentityLeg kIdentityLegs[] = {
+    {"serial", 1, 0, false},
+    {"batched", 8, 0, false},
+    {"kill_resume", 1, 3, false},
+    {"faulted", 8, 0, true},
+};
+constexpr size_t kNumIdentityLegs =
+    sizeof(kIdentityLegs) / sizeof(kIdentityLegs[0]);
+
 SessionResult RunIdentitySession(const std::string& tuner_name,
-                                 size_t parallelism, uint64_t kill_after,
-                                 bool scalar, const std::string& journal_path) {
+                                 const IdentityLeg& leg, bool scalar,
+                                 const std::string& journal_path) {
   SessionResult out;
   TunerRegistry registry;
   RegisterBuiltinTuners(&registry);
   auto tuner = registry.Create(tuner_name);
   if (!tuner.ok()) return out;
-  (*tuner)->set_parallelism(parallelism);
+  (*tuner)->set_parallelism(leg.parallelism);
   auto dbms = MakeDbms(kSeed + 1);
+  FaultInjectingSystem faulty(dbms.get(), FaultProfile::FromRate(0.15));
+  TunableSystem* system = dbms.get();
   const Workload workload = MakeDbmsOlapWorkload(1.0);
 
   SetScalarKernelsForTesting(scalar);
@@ -370,31 +400,35 @@ SessionResult RunIdentitySession(const std::string& tuner_name,
   options.seed = kSeed + 100;
   options.measure_default = false;
   options.journal_path = journal_path;
+  if (leg.faulted) {
+    system = &faulty;
+    options.robustness.timeout_seconds = 3600.0;
+    options.robustness.outlier_mad_threshold = 3.5;
+  }
   Tracer tracer;
-  if (kill_after > 0) {
+  if (leg.kill_after > 0) {
     // Kill leg: journal the first `kill_after` records, then abort. The
     // outcome status is irrelevant; the resume leg below is what we compare.
     // Resume uses a freshly created tuner, as a real post-crash process
     // would — replay feeds the journal into pristine tuner state.
-    options.interrupt_after_records = kill_after;
-    (void)RunTuningSession(tuner->get(), dbms.get(), workload, options);
+    options.interrupt_after_records = leg.kill_after;
+    (void)RunTuningSession(tuner->get(), system, workload, options);
     auto fresh = registry.Create(tuner_name);
     if (!fresh.ok()) {
       SetScalarKernelsForTesting(false);
       return out;
     }
-    (*fresh)->set_parallelism(parallelism);
+    (*fresh)->set_parallelism(leg.parallelism);
     options.interrupt_after_records = 0;
     options.tracer = &tracer;
     auto resumed =
-        ResumeTuningSession(fresh->get(), dbms.get(), workload, options);
+        ResumeTuningSession(fresh->get(), system, workload, options);
     SetScalarKernelsForTesting(false);
     if (!resumed.ok()) return out;
     out.checksum = OutcomeChecksum(*resumed);
   } else {
     options.tracer = &tracer;
-    auto outcome =
-        RunTuningSession(tuner->get(), dbms.get(), workload, options);
+    auto outcome = RunTuningSession(tuner->get(), system, workload, options);
     SetScalarKernelsForTesting(false);
     if (!outcome.ok()) return out;
     out.checksum = OutcomeChecksum(*outcome);
@@ -409,11 +443,11 @@ SessionResult RunIdentitySession(const std::string& tuner_name,
 struct IdentityRow {
   std::string tuner;
   bool applicable = false;
-  bool serial = false;
-  bool batched = false;
-  bool kill_resume = false;
+  bool same[kNumIdentityLegs] = {};
   bool pass() const {
-    return !applicable || (serial && batched && kill_resume);
+    return !applicable ||
+           std::all_of(std::begin(same), std::end(same),
+                       [](bool leg_same) { return leg_same; });
   }
 };
 
@@ -434,31 +468,42 @@ bool SameSession(const SessionResult& a, const SessionResult& b,
   return same;
 }
 
+/// Prints the leg's build-independent fingerprint line (see the header).
+void PrintFingerprint(const std::string& tuner, const char* leg,
+                      const SessionResult& r) {
+  std::printf(
+      "  fingerprint %-24s %-11s ok=%d checksum=%016llx journal=%016llx "
+      "tree=%016llx\n",
+      tuner.c_str(), leg, r.ok, static_cast<unsigned long long>(r.checksum),
+      static_cast<unsigned long long>(Fnv1a(
+          kFnvOffsetBasis, r.journal_bytes.data(), r.journal_bytes.size())),
+      static_cast<unsigned long long>(
+          Fnv1a(kFnvOffsetBasis, r.tree.data(), r.tree.size())));
+}
+
 std::vector<IdentityRow> RunIdentityMatrix() {
   TunerRegistry registry;
   RegisterBuiltinTuners(&registry);
   std::vector<IdentityRow> rows;
+  const std::string path = "BENCH_hotpath_identity.waljournal.tmp";
   for (const std::string& name : registry.Names()) {
     IdentityRow row;
     row.tuner = name;
-    const std::string path = "BENCH_hotpath_identity.waljournal.tmp";
-    SessionResult fast_serial = RunIdentitySession(name, 1, 0, false, path);
-    // Tuners that cannot drive the DBMS under this budget (wrong system
-    // kind, degenerate model) fail identically in both modes; skip them.
-    row.applicable = fast_serial.ok;
-    if (row.applicable) {
-      row.serial = SameSession(
-          fast_serial, RunIdentitySession(name, 1, 0, true, path), "serial");
-      row.batched = SameSession(RunIdentitySession(name, 8, 0, false, path),
-                                RunIdentitySession(name, 8, 0, true, path),
-                                "batched");
-      row.kill_resume = SameSession(RunIdentitySession(name, 1, 3, false, path),
-                                    RunIdentitySession(name, 1, 3, true, path),
-                                    "kill_resume");
+    for (size_t i = 0; i < kNumIdentityLegs; ++i) {
+      const IdentityLeg& leg = kIdentityLegs[i];
+      SessionResult fast = RunIdentitySession(name, leg, false, path);
+      // Tuners that cannot drive the DBMS under this budget (wrong system
+      // kind, degenerate model) fail identically in both modes; the serial
+      // leg decides applicability and the others are skipped.
+      if (i == 0) row.applicable = fast.ok;
+      if (!row.applicable) break;
+      PrintFingerprint(name, leg.name, fast);
+      row.same[i] =
+          SameSession(fast, RunIdentitySession(name, leg, true, path), leg.name);
     }
-    std::printf("  %-24s %s serial=%d batched=%d kill_resume=%d\n",
-                name.c_str(), row.applicable ? "ok " : "n/a", row.serial,
-                row.batched, row.kill_resume);
+    std::printf("  %-24s %s serial=%d batched=%d kill_resume=%d faulted=%d\n",
+                name.c_str(), row.applicable ? "ok " : "n/a", row.same[0],
+                row.same[1], row.same[2], row.same[3]);
     rows.push_back(row);
   }
   return rows;
@@ -552,10 +597,10 @@ int Main() {
     const IdentityRow& row = identity[i];
     json << StrFormat(
         "    {\"tuner\": \"%s\", \"applicable\": %s, \"serial\": %s, "
-        "\"batched\": %s, \"kill_resume\": %s}%s\n",
+        "\"batched\": %s, \"kill_resume\": %s, \"faulted\": %s}%s\n",
         row.tuner.c_str(), row.applicable ? "true" : "false",
-        row.serial ? "true" : "false", row.batched ? "true" : "false",
-        row.kill_resume ? "true" : "false",
+        row.same[0] ? "true" : "false", row.same[1] ? "true" : "false",
+        row.same[2] ? "true" : "false", row.same[3] ? "true" : "false",
         i + 1 < identity.size() ? "," : "");
   }
   json << "  ],\n";
