@@ -132,10 +132,38 @@ double Evaluator::ObjectiveOf(const Configuration& config,
   return obj;
 }
 
-void Evaluator::CommitTrial(Configuration config, ExecutionResult result,
-                            double cost, bool exclude_from_best) {
+void Evaluator::CommitTrial(Trial trial) {
+  history_.push_back(std::move(trial));
+  if (!history_.back().scaled &&
+      (!has_best_ ||
+       history_.back().objective < history_[best_index_].objective)) {
+    best_index_ = history_.size() - 1;
+    has_best_ = true;
+  }
+  if (guard_ != nullptr) guard_->Observe(history_.back());
+}
+
+Status Evaluator::CommitTail(Configuration config, ExecutionResult result,
+                             const MeasureRequest* request, double cost,
+                             ScopedSpan* span, uint64_t batch_size,
+                             uint64_t lane) {
+  const uint64_t span_id = span != nullptr ? span->id() : 0;
+  bool exclude_from_best = false;
+  double charge = 0.0;
+  if (request != nullptr) {
+    // Budget spoken for: this run's base cost and the wave's uncommitted
+    // lanes after it.
+    const double reserved =
+        request->fraction * static_cast<double>(batch_size - lane);
+    result = ApplyRobustnessPolicy(config, std::move(result), *request,
+                                   reserved, &cost, &exclude_from_best,
+                                   span_id);
+    charge = cost;
+  }
   commit_allocs_sample_ = SampleAllocCount();
-  used_ += cost;
+  used_ += charge;
+  // config/result arrive by value and move in: the commit transfers
+  // ownership instead of deep-copying (the zero-alloc contract).
   Trial trial;
   trial.objective = ObjectiveOf(config, result);
   trial.config = std::move(config);
@@ -143,20 +171,30 @@ void Evaluator::CommitTrial(Configuration config, ExecutionResult result,
   trial.cost = cost;
   trial.scaled = exclude_from_best;
   trial.round = round_;
-  history_.push_back(std::move(trial));
-  if (!exclude_from_best &&
-      (!has_best_ ||
-       history_.back().objective < history_[best_index_].objective)) {
-    best_index_ = history_.size() - 1;
-    has_best_ = true;
+  CommitTrial(std::move(trial));
+  const Trial& committed = history_.back();
+  RecordTrialMetrics(committed);
+  if (span != nullptr) {
+    AnnotateTrialSpan(span, /*has_seq=*/journal_ != nullptr,
+                      journal_ != nullptr ? journal_->next_seq() : 0,
+                      committed, batch_size, lane);
   }
-  // The guard sees every committed observation (ReplayTrial mirrors this),
-  // so breaker state is a pure function of the journaled sequence.
-  if (guard_ != nullptr) guard_->Observe(history_.back());
+  // Borrow the committed trial's config/result instead of copying them into
+  // an owning record — with AppendRef's reused frame buffer, the journal
+  // half of the commit path allocates nothing in steady state.
+  JournalRecordRef rec;
+  rec.config = &committed.config;
+  rec.result = &committed.result;
+  rec.objective = committed.objective;
+  rec.cost = committed.cost;
+  rec.scaled = committed.scaled;
+  rec.round = committed.round;
+  rec.batch_size = batch_size;
+  rec.lane = lane;
+  return JournalAppend(rec, span_id);
 }
 
 ExecutionResult Evaluator::RetryTransient(const Configuration& config,
-                                          const Workload& workload,
                                           ExecutionResult result,
                                           double base_cost, double reserved,
                                           double* cost,
@@ -180,7 +218,7 @@ ExecutionResult Evaluator::RetryTransient(const Configuration& config,
       span_id = tracer_->BeginSpan();
       begin_ns = tracer_->NowNs();
     }
-    auto again = CountedExecute(config, workload);
+    auto again = CountedExecute(config, base_cost);
     if (!again.ok()) break;  // repair impossible; keep what we measured
     if (tracer_ != nullptr) {
       tracer_->EndSpan(span_id, parent_span, "retry", nullptr, begin_ns, {});
@@ -213,36 +251,52 @@ double Evaluator::OutlierScore(double runtime) const {
   return 0.6745 * std::abs(runtime - stats.median) / mad;
 }
 
-ExecutionResult Evaluator::ApplyRobustnessPolicy(const Configuration& config,
-                                                 ExecutionResult result,
-                                                 double reserved,
-                                                 double* cost,
-                                                 bool* exclude_from_best,
-                                                 uint64_t parent_span) {
-  *cost = 1.0;
-  *exclude_from_best = false;
-  result = RetryTransient(config, workload_, std::move(result), 1.0,
+ExecutionResult Evaluator::ApplyRobustnessPolicy(
+    const Configuration& config, ExecutionResult result,
+    const MeasureRequest& request, double reserved, double* cost,
+    bool* exclude_from_best, uint64_t parent_span) {
+  *exclude_from_best = request.scaled;
+  // Transient faults hit cheap sample runs too; a retry costs the same
+  // fraction of the (scaled-down) run it re-executes.
+  result = RetryTransient(config, std::move(result), request.fraction,
                           reserved, cost, parent_span);
+  if (request.scaled) return result;
 
-  // Timeout watchdog: reclaim hung (or merely interminable) runs at the
-  // threshold. Early-abort cost accounting: we only watched the run for
-  // timeout_seconds of its wall-clock, so charge that fraction (with the
-  // same 0.05 setup floor); the censored lower bound never becomes a best.
-  if (policy_.timeout_seconds > 0.0 &&
-      result.runtime_seconds > policy_.timeout_seconds) {
-    double fraction = policy_.timeout_seconds / result.runtime_seconds;
+  // Censor at the tighter of the timeout watchdog and the early-abort
+  // threshold (a hung run never gets to burn the abort threshold). The
+  // watchdog reclaims hung — or merely interminable — runs, failed or not.
+  // An early abort never censors a failed run: it did not stop early, and
+  // its failure's wall-clock charge stands in full, so crashing never
+  // masquerades as a cheap censored measurement. Either way we only watched
+  // the run for censor_at of its wall clock, so charge that fraction (with
+  // a 0.05 setup floor); the censored lower bound never becomes a best.
+  const bool watchdog =
+      policy_.timeout_seconds > 0.0 &&
+      (request.abort_at <= 0.0 || policy_.timeout_seconds < request.abort_at);
+  const double censor_at =
+      watchdog ? policy_.timeout_seconds : request.abort_at;
+  if (censor_at > 0.0 && result.runtime_seconds > censor_at &&
+      (request.abort_at <= 0.0 || !result.failed)) {
+    double fraction = censor_at / result.runtime_seconds;
     // Written as (cost - 1) + floor so the 0.05 floor is exact when no
     // retry surcharges preceded it (cost == 1.0).
     *cost = (*cost - 1.0) + std::max(0.05, std::min(1.0, fraction));
-    result.runtime_seconds = policy_.timeout_seconds;
+    result.runtime_seconds = censor_at;
     result.censored = true;
-    result.failure_reason = StrFormat(
-        "killed by timeout watchdog after %.0f s", policy_.timeout_seconds);
-    ++timed_out_runs_;
-    if (m_.timed_out != nullptr) m_.timed_out->Increment();
+    if (watchdog) {
+      result.failure_reason =
+          StrFormat("killed by timeout watchdog after %.0f s", censor_at);
+      ++timed_out_runs_;
+      if (m_.timed_out != nullptr) m_.timed_out->Increment();
+    } else {
+      result.failure_reason = "aborted by early-abort threshold";
+    }
     *exclude_from_best = true;
     return result;
   }
+  // Early abort has its own answer to a slow run, the censor above, so it
+  // skips outlier re-measurement (DESIGN.md §7).
+  if (request.abort_at > 0.0) return result;
 
   // MAD outlier re-measurement: a completed run far outside the history's
   // runtime distribution is either a straggler, a corrupted measurement, or
@@ -263,7 +317,7 @@ ExecutionResult Evaluator::ApplyRobustnessPolicy(const Configuration& config,
         span_id = tracer_->BeginSpan();
         begin_ns = tracer_->NowNs();
       }
-      auto again = CountedExecute(config, workload_);
+      auto again = CountedExecute(config, 1.0);
       if (!again.ok()) break;
       if (tracer_ != nullptr) {
         tracer_->EndSpan(span_id, parent_span, "remeasure", nullptr, begin_ns,
@@ -275,9 +329,8 @@ ExecutionResult Evaluator::ApplyRobustnessPolicy(const Configuration& config,
         m_.remeasured->Increment();
         m_.budget_remeasure->Add(1.0);
       }
-      measurements.push_back(RetryTransient(config, workload_,
-                                            *std::move(again), 1.0, reserved,
-                                            cost, parent_span));
+      measurements.push_back(RetryTransient(config, *std::move(again), 1.0,
+                                            reserved, cost, parent_span));
     }
     if (measurements.size() > 1) {
       std::sort(measurements.begin(), measurements.end(),
@@ -343,32 +396,20 @@ Status Evaluator::EntryGate() {
 }
 
 Result<ExecutionResult> Evaluator::CountedExecute(const Configuration& config,
-                                                  const Workload& workload) {
+                                                  double fraction) {
   ++system_runs_;
-  return system_->Execute(config, workload);
+  if (fraction == 1.0) return system_->Execute(config, workload_);
+  Workload sample = workload_;
+  sample.scale *= fraction;
+  return system_->Execute(config, sample);
 }
 
-Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
-                               uint64_t parent_span) {
+Status Evaluator::JournalAppend(JournalRecordRef rec, uint64_t parent_span) {
   if (journal_ == nullptr) {
     last_commit_allocs_ = SampleAllocCount() - commit_allocs_sample_;
     return Status::OK();
   }
-  const Trial& trial = history_.back();
-  // Borrow the committed trial's config/result instead of copying them into
-  // an owning record — with AppendRef's reused frame buffer, the journal
-  // half of the commit path allocates nothing in steady state.
-  JournalRecordRef rec;
-  rec.kind = JournalRecordKind::kTrial;
   rec.seq = journal_->next_seq();
-  rec.config = &trial.config;
-  rec.result = &trial.result;
-  rec.objective = trial.objective;
-  rec.cost = trial.cost;
-  rec.scaled = trial.scaled;
-  rec.round = trial.round;
-  rec.batch_size = batch_size;
-  rec.lane = lane;
   rec.system_runs = system_runs_;
   rec.used = used_;
   rec.retried_runs = retried_runs_;
@@ -383,7 +424,9 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
   Status status = journal_->AppendRef(rec);
   // Group commit: a wave's lanes are written unsynced and its last lane
   // makes them all durable with one fsync.
-  if (status.ok() && lane + 1 == batch_size) status = journal_->Commit();
+  if (status.ok() && rec.lane + 1 == rec.batch_size) {
+    status = journal_->Commit();
+  }
   last_commit_allocs_ = SampleAllocCount() - commit_allocs_sample_;
   RecordIoTelemetry();
   if (!status.ok()) {
@@ -404,52 +447,6 @@ Status Evaluator::JournalTrial(uint64_t batch_size, uint64_t lane,
   // written but the measurement never reaching the tuner — exactly the
   // crash the journal defends against — and stops a long batch mid-commit
   // (EvaluateBatch then commits the lanes written so far).
-  if (InterruptRequested()) return InterruptedStatus();
-  return Status::OK();
-}
-
-Status Evaluator::JournalUnit(const Configuration& config, size_t unit_index,
-                              const ExecutionResult& result, double cost,
-                              uint64_t parent_span) {
-  uint64_t sample = SampleAllocCount();
-  if (journal_ == nullptr) {
-    last_commit_allocs_ = SampleAllocCount() - sample;
-    return Status::OK();
-  }
-  JournalRecordRef rec;
-  rec.kind = JournalRecordKind::kUnit;
-  rec.seq = journal_->next_seq();
-  rec.config = &config;
-  rec.result = &result;
-  rec.objective = ObjectiveOf(config, result);
-  rec.cost = cost;
-  rec.round = round_;
-  rec.unit_index = unit_index;
-  rec.system_runs = system_runs_;
-  rec.used = used_;
-  rec.retried_runs = retried_runs_;
-  rec.timed_out_runs = timed_out_runs_;
-  rec.remeasured_runs = remeasured_runs_;
-  uint64_t span_id = 0;
-  uint64_t begin_ns = 0;
-  if (tracer_ != nullptr) {
-    span_id = tracer_->BeginSpan();
-    begin_ns = tracer_->NowNs();
-  }
-  Status status = journal_->AppendRef(rec);
-  if (status.ok()) status = journal_->Commit();  // a wave of one
-  last_commit_allocs_ = SampleAllocCount() - sample;
-  RecordIoTelemetry();
-  if (!status.ok()) {
-    ATUNE_RETURN_IF_ERROR(
-        HandleJournalFailure(std::move(status), parent_span));
-  } else {
-    if (m_.io_appends != nullptr) m_.io_appends->Increment();
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(span_id, parent_span, "journal_append", "commit",
-                       begin_ns, {});
-    }
-  }
   if (InterruptRequested()) return InterruptedStatus();
   return Status::OK();
 }
@@ -507,9 +504,9 @@ void Evaluator::RecordIoTelemetry() {
   }
 }
 
-Status Evaluator::ReplayTrial(const Configuration& config,
-                              uint64_t batch_size, uint64_t lane,
-                              uint64_t parent_span, bool synth_measure) {
+Result<const JournalRecord*> Evaluator::ReplayRecord(
+    JournalRecordKind kind, const Configuration& config, uint64_t batch_size,
+    uint64_t lane, uint64_t unit_index) {
   // Replay-consistency errors latch into journal_error_: they are
   // durability failures, and the latch keeps supervision layers from
   // mistaking them for a tuner's numerical failure and failing over past a
@@ -520,53 +517,72 @@ Status Evaluator::ReplayTrial(const Configuration& config,
         "tuner's request sequence"));
   }
   const JournalRecord& rec = replay_[replay_pos_];
-  if (rec.kind != JournalRecordKind::kTrial || rec.batch_size != batch_size ||
-      rec.lane != lane || !(rec.config == config)) {
+  if (rec.kind != kind || rec.batch_size != batch_size || rec.lane != lane ||
+      rec.unit_index != unit_index || !(rec.config == config)) {
     return StickyReplayError(Status::Internal(StrFormat(
         "journal replay diverged at record %llu: the tuner requested a "
-        "different evaluation than the one journaled (check that the resumed "
+        "different %s than the one journaled (check that the resumed "
         "session uses identical parameters, including any custom objective)",
-        static_cast<unsigned long long>(rec.seq))));
+        static_cast<unsigned long long>(rec.seq),
+        kind == JournalRecordKind::kUnit ? "unit execution" : "evaluation")));
   }
   ++replay_pos_;
-  ATUNE_RETURN_IF_ERROR(StickyReplayError(FastForwardSystem(rec)));
-  // Counter deltas relative to the previous record reconstruct the repair
-  // activity this trial performed live (the journal stores the counters
-  // cumulatively) — capture them before the counters are overwritten.
-  uint64_t delta_retried = rec.retried_runs - retried_runs_;
-  uint64_t delta_timed_out = rec.timed_out_runs - timed_out_runs_;
-  uint64_t delta_remeasured = rec.remeasured_runs - remeasured_runs_;
-  // Re-apply the committed trial exactly: same round, same cost, same
-  // cumulative budget/counters/noise cursor as the uninterrupted session.
-  round_ = rec.round;
-  Trial trial;
-  trial.config = rec.config;
-  trial.result = rec.result;
-  trial.objective = rec.objective;
-  trial.cost = rec.cost;
-  trial.scaled = rec.scaled;
-  trial.round = rec.round;
-  history_.push_back(std::move(trial));
-  if (!rec.scaled &&
-      (!has_best_ ||
-       history_.back().objective < history_[best_index_].objective)) {
-    best_index_ = history_.size() - 1;
-    has_best_ = true;
+  // Skip exactly the runs this record consumed, leaving any runs the tuner
+  // performed directly on the system (off-journal, e.g. OtterTune's offline
+  // repository build) to re-execute live. Because measurement noise depends
+  // only on (seed, run index), re-running those interleaved at the same
+  // indices reproduces them bit-identically — no tuner-side state to save.
+  if (rec.system_runs < system_runs_) {
+    return StickyReplayError(Status::Internal(StrFormat(
+        "journal replay diverged at record %llu: system-run cursor moved "
+        "backwards (%llu -> %llu)",
+        static_cast<unsigned long long>(rec.seq),
+        static_cast<unsigned long long>(system_runs_),
+        static_cast<unsigned long long>(rec.system_runs))));
   }
+  if (rec.system_runs > system_runs_) {
+    system_->SkipRuns(rec.system_runs - system_runs_);
+    system_runs_ = rec.system_runs;
+  }
+  // Re-apply the committed state exactly: same round, same cumulative
+  // budget/counters/noise cursor as the uninterrupted session.
+  round_ = rec.round;
   used_ = rec.used;
   retried_runs_ = rec.retried_runs;
   timed_out_runs_ = rec.timed_out_runs;
   remeasured_runs_ = rec.remeasured_runs;
-  // Mirror the live CommitTrial's guard feedback so replayed sessions
-  // rebuild identical supervision state (crash regions, trial clock).
-  if (guard_ != nullptr) guard_->Observe(history_.back());
+  return &rec;
+}
+
+Status Evaluator::ReplayTrial(const Configuration& config,
+                              uint64_t batch_size, uint64_t lane,
+                              uint64_t parent_span, bool synth_measure) {
+  // Counter deltas relative to the previous record reconstruct the repair
+  // activity this trial performed live (the journal stores the counters
+  // cumulatively) — capture them before ReplayRecord overwrites them.
+  const uint64_t retried_before = retried_runs_;
+  const uint64_t timed_out_before = timed_out_runs_;
+  const uint64_t remeasured_before = remeasured_runs_;
+  ATUNE_ASSIGN_OR_RETURN(
+      const JournalRecord* rec,
+      ReplayRecord(JournalRecordKind::kTrial, config, batch_size, lane, 0));
+  const uint64_t delta_retried = rec->retried_runs - retried_before;
+  const uint64_t delta_remeasured = rec->remeasured_runs - remeasured_before;
+  Trial trial;
+  trial.config = rec->config;
+  trial.result = rec->result;
+  trial.objective = rec->objective;
+  trial.cost = rec->cost;
+  trial.scaled = rec->scaled;
+  trial.round = rec->round;
+  CommitTrial(std::move(trial));
   // Emit the same span structure the live trial emitted: the trial span
   // with synthesized measure/retry/remeasure children and a commit-boundary
   // span (structural name "commit", like the live journal_append).
   {
     ScopedSpan trial_span(tracer_, "trial", parent_span);
-    AnnotateTrialSpan(&trial_span, /*has_seq=*/true, rec.seq, history_.back(),
-                      batch_size, lane);
+    AnnotateTrialSpan(&trial_span, /*has_seq=*/true, rec->seq,
+                      history_.back(), batch_size, lane);
     SynthesizeRepairSpans(trial_span.id(), synth_measure, delta_retried,
                           delta_remeasured);
     if (tracer_ != nullptr) {
@@ -583,7 +599,7 @@ Status Evaluator::ReplayTrial(const Configuration& config,
       m_.retried->Increment();
       m_.budget_retry->Add(policy_.retry_cost_fraction);
     }
-    m_.timed_out->Increment(delta_timed_out);
+    m_.timed_out->Increment(rec->timed_out_runs - timed_out_before);
     for (uint64_t i = 0; i < delta_remeasured; ++i) {
       m_.remeasured->Increment();
       m_.budget_remeasure->Add(1.0);
@@ -597,57 +613,19 @@ Status Evaluator::ReplayTrial(const Configuration& config,
   return Status::OK();
 }
 
-Status Evaluator::FastForwardSystem(const JournalRecord& rec) {
-  // Skip exactly the runs this record consumed, leaving any runs the tuner
-  // performed directly on the system (off-journal, e.g. OtterTune's offline
-  // repository build) to re-execute live. Because measurement noise depends
-  // only on (seed, run index), re-running those interleaved at the same
-  // indices reproduces them bit-identically — no tuner-side state to save.
-  if (rec.system_runs < system_runs_) {
-    return Status::Internal(StrFormat(
-        "journal replay diverged at record %llu: system-run cursor moved "
-        "backwards (%llu -> %llu)",
-        static_cast<unsigned long long>(rec.seq),
-        static_cast<unsigned long long>(system_runs_),
-        static_cast<unsigned long long>(rec.system_runs)));
-  }
-  if (rec.system_runs > system_runs_) {
-    system_->SkipRuns(rec.system_runs - system_runs_);
-    system_runs_ = rec.system_runs;
-  }
-  return Status::OK();
-}
-
 Result<ExecutionResult> Evaluator::ReplayUnit(const Configuration& config,
                                               size_t unit_index) {
-  if (replay_pos_ >= replay_.size()) {
-    return StickyReplayError(Status::Internal(
-        "journal replay ended mid-call; the journal does not match the "
-        "tuner's request sequence"));
-  }
-  const JournalRecord& rec = replay_[replay_pos_];
-  if (rec.kind != JournalRecordKind::kUnit || rec.unit_index != unit_index ||
-      !(rec.config == config)) {
-    return StickyReplayError(Status::Internal(StrFormat(
-        "journal replay diverged at record %llu: the tuner requested a "
-        "different unit execution than the one journaled",
-        static_cast<unsigned long long>(rec.seq))));
-  }
-  ++replay_pos_;
-  ATUNE_RETURN_IF_ERROR(StickyReplayError(FastForwardSystem(rec)));
-  round_ = rec.round;
-  used_ = rec.used;
-  retried_runs_ = rec.retried_runs;
-  timed_out_runs_ = rec.timed_out_runs;
-  remeasured_runs_ = rec.remeasured_runs;
+  ATUNE_ASSIGN_OR_RETURN(
+      const JournalRecord* rec,
+      ReplayRecord(JournalRecordKind::kUnit, config, 1, 0, unit_index));
   {
     ScopedSpan unit_span(tracer_, "unit");
     if (unit_span.active()) {
-      unit_span.AddArg("seq", std::to_string(rec.seq));
+      unit_span.AddArg("seq", std::to_string(rec->seq));
       unit_span.AddArg("unit", std::to_string(unit_index));
-      unit_span.AddArg("cost", TraceDouble(rec.cost));
-      unit_span.AddArg("objective", TraceDouble(rec.objective));
-      unit_span.AddArg("runtime", TraceDouble(rec.result.runtime_seconds));
+      unit_span.AddArg("cost", TraceDouble(rec->cost));
+      unit_span.AddArg("objective", TraceDouble(rec->objective));
+      unit_span.AddArg("runtime", TraceDouble(rec->result.runtime_seconds));
     }
     if (tracer_ != nullptr) {
       tracer_->RecordSynthetic(unit_span.id(), "measure", nullptr, {});
@@ -659,15 +637,23 @@ Result<ExecutionResult> Evaluator::ReplayUnit(const Configuration& config,
     m_.replayed->Increment();
     m_.io_appends->Increment();
   }
-  return rec.result;
+  return rec->result;
 }
 
-Result<double> Evaluator::Evaluate(const Configuration& config) {
+Result<double> Evaluator::Measure(const Configuration& config,
+                                  const MeasureRequest& request) {
   ATUNE_RETURN_IF_ERROR(EntryGate());
-  if (used_ + 1.0 > EffectiveMax() + kBudgetEpsilon) {
-    return Refuse(1.0);
+  // Conservative gate: an uncensored run — an early-abort run that finishes
+  // under its threshold included — costs its full base cost, so every
+  // request needs that up front (never overspends).
+  if (used_ + request.fraction > EffectiveMax() + kBudgetEpsilon) {
+    return Refuse(request.fraction);
   }
-  Configuration admitted = AdmitProposal(config);
+  // Sanitize-only for samples: Ernest-style tuners legitimately re-propose
+  // the same config at several scales, so the duplicate/veto pipeline stays
+  // out.
+  Configuration admitted = request.scaled ? SanitizeProposal(config)
+                                          : AdmitProposal(config);
   ATUNE_RETURN_IF_ERROR(space().ValidateConfiguration(admitted));
   ScopedSpan round_span(tracer_, "round");
   if (replay_active()) {
@@ -680,21 +666,18 @@ Result<double> Evaluator::Evaluate(const Configuration& config) {
   ExecutionResult result;
   {
     ScopedSpan measure_span(tracer_, "measure", trial_span.id());
-    ATUNE_ASSIGN_OR_RETURN(result, CountedExecute(admitted, workload_));
+    ATUNE_ASSIGN_OR_RETURN(result,
+                           CountedExecute(admitted, request.fraction));
   }
   ++round_;
-  double cost = 1.0;
-  bool exclude = false;
-  result = ApplyRobustnessPolicy(admitted, std::move(result), /*reserved=*/1.0,
-                                 &cost, &exclude, trial_span.id());
-  CommitTrial(std::move(admitted), std::move(result), cost, exclude);
-  RecordTrialMetrics(history_.back());
-  AnnotateTrialSpan(&trial_span, /*has_seq=*/journal_ != nullptr,
-                    journal_ != nullptr ? journal_->next_seq() : 0,
-                    history_.back(), /*batch_size=*/1, /*lane=*/0);
-  ATUNE_RETURN_IF_ERROR(
-      JournalTrial(/*batch_size=*/1, /*lane=*/0, trial_span.id()));
+  ATUNE_RETURN_IF_ERROR(CommitTail(std::move(admitted), std::move(result),
+                                   &request, request.fraction, &trial_span,
+                                   /*batch_size=*/1, /*lane=*/0));
   return history_.back().objective;
+}
+
+Result<double> Evaluator::Evaluate(const Configuration& config) {
+  return Measure(config, MeasureRequest{});
 }
 
 ThreadPool* Evaluator::thread_pool(size_t min_threads) {
@@ -768,7 +751,7 @@ Result<std::vector<double>> Evaluator::EvaluateBatch(
     // semantics, executed in submission order on the parent.
     for (size_t i = 0; i < k; ++i) {
       ScopedSpan measure_span(tracer_, "measure", lane_span_id(i));
-      results.push_back(CountedExecute(admitted[i], workload_));
+      results.push_back(CountedExecute(admitted[i], 1.0));
     }
   } else {
     // Fan out over clones. Clone i replays exactly the noise the parent
@@ -817,31 +800,19 @@ Result<std::vector<double>> Evaluator::EvaluateBatch(
   // records are durable however the call ends.
   std::vector<double> objectives;
   objectives.reserve(k);
-  double reserved = static_cast<double>(k);  // base cost of uncommitted lanes
+  const MeasureRequest full_run;
   for (size_t i = 0; i < k; ++i) {
     if (!results[i].ok()) {
       ATUNE_RETURN_IF_ERROR(CommitJournal(batch_span.id()));
       return results[i].status();
     }
-    double cost = 1.0;
-    bool exclude = false;
-    ExecutionResult repaired = ApplyRobustnessPolicy(
-        admitted[i], *std::move(results[i]), reserved, &cost, &exclude,
-        lane_span_id(i));
-    CommitTrial(std::move(admitted[i]), std::move(repaired), cost, exclude);
-    RecordTrialMetrics(history_.back());
-    reserved -= 1.0;
-    if (tracer_ != nullptr) {
-      AnnotateTrialSpan(lane_spans[i].get(), /*has_seq=*/journal_ != nullptr,
-                        journal_ != nullptr ? journal_->next_seq() : 0,
-                        history_.back(), /*batch_size=*/k, /*lane=*/i);
-    }
-    Status append_status = JournalTrial(/*batch_size=*/k, /*lane=*/i,
-                                        lane_span_id(i));
+    Status status = CommitTail(
+        std::move(admitted[i]), *std::move(results[i]), &full_run, 1.0,
+        tracer_ != nullptr ? lane_spans[i].get() : nullptr, k, i);
     if (tracer_ != nullptr) lane_spans[i].reset();  // lane committed
-    if (!append_status.ok()) {
+    if (!status.ok()) {
       ATUNE_RETURN_IF_ERROR(CommitJournal(batch_span.id()));
-      return append_status;
+      return status;
     }
     objectives.push_back(history_.back().objective);
   }
@@ -856,77 +827,16 @@ Result<double> Evaluator::EvaluateWithEarlyAbort(const Configuration& config,
     return Status::InvalidArgument(
         "EvaluateWithEarlyAbort: abort threshold must be positive");
   }
-  ATUNE_RETURN_IF_ERROR(EntryGate());
-  // Conservative gate: a run that completes under the threshold costs a
-  // full unit, so require one up front (never overspends).
-  if (used_ + 1.0 > EffectiveMax() + kBudgetEpsilon) {
-    return Refuse(1.0);
+  MeasureRequest request;
+  request.abort_at = abort_at_seconds;
+  const size_t trials_before = history_.size();
+  Result<double> objective = Measure(config, request);
+  // A trial that committed reports its censoring even when its journal
+  // append then failed or fired an interrupt.
+  if (aborted != nullptr && history_.size() > trials_before) {
+    *aborted = history_.back().result.censored;
   }
-  const Configuration admitted = AdmitProposal(config);
-  ATUNE_RETURN_IF_ERROR(space().ValidateConfiguration(admitted));
-  ScopedSpan round_span(tracer_, "round");
-  if (replay_active()) {
-    ATUNE_RETURN_IF_ERROR(ReplayTrial(admitted, /*batch_size=*/1, /*lane=*/0,
-                                      round_span.id(),
-                                      /*synth_measure=*/true));
-    if (aborted != nullptr) *aborted = history_.back().result.censored;
-    return history_.back().objective;
-  }
-  ScopedSpan trial_span(tracer_, "trial", round_span.id());
-  ExecutionResult result;
-  {
-    ScopedSpan measure_span(tracer_, "measure", trial_span.id());
-    ATUNE_ASSIGN_OR_RETURN(result, CountedExecute(admitted, workload_));
-  }
-  ++round_;
-  double cost = 1.0;
-  result = RetryTransient(admitted, workload_, std::move(result), 1.0,
-                          /*reserved=*/1.0, &cost, trial_span.id());
-  // The watchdog, when armed and tighter than the caller's threshold, kills
-  // the run first — a hung run never gets to burn abort_at_seconds.
-  double censor_at = abort_at_seconds;
-  bool watchdog = false;
-  if (policy_.timeout_seconds > 0.0 &&
-      policy_.timeout_seconds < abort_at_seconds) {
-    censor_at = policy_.timeout_seconds;
-    watchdog = true;
-  }
-  if (result.runtime_seconds > censor_at && !result.failed) {
-    // Censor: we only watched the run for censor_at of wall clock.
-    double fraction = std::min(1.0, censor_at / result.runtime_seconds);
-    cost = (cost - 1.0) + std::max(0.05, fraction);  // setup isn't free
-    if (aborted != nullptr) *aborted = true;
-    if (watchdog) {
-      ++timed_out_runs_;
-      if (m_.timed_out != nullptr) m_.timed_out->Increment();
-    }
-    result.censored = true;
-    result.failure_reason = watchdog
-                                ? StrFormat("killed by timeout watchdog "
-                                            "after %.0f s", censor_at)
-                                : "aborted by early-abort threshold";
-    result.runtime_seconds = censor_at;
-    // The objective is a *lower bound*; keep it clearly worse than any
-    // incumbent below the threshold and exclude it from best-tracking
-    // (its objective is not a completed measurement).
-    CommitTrial(std::move(admitted), std::move(result), cost,
-                /*exclude_from_best=*/true);
-    RecordTrialMetrics(history_.back());
-    AnnotateTrialSpan(&trial_span, /*has_seq=*/journal_ != nullptr,
-                      journal_ != nullptr ? journal_->next_seq() : 0,
-                      history_.back(), /*batch_size=*/1, /*lane=*/0);
-    ATUNE_RETURN_IF_ERROR(
-        JournalTrial(/*batch_size=*/1, /*lane=*/0, trial_span.id()));
-    return history_.back().objective;
-  }
-  CommitTrial(std::move(admitted), std::move(result), cost);
-  RecordTrialMetrics(history_.back());
-  AnnotateTrialSpan(&trial_span, /*has_seq=*/journal_ != nullptr,
-                    journal_ != nullptr ? journal_->next_seq() : 0,
-                    history_.back(), /*batch_size=*/1, /*lane=*/0);
-  ATUNE_RETURN_IF_ERROR(
-      JournalTrial(/*batch_size=*/1, /*lane=*/0, trial_span.id()));
-  return history_.back().objective;
+  return objective;
 }
 
 Result<double> Evaluator::EvaluateScaled(const Configuration& config,
@@ -934,44 +844,10 @@ Result<double> Evaluator::EvaluateScaled(const Configuration& config,
   if (fraction <= 0.0 || fraction > 1.0) {
     return Status::InvalidArgument("EvaluateScaled: fraction must be in (0,1]");
   }
-  ATUNE_RETURN_IF_ERROR(EntryGate());
-  if (used_ + fraction > EffectiveMax() + kBudgetEpsilon) {
-    return Refuse(fraction);
-  }
-  // Sanitize-only: Ernest-style tuners legitimately re-propose the same
-  // config at several scales, so the duplicate/veto pipeline stays out.
-  Configuration admitted = SanitizeProposal(config);
-  ATUNE_RETURN_IF_ERROR(space().ValidateConfiguration(admitted));
-  ScopedSpan round_span(tracer_, "round");
-  if (replay_active()) {
-    ATUNE_RETURN_IF_ERROR(ReplayTrial(admitted, /*batch_size=*/1, /*lane=*/0,
-                                      round_span.id(),
-                                      /*synth_measure=*/true));
-    return history_.back().objective;
-  }
-  Workload sample = workload_;
-  sample.scale *= fraction;
-  ScopedSpan trial_span(tracer_, "trial", round_span.id());
-  ExecutionResult result;
-  {
-    ScopedSpan measure_span(tracer_, "measure", trial_span.id());
-    ATUNE_ASSIGN_OR_RETURN(result, CountedExecute(admitted, sample));
-  }
-  ++round_;
-  // Transient faults hit cheap sample runs too; a retry costs the same
-  // fraction of the (scaled-down) run it re-executes.
-  double cost = fraction;
-  result = RetryTransient(admitted, sample, std::move(result), fraction,
-                          /*reserved=*/fraction, &cost, trial_span.id());
-  CommitTrial(std::move(admitted), std::move(result), cost,
-              /*exclude_from_best=*/true);
-  RecordTrialMetrics(history_.back());
-  AnnotateTrialSpan(&trial_span, /*has_seq=*/journal_ != nullptr,
-                    journal_ != nullptr ? journal_->next_seq() : 0,
-                    history_.back(), /*batch_size=*/1, /*lane=*/0);
-  ATUNE_RETURN_IF_ERROR(
-      JournalTrial(/*batch_size=*/1, /*lane=*/0, trial_span.id()));
-  return history_.back().objective;
+  MeasureRequest request;
+  request.fraction = fraction;
+  request.scaled = true;
+  return Measure(config, request);
 }
 
 Result<ExecutionResult> Evaluator::EvaluateUnit(const Configuration& config,
@@ -1005,17 +881,26 @@ Result<ExecutionResult> Evaluator::EvaluateUnit(const Configuration& config,
   }
   used_ += cost;
   if (m_.budget_used != nullptr) m_.budget_used->Set(used_);
+  const double objective = ObjectiveOf(admitted, result);
   if (unit_span.active()) {
     if (journal_ != nullptr) {
       unit_span.AddArg("seq", std::to_string(journal_->next_seq()));
     }
     unit_span.AddArg("unit", std::to_string(unit_index));
     unit_span.AddArg("cost", TraceDouble(cost));
-    unit_span.AddArg("objective", TraceDouble(ObjectiveOf(admitted, result)));
+    unit_span.AddArg("objective", TraceDouble(objective));
     unit_span.AddArg("runtime", TraceDouble(result.runtime_seconds));
   }
-  ATUNE_RETURN_IF_ERROR(
-      JournalUnit(admitted, unit_index, result, cost, unit_span.id()));
+  commit_allocs_sample_ = SampleAllocCount();
+  JournalRecordRef rec;
+  rec.kind = JournalRecordKind::kUnit;
+  rec.config = &admitted;
+  rec.result = &result;
+  rec.objective = objective;
+  rec.cost = cost;
+  rec.round = round_;
+  rec.unit_index = unit_index;
+  ATUNE_RETURN_IF_ERROR(JournalAppend(rec, unit_span.id()));
   return result;
 }
 
@@ -1030,23 +915,16 @@ void Evaluator::RecordCompositeTrial(const Configuration& config,
     // The composite trial was journaled like a serial trial; any divergence
     // surfaces through the sticky journal_error_ (this API is void). No
     // measure span is synthesized — the live path performs no base run.
-    Status status = ReplayTrial(admitted, /*batch_size=*/1, /*lane=*/0,
-                                round_span.id(), /*synth_measure=*/false);
-    if (!status.ok() && journal_error_.ok()) journal_error_ = status;
+    (void)ReplayTrial(admitted, /*batch_size=*/1, /*lane=*/0,
+                      round_span.id(), /*synth_measure=*/false);
     return;
   }
   ++round_;
   ScopedSpan trial_span(tracer_, "trial", round_span.id());
-  // The budget was already charged by the unit-level evaluations; commit
-  // with zero cost, then stamp the trial's nominal cost for reporting.
-  CommitTrial(std::move(admitted), aggregate, 0.0);
-  history_.back().cost = cost;
-  RecordTrialMetrics(history_.back());
-  AnnotateTrialSpan(&trial_span, /*has_seq=*/journal_ != nullptr,
-                    journal_ != nullptr ? journal_->next_seq() : 0,
-                    history_.back(), /*batch_size=*/1, /*lane=*/0);
-  // Journal after the cost stamp so the record carries the display cost.
-  JournalTrial(/*batch_size=*/1, /*lane=*/0, trial_span.id());
+  // No request: the unit-level evaluations already charged the budget, so
+  // the trial only records its nominal cost.
+  (void)CommitTail(std::move(admitted), aggregate, /*request=*/nullptr, cost,
+                   &trial_span, /*batch_size=*/1, /*lane=*/0);
 }
 
 const Trial* Evaluator::best() const {

@@ -368,8 +368,9 @@ class Evaluator {
   double ObjectiveOf(const Configuration& config,
                      const ExecutionResult& result) const;
 
-  /// Heap allocations performed by the most recent commit (CommitTrial
-  /// through its journal append), as counted by the alloc hook
+  /// Heap allocations performed by the most recent commit (from building
+  /// the trial after its repairs through its journal append), as counted by
+  /// the alloc hook
   /// (common/alloc_hook.h). Always 0 unless the counting override TU is
   /// linked in (tests and bench_hotpath only). The zero-alloc contract of
   /// DESIGN.md §11 is: steady state (past history reserve and buffer
@@ -377,35 +378,72 @@ class Evaluator {
   uint64_t last_commit_allocs() const { return last_commit_allocs_; }
 
  private:
-  /// Appends a trial and updates best-tracking. `exclude_from_best` marks
-  /// the trial scaled (censored/partial measurements whose objectives are
-  /// not comparable to completed full runs). Takes config/result by value:
-  /// call sites move their last use in, so the commit path transfers
-  /// ownership instead of deep-copying (the zero-alloc contract above).
-  void CommitTrial(Configuration config, ExecutionResult result, double cost,
-                   bool exclude_from_best = false);
+  /// What one measurement is, whichever public method asked for it. Every
+  /// request runs the same pipeline (Measure for the serial methods, the
+  /// lanes of EvaluateBatch); only these fields differ.
+  struct MeasureRequest {
+    /// Workload scale multiplier and base budget cost. Below 1 only for a
+    /// sample: every other request is a full run.
+    double fraction = 1.0;
+    /// An Ernest-style sample: sanitize-only admission, excluded from
+    /// best(), and transient retries are its only repair.
+    bool scaled = false;
+    /// Early-abort censor threshold in seconds (0 = none).
+    double abort_at = 0.0;
+  };
+
+  /// The serial measurement core behind Evaluate, EvaluateWithEarlyAbort
+  /// and EvaluateScaled: entry gate, budget gate for the base cost,
+  /// admission (sanitize-only for samples), validation, round span, then
+  /// either replay or measure + CommitTail. Returns the trial's objective.
+  Result<double> Measure(const Configuration& config,
+                         const MeasureRequest& request);
+
+  /// The one commit tail of every trial — serial measurements, batch lanes
+  /// and composite records: repair, commit, metrics, span annotation and
+  /// journal append, as lane `lane` of a `batch_size` wave (1/0 serially).
+  /// `cost` is the trial's cost before repairs: a measurement's base cost
+  /// (its request's fraction), which ApplyRobustnessPolicy adds to and the
+  /// budget is charged; or, with a null `request`, a composite record's
+  /// nominal cost, which gets no repairs and charges nothing (its units
+  /// were charged as they ran). `span` is the trial span to annotate (null
+  /// for untraced batch lanes).
+  Status CommitTail(Configuration config, ExecutionResult result,
+                    const MeasureRequest* request, double cost,
+                    ScopedSpan* span, uint64_t batch_size, uint64_t lane);
+
+  /// Appends a committed trial — live or replayed — to the history, updates
+  /// best-tracking (a trial marked scaled never becomes best) and feeds it
+  /// to the proposal guard, so guard state is a pure function of the
+  /// journaled observation sequence.
+  void CommitTrial(Trial trial);
 
   /// Re-executes `config` on the parent system while `result` is a
   /// transient failure, up to policy_.max_retries times, charging
   /// retry_cost_fraction * base_cost per superseded attempt into *cost.
-  /// `reserved` is budget already spoken for by not-yet-committed runs
-  /// (including this one's base cost); a retry only happens if it still
-  /// fits. Returns the final attempt's measurement.
+  /// The retry runs the workload at `base_cost` of its scale (the run it
+  /// re-executes). `reserved` is budget already spoken for by
+  /// not-yet-committed runs (including this one's base cost); a retry only
+  /// happens if it still fits. Returns the final attempt's measurement.
   /// `parent_span` parents the per-retry "retry" spans (0 = root; pass the
   /// enclosing trial span's id so repairs nest under their trial).
   ExecutionResult RetryTransient(const Configuration& config,
-                                 const Workload& workload,
                                  ExecutionResult result, double base_cost,
                                  double reserved, double* cost,
                                  uint64_t parent_span);
 
-  /// Full robustness pipeline for one full-cost measurement: transient
-  /// retries, timeout censoring, MAD outlier re-measurement. Repairs
-  /// execute serially on the parent system (in a batch, after SkipRuns has
-  /// realigned it). Sets *cost to the total budget to charge and
-  /// *exclude_from_best for censored results.
+  /// The one place that decides which repairs a measurement gets. Every
+  /// request gets transient retries. A full run is then censored at the
+  /// tighter of the timeout watchdog and its early-abort threshold; the
+  /// watchdog alone also censors failed runs, an early abort never does.
+  /// A full run without an abort threshold last gets MAD outlier
+  /// re-measurement. Samples get retries only. Repairs execute serially on
+  /// the parent system (in a batch, after SkipRuns has realigned it). Adds
+  /// their cost to *cost (in: the base cost) and sets *exclude_from_best
+  /// for samples and censored results.
   ExecutionResult ApplyRobustnessPolicy(const Configuration& config,
                                         ExecutionResult result,
+                                        const MeasureRequest& request,
                                         double reserved, double* cost,
                                         bool* exclude_from_best,
                                         uint64_t parent_span);
@@ -449,23 +487,20 @@ class Evaluator {
   /// error if one occurred, and with kAborted once an interrupt fired.
   Status EntryGate();
 
-  /// system_->Execute with the measurement-noise cursor advanced; replaces
-  /// every direct parent execution so system_runs_ stays in lockstep with
-  /// the system's internal run index.
+  /// system_->Execute of the workload at `fraction` of its scale, with the
+  /// measurement-noise cursor advanced; replaces every direct parent
+  /// execution so system_runs_ stays in lockstep with the system's internal
+  /// run index.
   Result<ExecutionResult> CountedExecute(const Configuration& config,
-                                         const Workload& workload);
+                                         double fraction);
 
-  /// Appends a journal record for history_.back() (call after the trial is
-  /// fully finalized, including RecordCompositeTrial's cost stamp). The
-  /// wave's last lane (a serial trial's only one) commits it with one
-  /// fsync; earlier lanes stay pending. A failure is sticky in
-  /// journal_error_ and returned.
-  Status JournalTrial(uint64_t batch_size, uint64_t lane,
-                      uint64_t parent_span);
-  /// Appends and commits a kUnit record for an EvaluateUnit measurement.
-  Status JournalUnit(const Configuration& config, size_t unit_index,
-                     const ExecutionResult& result, double cost,
-                     uint64_t parent_span);
+  /// The one journal append routine, for trial and unit records alike:
+  /// stamps `rec` with its seq and the Evaluator's cumulative state (noise
+  /// cursor, budget, repair counters) and appends it. The wave's last lane
+  /// (a serial trial's or unit's only one) commits it with one fsync;
+  /// earlier lanes stay pending. A failure goes through
+  /// HandleJournalFailure. Closes the commit's alloc-count window.
+  Status JournalAppend(JournalRecordRef rec, uint64_t parent_span);
 
   /// Commits the journal's pending records (the lanes of a wave cut short by
   /// a lane error or an interrupt) with one fsync; a failure goes through
@@ -484,25 +519,32 @@ class Evaluator {
   /// No-op when metrics are off or no journal is attached.
   void RecordIoTelemetry();
 
-  /// Serves the next replay record as this trial: verifies kind/config/
-  /// batch coordinates against the journal (divergence is kInternal),
-  /// re-applies the recorded measurement to history/best/budget/counters.
-  /// Emits a "trial" span under `parent_span` with measure/retry/remeasure
-  /// children synthesized from the record's counter deltas and a "replay"
-  /// span sharing the live journal_append's structural name, so a resumed
-  /// session's span tree is structurally identical to the uninterrupted
-  /// one. `synth_measure` is false for composite trials, whose live path
-  /// performs no base measurement.
+  /// The one replay record check: takes the next journal record if it is
+  /// a `kind` record at these coordinates for `config` (else divergence,
+  /// latched as kInternal), advances the replay cursor, fast-forwards the
+  /// system's run cursor to the record's so post-replay (and off-journal)
+  /// runs draw the noise an uninterrupted session would have, and restores
+  /// the record's round, budget and repair counters.
+  Result<const JournalRecord*> ReplayRecord(JournalRecordKind kind,
+                                            const Configuration& config,
+                                            uint64_t batch_size,
+                                            uint64_t lane,
+                                            uint64_t unit_index);
+
+  /// Serves the next replay record as this trial: re-applies the recorded
+  /// measurement to the history and best. Emits a "trial" span under
+  /// `parent_span` with measure/retry/remeasure children synthesized from
+  /// the record's counter deltas and a "replay" span sharing the live
+  /// journal_append's structural name, so a resumed session's span tree is
+  /// structurally identical to the uninterrupted one. `synth_measure` is
+  /// false for composite trials, whose live path performs no base
+  /// measurement.
   Status ReplayTrial(const Configuration& config, uint64_t batch_size,
                      uint64_t lane, uint64_t parent_span, bool synth_measure);
   /// Serves the next replay record as a unit execution (emits the "unit"
   /// span and its synthesized children, mirroring the live EvaluateUnit).
   Result<ExecutionResult> ReplayUnit(const Configuration& config,
                                      size_t unit_index);
-  /// Advances the system's run cursor to the record's cumulative count so
-  /// post-replay (and off-journal) runs draw the same measurement noise as
-  /// the uninterrupted session would have.
-  Status FastForwardSystem(const JournalRecord& rec);
 
   /// Latches a replay-consistency error into journal_error_ (first one
   /// wins) and returns it, so divergence is terminal for the whole session
@@ -564,8 +606,8 @@ class Evaluator {
   uint64_t record_limit_ = 0;
   bool interrupted_ = false;
 
-  /// Alloc-hook sample taken at CommitTrial entry and closed out when the
-  /// trial's journal record lands (see last_commit_allocs()).
+  /// Alloc-hook sample taken when a commit starts and closed out when its
+  /// journal record lands (see last_commit_allocs()).
   uint64_t commit_allocs_sample_ = 0;
   uint64_t last_commit_allocs_ = 0;
 

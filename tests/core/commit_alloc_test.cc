@@ -1,10 +1,11 @@
 // Verifies the zero-allocation commit contract of DESIGN.md §11: in steady
 // state — history reserved, journal frame buffer at its high-water mark,
 // tracing and metrics off, default robustness policy — the Evaluator's
-// commit path (CommitTrial through the journal append) performs no heap
-// allocations. This binary links common/alloc_hook_override.cc, which
-// replaces operator new/delete with counting versions and installs the
-// counter into the alloc hook; the library itself never pays for counting.
+// commit path (CommitTail, from building the trial after its repairs
+// through the journal append) performs no heap allocations. This binary
+// links common/alloc_hook_override.cc, which replaces operator new/delete
+// with counting versions and installs the counter into the alloc hook; the
+// library itself never pays for counting.
 
 #include <gtest/gtest.h>
 
