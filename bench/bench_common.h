@@ -101,15 +101,6 @@ inline int AcceptanceExit(bool pass) {
   return pass || SmokeMode() ? 0 : 1;
 }
 
-// The bitwise-equivalence checksums grew up here but now live in core
-// (src/core/outcome_checksum.h) because atuned reports OutcomeChecksum over
-// the wire; re-export them so every existing bench keeps compiling
-// unchanged against the one shared definition.
-using ::atune::Fnv1a;
-using ::atune::HistoryChecksum;
-using ::atune::kFnvOffsetBasis;
-using ::atune::OutcomeChecksum;
-
 inline void PrintHeader(const std::string& experiment,
                         const std::string& paper_artifact,
                         const std::string& what) {

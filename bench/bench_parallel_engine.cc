@@ -57,7 +57,7 @@ std::unique_ptr<Tuner> MakeTuner(const std::string& name) {
   return std::make_unique<ITunedTuner>(options);
 }
 
-// Fnv1a / HistoryChecksum live in bench_common.h, shared with
+// Fnv1a / HistoryChecksum live in core/outcome_checksum.h, shared with
 // bench_robustness's bit-identity checks.
 
 /// Re-executes the history's configurations serially, in order, on a fresh

@@ -15,8 +15,8 @@ namespace atune {
 /// outcomes. Grown in bench/bench_common.h for the durability harnesses;
 /// promoted into core when atuned started reporting OutcomeChecksum over the
 /// wire, so the daemon, the client, and every bench agree on one definition
-/// of "bit-identical resume" (bench_common.h re-exports these names into
-/// atune::bench).
+/// of "bit-identical resume" (the benches' atune::bench namespace finds
+/// these names by ordinary lookup).
 
 /// FNV-1a over a byte range, seeded with `h` (offset-basis
 /// kFnvOffsetBasis for a fresh hash).
