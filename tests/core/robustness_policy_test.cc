@@ -120,16 +120,31 @@ TEST(RobustnessPolicyTest, TimeoutWatchdogCensorsHungRun) {
 }
 
 TEST(RobustnessPolicyTest, TimeoutChargesObservedFraction) {
-  ScriptedSystem system;
-  system.Runs(200.0);
-  Evaluator evaluator(&system, MockWorkload(), TuningBudget{5});
-  RobustnessPolicy policy;
-  policy.timeout_seconds = 50.0;
-  evaluator.set_robustness_policy(policy);
-  ASSERT_TRUE(evaluator.Evaluate(DefaultOf(system)).ok());
-  // 50 of 200 seconds observed -> a quarter of a budget unit.
-  EXPECT_DOUBLE_EQ(evaluator.history().back().cost, 0.25);
-  EXPECT_EQ(evaluator.timed_out_runs(), 1u);
+  // Under early abort the watchdog still fires first when it is the tighter
+  // threshold (abort_at 0 = a plain Evaluate).
+  for (double abort_at : {0.0, 100.0}) {
+    SCOPED_TRACE(testing::Message() << "abort_at " << abort_at);
+    ScriptedSystem system;
+    system.Runs(200.0);
+    Evaluator evaluator(&system, MockWorkload(), TuningBudget{5});
+    RobustnessPolicy policy;
+    policy.timeout_seconds = 50.0;
+    evaluator.set_robustness_policy(policy);
+    bool aborted = false;
+    ASSERT_TRUE((abort_at > 0.0 ? evaluator.EvaluateWithEarlyAbort(
+                                      DefaultOf(system), abort_at, &aborted)
+                                : evaluator.Evaluate(DefaultOf(system)))
+                    .ok());
+    const Trial& trial = evaluator.history().back();
+    // 50 of 200 seconds observed -> a quarter of a budget unit.
+    EXPECT_DOUBLE_EQ(trial.cost, 0.25);
+    EXPECT_EQ(evaluator.timed_out_runs(), 1u);
+    EXPECT_TRUE(trial.result.censored);
+    EXPECT_DOUBLE_EQ(trial.result.runtime_seconds, 50.0);
+    EXPECT_EQ(trial.result.failure_reason,
+              "killed by timeout watchdog after 50 s");
+    EXPECT_EQ(aborted, abort_at > 0.0);
+  }
 }
 
 TEST(RobustnessPolicyTest, OutlierIsRemeasuredAndMedianCommitted) {
@@ -154,6 +169,72 @@ TEST(RobustnessPolicyTest, OutlierIsRemeasuredAndMedianCommitted) {
   // The suspicious trial carried its two extra full-cost measurements.
   EXPECT_DOUBLE_EQ(evaluator.history().back().cost, 3.0);
   EXPECT_DOUBLE_EQ(evaluator.used(), 9.0);
+  EXPECT_DOUBLE_EQ(CostSum(evaluator), evaluator.used());
+}
+
+TEST(RobustnessPolicyTest, EarlyAbortRunsAreNeverRemeasured) {
+  // Early abort answers a slow run with its censor, not with outlier
+  // re-measurement: a 50 s run that finishes under a 100 s threshold is
+  // committed as measured even though it is an outlier against ~10 s runs.
+  ScriptedSystem system;
+  system.Runs(10.0).Runs(10.2).Runs(9.8).Runs(10.1).Runs(9.9).Runs(10.3);
+  system.Runs(50.0).Runs(10.5).Runs(11.0);
+  Evaluator evaluator(&system, MockWorkload(), TuningBudget{12});
+  RobustnessPolicy policy;
+  policy.outlier_mad_threshold = 3.5;
+  evaluator.set_robustness_policy(policy);
+  Configuration config = DefaultOf(system);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(evaluator.Evaluate(config).ok());
+
+  bool aborted = true;
+  auto obj = evaluator.EvaluateWithEarlyAbort(config, 100.0, &aborted);
+  ASSERT_TRUE(obj.ok());
+  EXPECT_FALSE(aborted);
+  EXPECT_DOUBLE_EQ(*obj, 50.0);
+  EXPECT_EQ(evaluator.remeasured_runs(), 0u);
+  EXPECT_EQ(system.executions(), 7u);
+  EXPECT_DOUBLE_EQ(evaluator.history().back().cost, 1.0);
+  EXPECT_DOUBLE_EQ(evaluator.used(), 7.0);
+}
+
+TEST(RobustnessPolicyTest, SamplesAreRetriedButNeverCensoredOrRemeasured) {
+  // A scaled sample's runtime is not comparable to full runs, so neither
+  // the watchdog nor outlier re-measurement touches it; transient retries
+  // do, at the sample's fraction of a retry's cost.
+  ScriptedSystem system;
+  for (int i = 0; i < 6; ++i) system.Runs(10.0);
+  system.Runs(1.0e6).Runs(40.0).Fails(300.0, /*transient=*/true).Runs(5.0);
+  Evaluator evaluator(&system, MockWorkload(), TuningBudget{10});
+  RobustnessPolicy policy;
+  policy.timeout_seconds = 50.0;
+  policy.outlier_mad_threshold = 3.5;
+  evaluator.set_robustness_policy(policy);
+  Configuration config = DefaultOf(system);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(evaluator.Evaluate(config).ok());
+
+  // Past the watchdog: committed uncensored at the sample's cost.
+  ASSERT_TRUE(evaluator.EvaluateScaled(config, 0.5).ok());
+  const Trial& hung = evaluator.history().back();
+  EXPECT_FALSE(hung.result.censored);
+  EXPECT_DOUBLE_EQ(hung.result.runtime_seconds, 1.0e6);
+  EXPECT_DOUBLE_EQ(hung.cost, 0.5);
+  EXPECT_EQ(evaluator.timed_out_runs(), 0u);
+
+  // Under the watchdog but an outlier against the 10 s history: kept as
+  // measured, never re-measured.
+  ASSERT_TRUE(evaluator.EvaluateScaled(config, 0.5).ok());
+  EXPECT_DOUBLE_EQ(evaluator.history().back().result.runtime_seconds, 40.0);
+  EXPECT_DOUBLE_EQ(evaluator.history().back().cost, 0.5);
+  EXPECT_EQ(evaluator.remeasured_runs(), 0u);
+  EXPECT_EQ(system.executions(), 8u);
+
+  // A transient failure is retried; the retry costs 0.3 of the sample.
+  auto retried = evaluator.EvaluateScaled(config, 0.5);
+  ASSERT_TRUE(retried.ok());
+  EXPECT_DOUBLE_EQ(*retried, 5.0);
+  EXPECT_EQ(evaluator.retried_runs(), 1u);
+  EXPECT_DOUBLE_EQ(evaluator.history().back().cost, 0.5 + 0.3 * 0.5);
+  EXPECT_EQ(system.executions(), 10u);
   EXPECT_DOUBLE_EQ(CostSum(evaluator), evaluator.used());
 }
 

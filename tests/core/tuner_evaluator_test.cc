@@ -168,20 +168,35 @@ TEST(EvaluatorTest, EarlyAbortThresholdAtRuntimeRunsToCompletion) {
 TEST(EvaluatorTest, EarlyAbortDoesNotCensorFailedRuns) {
   // A run that already failed is not "aborted early" — the failure's
   // wall-clock charge stands in full and the trial stays uncensored, so
-  // crashing never masquerades as a cheap censored measurement.
-  ScriptedSystem system;
-  system.Fails(300.0, /*transient=*/false);
-  Evaluator evaluator(&system, MockWorkload(), TuningBudget{5});
-  bool aborted = true;
-  auto obj = evaluator.EvaluateWithEarlyAbort(
-      system.space().DefaultConfiguration(), 20.0, &aborted);
-  ASSERT_TRUE(obj.ok());
-  EXPECT_FALSE(aborted);
-  const Trial& trial = evaluator.history().back();
-  EXPECT_TRUE(trial.result.failed);
-  EXPECT_FALSE(trial.result.censored);
-  EXPECT_DOUBLE_EQ(trial.result.runtime_seconds, 300.0);
-  EXPECT_DOUBLE_EQ(evaluator.used(), 1.0);
+  // crashing never masquerades as a cheap censored measurement. That holds
+  // when a watchdog tighter than the threshold is armed too: under early
+  // abort the watchdog never censors a failed run (a plain Evaluate would).
+  struct Case {
+    double failed_at;
+    double abort_at;
+    double timeout;
+  };
+  for (const Case& c : {Case{300.0, 20.0, 0.0}, Case{200.0, 100.0, 50.0}}) {
+    SCOPED_TRACE(testing::Message() << "timeout " << c.timeout);
+    ScriptedSystem system;
+    system.Fails(c.failed_at, /*transient=*/false);
+    Evaluator evaluator(&system, MockWorkload(), TuningBudget{5});
+    RobustnessPolicy policy;
+    policy.timeout_seconds = c.timeout;
+    evaluator.set_robustness_policy(policy);
+    bool aborted = true;
+    auto obj = evaluator.EvaluateWithEarlyAbort(
+        system.space().DefaultConfiguration(), c.abort_at, &aborted);
+    ASSERT_TRUE(obj.ok());
+    EXPECT_FALSE(aborted);
+    const Trial& trial = evaluator.history().back();
+    EXPECT_TRUE(trial.result.failed);
+    EXPECT_FALSE(trial.result.censored);
+    EXPECT_DOUBLE_EQ(trial.result.runtime_seconds, c.failed_at);
+    EXPECT_DOUBLE_EQ(trial.cost, 1.0);
+    EXPECT_DOUBLE_EQ(evaluator.used(), 1.0);
+    EXPECT_EQ(evaluator.timed_out_runs(), 0u);
+  }
 }
 
 TEST(EvaluatorTest, EarlyAbortCostFloorsNearExhaustion) {
