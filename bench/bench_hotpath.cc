@@ -377,8 +377,7 @@ constexpr IdentityLeg kIdentityLegs[] = {
     {"kill_resume", 1, 3, false},
     {"faulted", 8, 0, true},
 };
-constexpr size_t kNumIdentityLegs =
-    sizeof(kIdentityLegs) / sizeof(kIdentityLegs[0]);
+constexpr size_t kNumIdentityLegs = std::size(kIdentityLegs);
 
 SessionResult RunIdentitySession(const std::string& tuner_name,
                                  const IdentityLeg& leg, bool scalar,

@@ -369,12 +369,12 @@ class Evaluator {
                      const ExecutionResult& result) const;
 
   /// Heap allocations performed by the most recent commit (from building
-  /// the trial after its repairs through its journal append), as counted by
-  /// the alloc hook
-  /// (common/alloc_hook.h). Always 0 unless the counting override TU is
-  /// linked in (tests and bench_hotpath only). The zero-alloc contract of
-  /// DESIGN.md §11 is: steady state (past history reserve and buffer
-  /// high-water marks), journal on, tracing/metrics off, default policy.
+  /// the trial after its repairs through its journal append), as counted
+  /// by the alloc hook (common/alloc_hook.h). Always 0 unless the counting
+  /// override TU is linked in (tests and bench_hotpath only). The
+  /// zero-alloc contract of DESIGN.md §11 is: steady state (past history
+  /// reserve and buffer high-water marks), journal on, tracing/metrics
+  /// off, default policy.
   uint64_t last_commit_allocs() const { return last_commit_allocs_; }
 
  private:
