@@ -30,15 +30,17 @@ std::atomic<bool> g_scalar_kernels{false};
 /// processed in blocks of four so their independent subtraction chains
 /// interleave (ILP), but each element still receives its subtractions in
 /// ascending-k order — bit-identical to the naive loop in
-/// reference_kernels.cc. `stride` is L's row stride; y == b is allowed.
-void BlockedForwardSubstitute(const double* ld, size_t n, size_t stride,
+/// reference_kernels.cc. `rows` addresses L's rows (DenseRows or
+/// PackedRows); y == b is allowed.
+template <typename Rows>
+void BlockedForwardSubstitute(const double* ld, size_t n, Rows rows,
                               const double* b, double* y) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double* r0 = ld + (i + 0) * stride;
-    const double* r1 = ld + (i + 1) * stride;
-    const double* r2 = ld + (i + 2) * stride;
-    const double* r3 = ld + (i + 3) * stride;
+    const double* r0 = ld + rows(i + 0);
+    const double* r1 = ld + rows(i + 1);
+    const double* r2 = ld + rows(i + 2);
+    const double* r3 = ld + rows(i + 3);
     double acc0 = b[i + 0];
     double acc1 = b[i + 1];
     double acc2 = b[i + 2];
@@ -66,7 +68,7 @@ void BlockedForwardSubstitute(const double* ld, size_t n, size_t stride,
     y[i + 3] = acc3 / r3[i + 3];
   }
   for (; i < n; ++i) {
-    const double* ri = ld + i * stride;
+    const double* ri = ld + rows(i);
     double sum = b[i];
     for (size_t k = 0; k < i; ++k) sum -= ri[k] * y[k];
     y[i] = sum / ri[i];
@@ -316,22 +318,24 @@ void SolvePanelVar(const double* ld, size_t n, size_t stride, double* panel,
   }
 }
 
-bool BlockedCholesky4(const double* a, double* ld, size_t n) {
+template <typename Rows>
+bool BlockedCholesky4(const double* a, double* ld, size_t n, Rows rows) {
   // Row i, columns blocked by four: four independent subtraction chains
   // over the shared prefix k < j, then a sequential in-block tail. Same
   // ascending-k order per element as reference::Cholesky — bit-identical;
   // the blocking only buys instruction-level parallelism. Reads only A's
   // lower triangle, each entry before the factor entry at the same
-  // position is written, so a == ld factors in place.
+  // position is written, so a == ld factors in place. `rows` addresses
+  // both A and L.
   for (size_t i = 0; i < n; ++i) {
-    const double* ai = a + i * n;
-    double* li = ld + i * n;
+    const double* ai = a + rows(i);
+    double* li = ld + rows(i);
     size_t j = 0;
     for (; j + 4 <= i; j += 4) {
-      const double* r0 = ld + (j + 0) * n;
-      const double* r1 = ld + (j + 1) * n;
-      const double* r2 = ld + (j + 2) * n;
-      const double* r3 = ld + (j + 3) * n;
+      const double* r0 = ld + rows(j + 0);
+      const double* r1 = ld + rows(j + 1);
+      const double* r2 = ld + rows(j + 2);
+      const double* r3 = ld + rows(j + 3);
       double acc0 = ai[j + 0];
       double acc1 = ai[j + 1];
       double acc2 = ai[j + 2];
@@ -358,7 +362,7 @@ bool BlockedCholesky4(const double* a, double* ld, size_t n) {
       li[j + 3] = acc3 / r3[j + 3];
     }
     for (; j < i; ++j) {
-      const double* rj = ld + j * n;
+      const double* rj = ld + rows(j);
       double sum = ai[j];
       for (size_t k = 0; k < j; ++k) sum -= li[k] * rj[k];
       li[j] = sum / rj[j];
@@ -468,7 +472,9 @@ __attribute__((target("avx"))) void PanelBulkPairAvx(
 }
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 
-bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
+template <typename Rows>
+bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
+                    double* pt) {
   // Left-looking, eight columns at a time. For each column panel
   // [j0, j0+8) the prefixes of its eight factor rows (columns < j0, all
   // final by now) are copied once into a small transposed buffer
@@ -485,8 +491,12 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
   // turns the same loop into a shuffle storm that is slower than scalar.
   // `pt` is caller storage of kPanel * n doubles. Like BlockedCholesky4,
   // a == ld factors in place: each lower-triangle entry of A is read before
-  // its factor entry is written, and the diagonal blocks' upper entries
-  // only fill accumulator lanes that are never used.
+  // its factor entry is written. A diagonal-block row also reads the w
+  // entries from column j0 on, past its own diagonal: dense, those are the
+  // upper triangle; packed, the start of the next rows. Either way they
+  // lie inside the buffer (column j0 + w - 1 <= n - 1 of a row i <= n - 1
+  // ends at or before the last row's diagonal) and only fill accumulator
+  // lanes that are never used.
   constexpr size_t kPanel = 8;
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
   const bool use_avx = AvxAvailable();
@@ -497,14 +507,14 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
     const size_t w = std::min(kPanel, n - j0);
     for (size_t k = 0; k < j0; ++k) {
       double* ptk = pt + k * kPanel;
-      for (size_t c = 0; c < w; ++c) ptk[c] = ld[(j0 + c) * n + k];
+      for (size_t c = 0; c < w; ++c) ptk[c] = ld[rows(j0 + c) + k];
       for (size_t c = w; c < kPanel; ++c) ptk[c] = 0.0;
     }
     // Diagonal-block rows: vector bulk over k < j0, then the scalar
     // in-block tail and this panel's diagonal element.
     for (size_t i = j0; i < j0 + w; ++i) {
-      const double* ai = a + i * n;
-      double* li = ld + i * n;
+      const double* ai = a + rows(i);
+      double* li = ld + rows(i);
       double acc[kPanel] = {};
       for (size_t c = 0; c < w; ++c) acc[c] = ai[j0 + c];
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
@@ -517,7 +527,7 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
       PanelBulkRowSse2(pt, j0, li, acc);
 #endif
       for (size_t j = j0; j < i; ++j) {
-        const double* rj = ld + j * n;
+        const double* rj = ld + rows(j);
         double sum = acc[j - j0];
         for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
         li[j] = sum / rj[j];
@@ -530,10 +540,10 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
     // Rows below the panel, two at a time sharing the column loads.
     size_t i = j0 + w;
     for (; i + 2 <= n; i += 2) {
-      const double* ai = a + i * n;
-      const double* bi = a + (i + 1) * n;
-      double* li = ld + i * n;
-      double* mi = ld + (i + 1) * n;
+      const double* ai = a + rows(i);
+      const double* bi = a + rows(i + 1);
+      double* li = ld + rows(i);
+      double* mi = ld + rows(i + 1);
       double accp[kPanel], accq[kPanel];
       for (size_t c = 0; c < kPanel; ++c) accp[c] = ai[j0 + c];
       for (size_t c = 0; c < kPanel; ++c) accq[c] = bi[j0 + c];
@@ -548,22 +558,22 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
 #endif
       for (size_t c = 0; c < w; ++c) {
         const size_t j = j0 + c;
-        const double* rj = ld + j * n;
+        const double* rj = ld + rows(j);
         double sum = accp[c];
         for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
         li[j] = sum / rj[j];
       }
       for (size_t c = 0; c < w; ++c) {
         const size_t j = j0 + c;
-        const double* rj = ld + j * n;
+        const double* rj = ld + rows(j);
         double sum = accq[c];
         for (size_t k = j0; k < j; ++k) sum -= mi[k] * rj[k];
         mi[j] = sum / rj[j];
       }
     }
     for (; i < n; ++i) {
-      const double* ai = a + i * n;
-      double* li = ld + i * n;
+      const double* ai = a + rows(i);
+      double* li = ld + rows(i);
       double accp[kPanel];
       for (size_t c = 0; c < kPanel; ++c) accp[c] = ai[j0 + c];
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
@@ -577,7 +587,7 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, double* pt) {
 #endif
       for (size_t c = 0; c < w; ++c) {
         const size_t j = j0 + c;
-        const double* rj = ld + j * n;
+        const double* rj = ld + rows(j);
         double sum = accp[c];
         for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
         li[j] = sum / rj[j];
@@ -751,12 +761,12 @@ Result<Matrix> Matrix::Cholesky() const {
   std::vector<double> pt;
   if (n >= 128) {
     pt.resize(8 * n);
-    pd = PanelCholesky8(a, ld, n, pt.data());
+    pd = PanelCholesky8(a, ld, n, DenseRows{n}, pt.data());
   } else {
-    pd = BlockedCholesky4(a, ld, n);
+    pd = BlockedCholesky4(a, ld, n, DenseRows{n});
   }
 #else
-  pd = BlockedCholesky4(a, ld, n);
+  pd = BlockedCholesky4(a, ld, n, DenseRows{n});
 #endif
   if (!pd) {
     return Status::FailedPrecondition(
@@ -765,18 +775,46 @@ Result<Matrix> Matrix::Cholesky() const {
   return l;
 }
 
-bool Matrix::CholeskyInPlace(double* panel) {
-  assert(rows_ == cols_);
-  double* ld = data_.data();
+template <typename Rows>
+bool CholeskyInPlace(double* a, size_t n, Rows rows, double* panel) {
 #if defined(ATUNE_HAVE_SSE2)
   // The same kernel choice as Cholesky(), so the factors are bit-identical.
-  return rows_ >= 128 ? PanelCholesky8(ld, ld, rows_, panel)
-                      : BlockedCholesky4(ld, ld, rows_);
+  return n >= 128 ? PanelCholesky8(a, a, n, rows, panel)
+                  : BlockedCholesky4(a, a, n, rows);
 #else
   (void)panel;
-  return BlockedCholesky4(ld, ld, rows_);
+  return BlockedCholesky4(a, a, n, rows);
 #endif
 }
+template bool CholeskyInPlace<DenseRows>(double*, size_t, DenseRows, double*);
+template bool CholeskyInPlace<PackedRows>(double*, size_t, PackedRows,
+                                          double*);
+
+namespace packed {
+
+void ForwardSolveInto(const double* l, size_t n, const double* b, double* y) {
+  BlockedForwardSubstitute(l, n, PackedRows{}, b, y);
+}
+
+// BackwardSolveTransposeInto's loop with L(k, ii) read from packed row k.
+void BackwardSolveTransposeInto(const double* l, size_t n, const double* y,
+                                double* x) {
+  const PackedRows rows;
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = y[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= l[rows(k) + ii] * x[k];
+    x[ii] = sum / l[rows(ii) + ii];
+  }
+}
+
+double LogDetFromCholesky(const double* l, size_t n) {
+  const PackedRows rows;
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) acc += std::log(l[rows(i) + i]);
+  return 2.0 * acc;
+}
+
+}  // namespace packed
 
 Status Matrix::CholeskyAppendRow(const Vec& row) {
   if (rows_ != cols_) {
@@ -796,7 +834,8 @@ Status Matrix::CholeskyAppendRow(const Vec& row) {
   // the factor stays bit-identical to refactorizing).
   static thread_local Vec l12;
   l12.resize(n);
-  BlockedForwardSubstitute(data_.data(), n, cols_, row.data(), l12.data());
+  BlockedForwardSubstitute(data_.data(), n, DenseRows{cols_}, row.data(),
+                           l12.data());
   double diag = row[n];
   for (size_t k = 0; k < n; ++k) diag -= l12[k] * l12[k];
   if (diag <= 0.0) {
@@ -815,9 +854,13 @@ Status Matrix::CholeskyAppendRow(const Vec& row) {
     std::memmove(dst, src, n * sizeof(double));
     dst[n] = 0.0;
   }
-  if (n > 0) data_[n] = 0.0;
   double* last = data_.data() + n * (n + 1);
-  std::memcpy(last, l12.data(), n * sizeof(double));
+  if (n > 0) {
+    data_[n] = 0.0;
+    // Guarded: the first append's l12 is empty, and memcpy must not get
+    // its null storage even for zero bytes.
+    std::memcpy(last, l12.data(), n * sizeof(double));
+  }
   last[n] = std::sqrt(diag);
   rows_ = n + 1;
   cols_ = n + 1;
@@ -862,7 +905,8 @@ Vec Matrix::ForwardSolve(const Matrix& l, const Vec& b) {
   assert(b.size() == n);
   if (ScalarKernelsForTesting()) return reference::ForwardSolve(l, b);
   Vec y(n, 0.0);
-  BlockedForwardSubstitute(l.data_.data(), n, l.cols_, b.data(), y.data());
+  BlockedForwardSubstitute(l.data_.data(), n, DenseRows{l.cols_}, b.data(),
+                           y.data());
   return y;
 }
 
@@ -879,7 +923,7 @@ void Matrix::ForwardSolveInto(const Matrix& l, const double* b, double* y) {
     }
     return;
   }
-  BlockedForwardSubstitute(l.data_.data(), n, l.cols_, b, y);
+  BlockedForwardSubstitute(l.data_.data(), n, DenseRows{l.cols_}, b, y);
 }
 
 Matrix Matrix::ForwardSolveMulti(const Matrix& l, const Matrix& b) {

@@ -95,20 +95,6 @@ class Matrix {
   /// Returns the lower-triangular factor, or an error if not SPD.
   Result<Matrix> Cholesky() const;
 
-  /// In-place Cholesky for a caller-owned square buffer: *this holds the
-  /// lower triangle (diagonal included) of an SPD matrix A, and that
-  /// triangle is overwritten with the factor L of A = L Lᵀ. It runs
-  /// Cholesky()'s kernels (PanelCholesky8 from n = 128, BlockedCholesky4
-  /// below) on the same arithmetic, so L is bit-identical to Cholesky()'s.
-  /// The strict upper triangle is never written: a buffer that starts
-  /// zeroed ends as a factor byte-equal to Cholesky()'s. `panel` is caller
-  /// storage of at least 8 * rows() doubles for the panel kernel, so the
-  /// call allocates nothing and may run on a pool worker. Returns false,
-  /// with a partial factor in the lower triangle, when A is not positive
-  /// definite. Fast kernels only: SetScalarKernelsForTesting does not
-  /// reroute it, so the scalar half of an A/B keeps calling Cholesky().
-  bool CholeskyInPlace(double* panel);
-
   /// Treating *this as the lower Cholesky factor L of an n x n SPD matrix
   /// A, grows it in place to the factor of A bordered by one symmetric
   /// row/column: `row` holds the n cross terms followed by the new diagonal
@@ -165,6 +151,48 @@ class Matrix {
   size_t cols_;
   std::vector<double> data_;
 };
+
+/// Row addressing of an n x n lower triangle held in a caller's buffer:
+/// row i starts at offset rows(i), and its entries 0..i are contiguous.
+/// Dense rows have a fixed stride (a Matrix's row-major layout).
+struct DenseRows {
+  size_t stride;
+  size_t operator()(size_t i) const { return i * stride; }
+};
+/// Packed rows keep only the lower triangle: row i's i + 1 entries start at
+/// i(i+1)/2, so the whole triangle takes PackedSize(n) doubles, about half
+/// of a dense n x n buffer.
+struct PackedRows {
+  size_t operator()(size_t i) const { return i * (i + 1) / 2; }
+};
+inline size_t PackedSize(size_t n) { return PackedRows()(n); }
+
+/// In-place Cholesky for a caller-owned buffer: `a` holds the lower
+/// triangle (diagonal included) of an n x n SPD matrix A, addressed by
+/// `rows` (DenseRows or PackedRows), and that triangle is overwritten with
+/// the factor L of A = L Lᵀ. It runs Matrix::Cholesky()'s kernels
+/// (PanelCholesky8 from n = 128, BlockedCholesky4 below) on the same
+/// arithmetic, so every entry of L is bit-identical to Cholesky()'s. The
+/// strict upper triangle of a dense buffer is never written: one that
+/// starts zeroed ends byte-equal to Cholesky()'s factor. `panel` is caller
+/// storage of at least 8 * n doubles for the panel kernel, so the call
+/// allocates nothing and may run on a pool worker. Returns false, with a
+/// partial factor in the triangle, when A is not positive definite. Fast
+/// kernels only: SetScalarKernelsForTesting does not reroute it, so the
+/// scalar half of an A/B keeps calling Cholesky().
+template <typename Rows>
+bool CholeskyInPlace(double* a, size_t n, Rows rows, double* panel);
+
+/// Solves over a packed factor (PackedRows layout, n x n), allocation-free
+/// and bit-identical to Matrix::ForwardSolveInto, BackwardSolveTransposeInto
+/// and LogDetFromCholesky on the same factor held densely; y == b solves
+/// in place. GaussianProcess scores its hyper-search probes with them.
+namespace packed {
+void ForwardSolveInto(const double* l, size_t n, const double* b, double* y);
+void BackwardSolveTransposeInto(const double* l, size_t n, const double* y,
+                                double* x);
+double LogDetFromCholesky(const double* l, size_t n);
+}  // namespace packed
 
 namespace internal {
 /// Solves L Y = Y in place on a row-major panel of l.rows() rows ×

@@ -1,6 +1,7 @@
 #include "ml/gaussian_process.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -41,66 +42,76 @@ double ScaledDistance(const Vec& a, const Vec& b,
 /// traffic versus 8.
 constexpr size_t kPredictLanes = 16;
 
-/// Hyper-search probe slices: the calling thread plus two pool workers. Each
-/// slice owns one n x n buffer, so three stay within what one probe's fit
-/// held before the in-place factor (kernel, jittered copy, factor).
-constexpr size_t kMaxProbeSlices = 3;
+/// Hyper-search probe threads: the calling thread plus up to five pool
+/// workers. Each owns one packed n(n+1)/2 buffer, so six cost what three
+/// dense n x n buffers did.
+constexpr size_t kMaxProbeThreads = 6;
 
 /// out[i - begin] = k(x, p_i) for the rows p_i, i in [begin, end), of the
 /// row-major point matrix `pts` (row stride d). `ls` holds the lengthscales
 /// with ScaledDistance's clamp baked in and the kernel switch is hoisted;
 /// the accumulation (x minus point, per dimension, ascending) and the
 /// sqrt→kernel round trip are exactly KernelValue's, so each output is
-/// bit-identical.
+/// bit-identical. Two passes: the squared distances of the whole range go
+/// into `out` first, so the next entry's divides need not wait behind the
+/// previous entry's sqrt/exp chain; then the kernel tail runs over `out`.
 void KernelRowInto(const double* x, const double* pts, size_t begin,
                    size_t end, size_t d, const double* ls, bool se, double sv,
                    double* out) {
-  for (size_t i = begin; i < end; ++i) {
-    const double* xi = pts + i * d;
+  const size_t m = end - begin;
+  for (size_t i = 0; i < m; ++i) {
+    const double* xi = pts + (begin + i) * d;
     double acc = 0.0;
     for (size_t j = 0; j < d; ++j) {
       double diff = (x[j] - xi[j]) / ls[j];
       acc += diff * diff;
     }
-    double r = std::sqrt(acc);
-    if (se) {
-      out[i - begin] = sv * std::exp(-0.5 * r * r);
-    } else {
-      double s = std::sqrt(5.0) * r;
-      out[i - begin] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
+    out[i] = acc;
+  }
+  if (se) {
+    for (size_t i = 0; i < m; ++i) {
+      double r = std::sqrt(out[i]);
+      out[i] = sv * std::exp(-0.5 * r * r);
+    }
+  } else {
+    for (size_t i = 0; i < m; ++i) {
+      double s = std::sqrt(5.0) * std::sqrt(out[i]);
+      out[i] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
     }
   }
 }
 
 /// Builds the lower triangle of K + jitter I over the n x d row-major
-/// training matrix `xs` into `k` and factors it in place, retrying with the
-/// jitter raised tenfold (at least 1e-10) up to six tries in all — Fit's
-/// escalation. Entry (i, j < i) is k(x_i, x_j): IEEE subtraction is
-/// sign-symmetric, so each squared difference, and with it the entry,
-/// equals the symmetric build's k(x_j, x_i). On success *jitter holds the
-/// jitter that factored. Allocates nothing: `panel` is CholeskyInPlace's.
+/// training matrix `xs` into `k`, whose rows `rows` addresses (dense for
+/// Fit's factor, packed for the hyper-search probes), and factors it in
+/// place, retrying with the jitter raised tenfold (at least 1e-10) up to
+/// six tries in all — Fit's escalation. Entry (i, j < i) is k(x_i, x_j):
+/// IEEE subtraction is sign-symmetric, so each squared difference, and with
+/// it the entry, equals the symmetric build's k(x_j, x_i). On success
+/// *jitter holds the jitter that factored. Allocates nothing: `panel` is
+/// CholeskyInPlace's.
+template <typename Rows>
 bool FactorKernelInPlace(const double* xs, size_t n, size_t d,
                          const double* ls, bool se, double sv, double* jitter,
-                         Matrix* k, double* panel) {
+                         double* k, Rows rows, double* panel) {
   for (int attempt = 0; attempt < 6; ++attempt) {
     if (attempt > 0) *jitter = std::max(*jitter * 10.0, 1e-10);
     for (size_t i = 0; i < n; ++i) {
-      double* ki = k->RowPtr(i);
+      double* ki = k + rows(i);
       KernelRowInto(xs + i * d, xs, 0, i, d, ls, se, sv, ki);
       ki[i] = sv + *jitter;
     }
-    if (k->CholeskyInPlace(panel)) return true;
+    if (CholeskyInPlace(k, n, rows, panel)) return true;
   }
   return false;
 }
 
-/// log p(y) = -1/2 y^T alpha - 1/2 log|K| - n/2 log(2 pi), from the centred
-/// targets, alpha = K^{-1} y and K's Cholesky factor.
-double LogMarginal(const double* centered, const double* alpha,
-                   const Matrix& chol) {
-  size_t n = chol.rows();
+/// log p(y) = -1/2 y^T alpha - 1/2 log|K| - n/2 log(2 pi), from the n
+/// centred targets, alpha = K^{-1} y and log|K| from K's Cholesky factor.
+double LogMarginal(const double* centered, const double* alpha, size_t n,
+                   double log_det) {
   double fit_term = -0.5 * DotSpan(centered, alpha, n);
-  double det_term = -0.5 * Matrix::LogDetFromCholesky(chol);
+  double det_term = -0.5 * log_det;
   double const_term = -0.5 * static_cast<double>(n) * std::log(kTwoPi);
   return fit_term + det_term + const_term;
 }
@@ -118,31 +129,32 @@ void RunSlices(size_t slices, ThreadPool* pool, const Fn& fn) {
   for (std::future<void>& f : rest) f.get();
 }
 
-/// One hyper-search slice's storage, all sized on the calling thread so the
-/// worker that scores the slice allocates nothing: a worker's first malloc
-/// would give it a glibc arena of its own.
-struct ProbeSlice {
+/// One probe thread's storage, all sized on the calling thread so the
+/// worker that uses it allocates nothing: a worker's first malloc would give
+/// it a glibc arena of its own.
+struct ProbeBuffers {
   Vec ls;     // the probe's clamped lengthscales
   Vec panel;  // CholeskyInPlace's 8n panel buffer
   Vec y1;     // L^{-1} (y - mean)
   Vec alpha;  // K^{-1} (y - mean)
-  Matrix k;   // K + jitter I, then its factor in place
+  Vec k;      // packed K + jitter I, then its factor in place
 };
 
 /// FitWithHyperSearch's in-place scoring of exact probes over equal-length
 /// inputs: (*lml)[c] is the log marginal likelihood Fit would give
 /// candidates[c], bit for bit, or NaN when its kernel stays indefinite
-/// through the jitter retries.
+/// through the jitter retries. The calling thread and the pool workers
+/// drain one shared probe index.
 void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
                       const std::vector<GpHyperParams>& candidates,
                       ThreadPool* pool, std::vector<double>* lml) {
   const size_t n = xs.size();
   const size_t d = xs[0].size();
   const size_t count = candidates.size();
-  const size_t slices =
-      std::min({kMaxProbeSlices, count,
+  const size_t threads =
+      std::min({kMaxProbeThreads, count,
                 1 + (pool != nullptr ? pool->num_threads() : 0)});
-  // Shared and read-only while the slices run; the targets are centred as
+  // Shared and read-only while the probes run; the targets are centred as
   // RecomputePosterior centres them.
   Vec flat(n * d);
   for (size_t i = 0; i < n; ++i) {
@@ -153,19 +165,20 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
   mean /= static_cast<double>(n);
   Vec centered(n);
   for (size_t i = 0; i < n; ++i) centered[i] = ys[i] - mean;
-  // The small per-slice vectors first, then the n x n buffers back to back:
-  // interleaving them fragments the heap and raises the peak RSS.
-  std::vector<ProbeSlice> work(slices);
-  for (ProbeSlice& w : work) {
+  // The small per-thread vectors first, then the packed buffers back to
+  // back: interleaving them fragments the heap and raises the peak RSS.
+  std::vector<ProbeBuffers> work(threads);
+  for (ProbeBuffers& w : work) {
     w.ls.resize(d);
     w.panel.resize(8 * n);
     w.y1.resize(n);
     w.alpha.resize(n);
   }
-  for (ProbeSlice& w : work) w.k = Matrix(n, n);
-  RunSlices(slices, pool, [&](size_t s) {
-    ProbeSlice& w = work[s];
-    for (size_t c = count * s / slices; c < count * (s + 1) / slices; ++c) {
+  for (ProbeBuffers& w : work) w.k.resize(PackedSize(n));
+  std::atomic<size_t> next{0};
+  RunSlices(threads, pool, [&](size_t t) {
+    ProbeBuffers& w = work[t];
+    for (size_t c = next++; c < count; c = next++) {
       const GpHyperParams& cand = candidates[c];
       for (size_t j = 0; j < d; ++j) {
         double l = cand.lengthscales[j];
@@ -174,14 +187,16 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
       double jitter = cand.noise_variance;
       if (!FactorKernelInPlace(flat.data(), n, d, w.ls.data(),
                                cand.kernel == KernelType::kSquaredExponential,
-                               cand.signal_variance, &jitter, &w.k,
-                               w.panel.data())) {
+                               cand.signal_variance, &jitter, w.k.data(),
+                               PackedRows{}, w.panel.data())) {
         (*lml)[c] = std::numeric_limits<double>::quiet_NaN();
         continue;
       }
-      Matrix::ForwardSolveInto(w.k, centered.data(), w.y1.data());
-      Matrix::BackwardSolveTransposeInto(w.k, w.y1.data(), w.alpha.data());
-      (*lml)[c] = LogMarginal(centered.data(), w.alpha.data(), w.k);
+      packed::ForwardSolveInto(w.k.data(), n, centered.data(), w.y1.data());
+      packed::BackwardSolveTransposeInto(w.k.data(), n, w.y1.data(),
+                                         w.alpha.data());
+      (*lml)[c] = LogMarginal(centered.data(), w.alpha.data(), n,
+                              packed::LogDetFromCholesky(w.k.data(), n));
     }
   });
 }
@@ -264,7 +279,7 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
     factored = FactorKernelInPlace(
         xs_flat_.data(), n, dims, clamped_ls_.data(),
         params_.kernel == KernelType::kSquaredExponential, SelfKernel(),
-        &jitter, &chol_, panel.data());
+        &jitter, chol_.RowPtr(0), DenseRows{n}, panel.data());
   } else {
     // Scalar A/B half and ragged fallback: the per-pair KernelValue loop
     // and a jittered copy per retry through Cholesky().
@@ -315,7 +330,8 @@ void GaussianProcess::RecomputePosterior() {
   alpha_.resize(n);
   Matrix::BackwardSolveTransposeInto(chol_, y1.data(), alpha_.data());
 
-  log_marginal_likelihood_ = LogMarginal(centered.data(), alpha_.data(), chol_);
+  log_marginal_likelihood_ = LogMarginal(centered.data(), alpha_.data(), n,
+                                         Matrix::LogDetFromCholesky(chol_));
   fitted_ = true;
 }
 
@@ -408,9 +424,9 @@ size_t GaussianProcess::EvictOldest(size_t keep_last) {
   return evicted;
 }
 
-Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
-                                           const Vec& ys, size_t budget,
-                                           Rng* rng, ThreadPool* pool) {
+Status GaussianProcess::FitWithHyperSearch(
+    const std::vector<Vec>& xs, const Vec& ys, size_t budget, Rng* rng,
+    ThreadPool* pool, const std::function<void(Rng*)>& alongside) {
   if (xs.empty() || xs.size() != ys.size()) {
     return Status::InvalidArgument("GP Fit: empty data or size mismatch");
   }
@@ -454,6 +470,17 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
         y_var * std::exp(rng->Uniform(std::log(1e-6), std::log(1e-1)));
   }
 
+  // The caller's next draws start here: `alongside` takes them from a copy
+  // of the stream while the probes are scored, and the copy becomes the
+  // stream only if the fit succeeds.
+  Rng stream = *rng;
+  std::future<void> beside;
+  if (alongside && pool != nullptr) {
+    beside = pool->Submit([&alongside, &stream]() { alongside(&stream); });
+  } else if (alongside) {
+    alongside(&stream);
+  }
+
   // Score each candidate's log marginal likelihood (NaN = failed fit).
   std::vector<double> lml(candidates.size());
   const bool equal_length =
@@ -489,29 +516,32 @@ Status GaussianProcess::FitWithHyperSearch(const std::vector<Vec>& xs,
 
   // First strictly-better candidate wins — index order breaks ties exactly
   // like the serial loop did.
-  GpHyperParams best;
+  const GpHyperParams* best = nullptr;
   double best_lml = -std::numeric_limits<double>::infinity();
-  bool found = false;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (std::isnan(lml[i])) continue;
     if (lml[i] > best_lml) {
       best_lml = lml[i];
-      best = candidates[i];
-      found = true;
+      best = &candidates[i];
     }
   }
-  if (!found) {
+  Status fit = Status::OK();
+  if (best == nullptr) {
     // Every candidate produced a non-finite log marginal likelihood: the
     // design is degenerate (duplicated points, non-finite targets). Fitting
     // defaults anyway would hand callers a model built on garbage; surface
     // kInternal so a supervision layer can fail over instead.
-    return Status::Internal(StrFormat(
+    fit = Status::Internal(StrFormat(
         "GP hyper search: all %zu candidates produced a non-finite log "
         "marginal likelihood (degenerate design of %zu points)",
         candidates.size(), xs.size()));
+  } else {
+    params_ = *best;
+    fit = Fit(xs, ys);
   }
-  params_ = best;
-  return Fit(xs, ys);
+  if (beside.valid()) beside.get();
+  if (fit.ok()) *rng = stream;
+  return fit;
 }
 
 GpPrediction GaussianProcess::Predict(const Vec& x) const {

@@ -2,6 +2,7 @@
 #define ATUNE_ML_GAUSSIAN_PROCESS_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "common/arena.h"
@@ -77,8 +78,9 @@ class GaussianProcess {
   /// Fits the posterior for the given data with the current hyperparameters.
   /// Adds jitter to the kernel diagonal as needed for stability. The kernel
   /// matrix is built straight into the factor's storage and factored in
-  /// place (one n x n buffer). A kernel that stays indefinite through every
-  /// jitter retry returns kInternal and leaves the model unfitted.
+  /// place (one n x n buffer), by the hyper-search probes' routine on dense
+  /// rows. A kernel that stays indefinite through every jitter retry
+  /// returns kInternal and leaves the model unfitted.
   Status Fit(const std::vector<Vec>& xs, const Vec& ys);
 
   /// Incrementally absorbs one observation into a fitted model. Appends a
@@ -115,21 +117,34 @@ class GaussianProcess {
   ///
   /// Exact probes over equal-length inputs score in place: one flattened
   /// training matrix and one centred target vector are shared, and each
-  /// probe builds K + jitter I straight into its slice's n x n buffer and
-  /// factors it there (Matrix::CholeskyInPlace), with Fit's arithmetic, so
-  /// every score is bit-identical to fitting a GaussianProcess with that
-  /// candidate. The candidates split into at most three contiguous slices:
-  /// the calling thread scores the first and, with a non-null `pool`, two
-  /// workers score the others. At most three n x n buffers are live, what
-  /// one probe's fit held before the in-place factor (kernel, jittered
-  /// copy, factor), and every buffer a worker touches is sized on the
-  /// calling thread first, so workers never allocate. Under
-  /// SetScalarKernelsForTesting, for ragged inputs and for sparse probes
-  /// (n past max_exact_points) each candidate instead fits its own
-  /// GaussianProcess, one pool task per candidate.
+  /// probe builds K + jitter I straight into a packed lower-triangle buffer
+  /// (PackedRows) and factors it there (CholeskyInPlace), with Fit's
+  /// arithmetic, so every score is bit-identical to fitting a
+  /// GaussianProcess with that candidate. The probes form one queue: the
+  /// calling thread and, with a non-null `pool`, up to five workers take
+  /// the next unscored index until none is left, each scoring into a buffer
+  /// of its own. A score does not depend on the thread that computed it,
+  /// and the winner is still picked by index. At most six packed buffers
+  /// are live, the size of three dense n x n ones, and every buffer a
+  /// worker touches is sized on the calling thread first, so workers never
+  /// allocate. Under SetScalarKernelsForTesting, for ragged inputs and for
+  /// sparse probes (n past max_exact_points) each candidate instead fits
+  /// its own GaussianProcess, one pool task per candidate.
+  ///
+  /// `alongside`, when set, is work that needs the caller's random stream
+  /// but not the model, such as drawing acquisition candidates. It runs on
+  /// `pool` (on the calling thread without one) with a copy of `*rng` taken
+  /// right after the hyper candidates are drawn, overlapping the scoring
+  /// and the final fit, and this call returns only after it has finished.
+  /// `*rng` becomes that copy only when the fit succeeds, so on success the
+  /// stream has advanced exactly as if the caller had drawn after the
+  /// call, and on failure it stands where the caller's fallback draws
+  /// expect it. Whatever `alongside` writes must be sized beforehand: a
+  /// pool worker must not allocate.
   Status FitWithHyperSearch(const std::vector<Vec>& xs, const Vec& ys,
                             size_t budget, Rng* rng,
-                            ThreadPool* pool = nullptr);
+                            ThreadPool* pool = nullptr,
+                            const std::function<void(Rng*)>& alongside = {});
 
   /// Posterior mean/variance at x. Requires a successful Fit.
   GpPrediction Predict(const Vec& x) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/string_util.h"
@@ -15,46 +16,36 @@ namespace atune {
 namespace {
 
 /// Consecutive GP-fit failures tolerated (with a random-draw fallback per
-/// failure) before the fit status escalates out of Tune(). Random draws fix
-/// transient degeneracy (constant early responses); they cannot fix poisoned
-/// observations, and looping forever on a dead surrogate hides the failure
-/// from any supervision layer.
+/// failure) before the fit status escalates out of Tune(). Constant
+/// responses do not fail a fit: the search then scales its candidates by a
+/// unit variance and every likelihood is finite. A fit fails only when
+/// every candidate's likelihood is non-finite, as a non-finite objective
+/// makes it, or when the winner's kernel stays indefinite through the
+/// jitter retries. Random draws cannot repair such observations, and
+/// looping forever on a dead surrogate hides the failure from any
+/// supervision layer.
 constexpr size_t kMaxConsecutiveModelFailures = 3;
 
 /// Reusable storage for the batched acquisition scan: the candidate matrix,
 /// the PredictBatch output, the acquisition values, and the GP panel
 /// scratch. Owned by the Tune loop so a whole tuning session allocates the
-/// scan buffers once instead of per candidate per iteration.
+/// scan buffers once instead of per candidate per iteration. The candidate
+/// matrix is sized up front because the serial loop fills it on a pool
+/// worker, which must not allocate.
 struct AcquisitionWorkspace {
+  AcquisitionWorkspace(size_t m, size_t dims) : cands(m, dims) {}
   Matrix cands;
   std::vector<GpPrediction> preds;
   Vec acq;
   GpScratch gp;
 };
 
-/// Acquisition-maximizing candidate over `acquisition_candidates` random
-/// proposals (a third perturb the incumbent). Shared by the serial loop and
-/// the constant-liar batch loop; `xs`/`ys` may include liar observations.
-/// The prediction scan is sliced over the calling thread and `pool`.
-///
-/// The candidates are pre-generated into ws->cands with exactly the rng draw
-/// order of the old per-point loop (Predict consumed no randomness), then
-/// predicted and scored as whole batches; the strict-> argmax in index order
-/// therefore selects the bit-identical winner the per-point scan did.
-Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
-                     const std::vector<Vec>& xs, const Vec& ys, size_t dims,
-                     Rng* rng, AcquisitionWorkspace* ws, ThreadPool* pool,
-                     double* best_acq_out) {
-  ScopedSpan span(CurrentTracer(), "acquisition");
-  if (span.active()) {
-    span.AddArg("candidates", std::to_string(options.acquisition_candidates));
-    span.AddArg("kind", options.acquisition);
-  }
-  double best_log = *std::min_element(ys.begin(), ys.end());
-  size_t m = options.acquisition_candidates;
-  if (ws->cands.rows() != m || ws->cands.cols() != dims) {
-    ws->cands = Matrix(m, dims);
-  }
+/// Draws the `acquisition_candidates` random proposals into *cands (a third
+/// perturb the incumbent), with exactly the rng draw order of the old
+/// per-point loop. Reads no model, so the serial loop runs it alongside the
+/// GP fit.
+void DrawCandidates(const ITunedOptions& options, const std::vector<Vec>& xs,
+                    const Vec& ys, size_t dims, Rng* rng, Matrix* cands) {
   // The incumbent is loop-invariant; hoisting its argmin out of the
   // candidate loop changes no draws.
   const Vec* inc = nullptr;
@@ -62,8 +53,8 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
     inc = &xs[static_cast<size_t>(std::min_element(ys.begin(), ys.end()) -
                                   ys.begin())];
   }
-  for (size_t i = 0; i < m; ++i) {
-    double* cand = ws->cands.RowPtr(i);
+  for (size_t i = 0; i < options.acquisition_candidates; ++i) {
+    double* cand = cands->RowPtr(i);
     if (i % 3 == 0 && inc != nullptr) {
       // A third of candidates perturb the incumbent (local refinement).
       for (size_t d = 0; d < dims; ++d) {
@@ -73,6 +64,29 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
       for (size_t d = 0; d < dims; ++d) cand[d] = rng->Uniform();
     }
   }
+}
+
+/// Acquisition-maximizing candidate over ws->cands. Shared by the serial
+/// loop and the constant-liar batch loop; `xs`/`ys` may include liar
+/// observations. With a non-null `rng` the candidates are drawn here
+/// first; the serial loop passes null because it drew them alongside the
+/// fit. The prediction scan is sliced over the calling thread and `pool`.
+///
+/// The candidates are predicted and scored as whole batches (Predict
+/// consumed no randomness); the strict-> argmax in index order therefore
+/// selects the bit-identical winner the per-point scan did.
+Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
+                     const std::vector<Vec>& xs, const Vec& ys, size_t dims,
+                     Rng* rng, AcquisitionWorkspace* ws, ThreadPool* pool,
+                     double* best_acq_out) {
+  ScopedSpan span(CurrentTracer(), "acquisition");
+  if (span.active()) {
+    span.AddArg("candidates", std::to_string(options.acquisition_candidates));
+    span.AddArg("kind", options.acquisition);
+  }
+  if (rng != nullptr) DrawCandidates(options, xs, ys, dims, rng, &ws->cands);
+  double best_log = *std::min_element(ys.begin(), ys.end());
+  size_t m = options.acquisition_candidates;
   gp.PredictBatch(ws->cands, &ws->gp, &ws->preds, pool);
   if (options.acquisition == "pi") {
     ProbabilityOfImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
@@ -133,24 +147,30 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
   size_t aborts = 0;
   size_t model_failures = 0;
   double last_acq = 0.0;
-  AcquisitionWorkspace ws;
+  AcquisitionWorkspace ws(options_.acquisition_candidates, dims);
   // The surrogate runs on the calling thread plus a pool that fills the
-  // remaining cores; bit-identical to running it on one.
+  // remaining cores; bit-identical to running it on one. The acquisition
+  // candidates read no model, so a pool worker draws them while the hyper
+  // search runs, from the stream position the draws would have had after it.
   const size_t helpers = HelperThreadCount();
+  const std::function<void(Rng*)> draw = [&](Rng* stream) {
+    DrawCandidates(options_, xs, ys, dims, stream, &ws.cands);
+  };
   while (!evaluator->Exhausted()) {
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
     Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng,
-                                       evaluator->thread_pool(helpers));
+                                       evaluator->thread_pool(helpers), draw);
     Vec next;
     if (fit.ok()) {
       model_failures = 0;
-      next = ProposeCandidate(gp, options_, xs, ys, dims, rng, &ws,
-                              evaluator->thread_pool(helpers), &last_acq);
+      next = ProposeCandidate(gp, options_, xs, ys, dims, /*rng=*/nullptr,
+                              &ws, evaluator->thread_pool(helpers),
+                              &last_acq);
     } else {
-      // Degenerate GP (e.g. constant responses): one-off failures fall back
-      // to a random draw, which usually adds enough diversity to recover.
-      // Persistent failures mean the observations themselves are poisoned
-      // (NaN objectives, duplicated designs) and no amount of random
+      // Failed GP (non-finite objectives, or a kernel that stays
+      // indefinite): one-off failures fall back to a random draw from the
+      // stream as the search left it. Persistent failures mean the
+      // observations themselves are poisoned and no amount of random
       // sampling inside this loop repairs the surrogate — escalate so a
       // supervision layer can fail over.
       if (++model_failures >= kMaxConsecutiveModelFailures) return fit;
@@ -233,7 +253,7 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
   size_t proposed = 0;
   size_t model_failures = 0;
   double last_acq = 0.0;
-  AcquisitionWorkspace ws;
+  AcquisitionWorkspace ws(options_.acquisition_candidates, dims);
   while (!evaluator->Exhausted()) {
     size_t affordable = static_cast<size_t>(
         std::max(0.0, evaluator->Remaining() + 1e-9));

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -351,8 +352,28 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
   Vec acq_values;
   GpScratch gp_scratch;
   // The surrogate runs on the calling thread plus a pool that fills the
-  // remaining cores; bit-identical to running it on one.
+  // remaining cores; bit-identical to running it on one. The candidates read
+  // no model, so a pool worker draws them while the hyper search runs, from
+  // the stream position the draws would have had after it.
   const size_t helpers = HelperThreadCount();
+  Vec incumbent;
+  const std::function<void(Rng*)> draw = [&](Rng* stream) {
+    // The per-point loop's exact rng draw order; the batch is predicted and
+    // scored after the fit, and the index-order strict-> argmax picks the
+    // bit-identical winner the scalar scan did.
+    for (size_t c = 0; c < kAcqCandidates; ++c) {
+      double* cand = acq_cands.RowPtr(c);
+      // Non-top knobs stay at the incumbent.
+      std::copy(incumbent.begin(), incumbent.end(), cand);
+      for (size_t j = 0; j < k; ++j) {
+        size_t d = knob_order[j];
+        cand[d] = c % 3 == 0
+                      ? std::clamp(incumbent[d] + stream->Normal(0.0, 0.1),
+                                   0.0, 1.0)
+                      : stream->Uniform();
+      }
+    }
+  };
   while (!evaluator->Exhausted()) {
     mapped = MapWorkload(repository_, metric_idx, target_configs,
                          target_metrics);
@@ -376,34 +397,19 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
       ys.push_back(target_objectives[i]);
     }
 
-    GaussianProcess gp;
-    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng,
-                                       evaluator->thread_pool(helpers));
-    Vec next(dims);
-    Vec incumbent = target_configs[static_cast<size_t>(
+    incumbent = target_configs[static_cast<size_t>(
         std::min_element(target_objectives.begin(), target_objectives.end()) -
         target_objectives.begin())];
+    GaussianProcess gp;
+    Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng,
+                                       evaluator->thread_pool(helpers), draw);
+    Vec next(dims);
     if (fit.ok()) {
       model_failures = 0;
       ScopedSpan acq_span(CurrentTracer(), "acquisition");
       if (acq_span.active()) acq_span.AddArg("candidates", "1500");
       double best_log = *std::min_element(target_objectives.begin(),
                                           target_objectives.end());
-      // Pre-generate all candidates with the per-point loop's exact rng draw
-      // order, then predict and score them as one batch; the index-order
-      // strict-> argmax picks the bit-identical winner the scalar scan did.
-      for (size_t c = 0; c < kAcqCandidates; ++c) {
-        double* cand = acq_cands.RowPtr(c);
-        // Non-top knobs stay at the incumbent.
-        std::copy(incumbent.begin(), incumbent.end(), cand);
-        for (size_t j = 0; j < k; ++j) {
-          size_t d = knob_order[j];
-          cand[d] = c % 3 == 0
-                        ? std::clamp(incumbent[d] + rng->Normal(0.0, 0.1),
-                                     0.0, 1.0)
-                        : rng->Uniform();
-        }
-      }
       gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds,
                       evaluator->thread_pool(helpers));
       ExpectedImprovementBatch(acq_preds, best_log, 0.0, &acq_values);

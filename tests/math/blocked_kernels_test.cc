@@ -49,8 +49,9 @@ Vec RandomVec(size_t n, mt19937_64* gen) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ::testing::AssertionFailure() << "shape mismatch";
   }
-  if (std::memcmp(a.data().data(), b.data().data(),
-                  a.data().size() * sizeof(double)) != 0) {
+  // An empty matrix has no storage, and memcmp must not get null pointers.
+  if (!a.empty() && std::memcmp(a.data().data(), b.data().data(),
+                                a.data().size() * sizeof(double)) != 0) {
     for (size_t i = 0; i < a.rows(); ++i) {
       for (size_t j = 0; j < a.cols(); ++j) {
         double av = a.At(i, j);
@@ -71,7 +72,8 @@ Vec RandomVec(size_t n, mt19937_64* gen) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure() << "size mismatch";
   }
-  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+  if (!a.empty() &&
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
     for (size_t i = 0; i < a.size(); ++i) {
       if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
         return ::testing::AssertionFailure()
@@ -108,26 +110,72 @@ TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
   }
 }
 
-TEST(BlockedKernels, CholeskyInPlaceMatchesCholesky) {
+/// Byte comparison of a packed lower triangle against a dense factor's.
+::testing::AssertionResult PackedEqualsDense(const Vec& packed,
+                                             const Matrix& dense) {
+  const PackedRows rows;
+  for (size_t i = 0; i < dense.rows(); ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double p = packed[rows(i) + j];
+      double d = dense.At(i, j);
+      if (std::memcmp(&p, &d, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "first differing element (" << i << "," << j << "): " << p
+               << " vs " << d;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BlockedKernels, InPlaceFactorsAndPackedSolvesMatchDense) {
   mt19937_64 gen(19);
-  // Both kernels (the panel kernel from n = 128) and their edges.
-  for (size_t n : {1, 5, 64, 127, 128, 131, 200}) {
+  // Every size through both kernels: BlockedCholesky4 below n = 128 and
+  // PanelCholesky8 from there, with all panel widths of the last block.
+  for (size_t n = 1; n <= 140; ++n) {
     Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
     auto want = a.Cholesky();
     ASSERT_TRUE(want.ok());
-    // Only the lower triangle of A goes in; the zeroed upper triangle must
-    // come out untouched, so the buffer ends byte-equal to Cholesky()'s.
-    Matrix l(n, n);
+    // Only the lower triangle of A goes in. Dense, the zeroed upper
+    // triangle must come out untouched, so the buffer ends byte-equal to
+    // Cholesky()'s. Packed, the buffer is exactly n(n+1)/2 doubles, so a
+    // read past its end fails under AddressSanitizer.
+    Matrix dense(n, n);
+    Vec packed(PackedSize(n));
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j <= i; ++j) l.At(i, j) = a.At(i, j);
+      for (size_t j = 0; j <= i; ++j) {
+        dense.At(i, j) = a.At(i, j);
+        packed[PackedRows()(i) + j] = a.At(i, j);
+      }
     }
-    std::vector<double> panel(8 * n);
-    ASSERT_TRUE(l.CholeskyInPlace(panel.data())) << "n=" << n;
-    EXPECT_TRUE(BitIdentical(l, *want)) << "n=" << n;
+    Vec panel(8 * n);
+    ASSERT_TRUE(CholeskyInPlace(dense.RowPtr(0), n, DenseRows{n},
+                                panel.data()))
+        << "n=" << n;
+    ASSERT_TRUE(BitIdentical(dense, *want)) << "n=" << n;
+    ASSERT_TRUE(CholeskyInPlace(packed.data(), n, PackedRows{}, panel.data()))
+        << "n=" << n;
+    ASSERT_TRUE(PackedEqualsDense(packed, *want)) << "n=" << n;
+
+    Vec b = RandomVec(n, &gen);
+    Vec y(n);
+    packed::ForwardSolveInto(packed.data(), n, b.data(), y.data());
+    ASSERT_TRUE(BitIdentical(y, Matrix::ForwardSolve(*want, b))) << "n=" << n;
+    Vec x(n);
+    packed::BackwardSolveTransposeInto(packed.data(), n, y.data(), x.data());
+    ASSERT_TRUE(BitIdentical(x, Matrix::BackwardSolveTranspose(*want, y)))
+        << "n=" << n;
+    double got = packed::LogDetFromCholesky(packed.data(), n);
+    double det = Matrix::LogDetFromCholesky(*want);
+    ASSERT_EQ(std::memcmp(&got, &det, sizeof(double)), 0) << "n=" << n;
   }
+  // {{1, 2}, {2, 1}}'s lower triangle is indefinite in both layouts.
+  Vec panel(16);
   Matrix indefinite({{1.0, 0.0}, {2.0, 1.0}});
-  std::vector<double> panel(16);
-  EXPECT_FALSE(indefinite.CholeskyInPlace(panel.data()));
+  EXPECT_FALSE(CholeskyInPlace(indefinite.RowPtr(0), 2, DenseRows{2},
+                               panel.data()));
+  Vec packed = {1.0, 2.0, 1.0};
+  EXPECT_FALSE(CholeskyInPlace(packed.data(), 2, PackedRows{}, panel.data()));
 }
 
 TEST(BlockedKernels, CholeskyNotPositiveDefiniteSameError) {

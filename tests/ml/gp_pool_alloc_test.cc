@@ -1,14 +1,16 @@
 // Verifies that pool workers allocate nothing while they run the GP
-// surrogate's slices (DESIGN.md §11): every buffer a hyper-search probe
-// slice or a PredictBatch slice touches is sized on the calling thread
-// first. A worker's first malloc would give it a glibc arena of its own and
+// surrogate's work (DESIGN.md §11): every buffer a hyper-search probe
+// thread, an `alongside` draw or a PredictBatch slice touches is sized on
+// the calling thread first. A worker's first malloc would give it a glibc arena of its own and
 // raise the process's peak RSS. This binary links
 // common/alloc_hook_override.cc, so SampleAllocCount() counts the calling
 // thread's operator-new calls.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_hook.h"
@@ -50,17 +52,29 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   Rng rng(3);
   GpScratch scratch;
   std::vector<GpPrediction> preds;
+  // The acquisition draw iTuned runs alongside the search, into a matrix
+  // sized here; the worker takes it before its probes.
+  Matrix drawn(2000, d);
+  std::thread::id drew_on;
+  const std::function<void(Rng*)> draw = [&](Rng* stream) {
+    drew_on = std::this_thread::get_id();
+    for (size_t r = 0; r < drawn.rows(); ++r) {
+      for (size_t j = 0; j < d; ++j) drawn.At(r, j) = stream->Uniform();
+    }
+  };
   uint64_t before = worker_count();
-  ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool).ok());
+  ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool, draw).ok());
   gp.PredictBatch(cands, &scratch, &preds, &pool);
   EXPECT_EQ(worker_count(), before);
+  EXPECT_NE(drew_on, std::this_thread::get_id());
   ASSERT_EQ(preds.size(), cands.rows());
 
-  // The worker did score: the sliced results equal the unpooled ones.
+  // The worker did score and draw: the results equal the unpooled ones.
   GaussianProcess serial;
   Rng serial_rng(3);
   ASSERT_TRUE(serial.FitWithHyperSearch(xs, ys, 8, &serial_rng).ok());
   EXPECT_EQ(serial.LogMarginalLikelihood(), gp.LogMarginalLikelihood());
+  EXPECT_EQ(serial_rng.Uniform(), drawn.At(0, 0));
   std::vector<GpPrediction> serial_preds;
   serial.PredictBatch(cands, &scratch, &serial_preds);
   EXPECT_EQ(serial_preds.back().mean, preds.back().mean);

@@ -1,13 +1,21 @@
 // Bit-identity tests for the pooled GP surrogate (DESIGN.md §6, §11): the
-// hyper search scores its probes in place in up to three slices, and
-// PredictBatch splits its rows into 16-aligned slices over the calling
-// thread and the pool. Neither may change a bit: the fitted params, the log
-// marginal likelihood and every prediction must equal the unpooled run's,
-// and the fast in-place path must equal the scalar reference path.
+// hyper search scores its probes in place from one queue that the calling
+// thread and up to five pool workers drain, optionally beside an
+// `alongside` task on the pool, and PredictBatch splits its rows into
+// 16-aligned slices over the calling thread and the pool. Neither may
+// change a bit: the fitted params, the log marginal likelihood and every
+// prediction must equal the unpooled run's, the fast in-place path must
+// equal the scalar reference path, and the caller's random stream must end
+// where the unpooled run leaves it.
 
+#include <chrono>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -56,16 +64,12 @@ class ScalarKernels {
   ~ScalarKernels() { SetScalarKernelsForTesting(false); }
 };
 
-/// Pools of 1..4 workers, built once for the whole binary.
+/// Pools by worker count, each built on first use and kept for the binary.
 ThreadPool* Pool(size_t workers) {
-  static std::vector<std::unique_ptr<ThreadPool>> pools = [] {
-    std::vector<std::unique_ptr<ThreadPool>> p;
-    for (size_t w = 1; w <= 4; ++w) {
-      p.push_back(std::make_unique<ThreadPool>(w));
-    }
-    return p;
-  }();
-  return pools[workers - 1].get();
+  static std::map<size_t, std::unique_ptr<ThreadPool>> pools;
+  std::unique_ptr<ThreadPool>& pool = pools[workers];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(workers);
+  return pool.get();
 }
 
 /// Everything a fitted model exposes, as raw bits.
@@ -124,7 +128,7 @@ void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
 TEST(GpPool, HyperSearchIsBitIdenticalAcrossSlicesAndKernels) {
   mt19937_64 gen(5);
   // n = 127 and 128 straddle the switch from BlockedCholesky4 to
-  // PanelCholesky8; budget 7 leaves the three slices uneven.
+  // PanelCholesky8; budget 7 does not divide among the probe threads.
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
     for (size_t n : {40, 127, 128, 200}) {
@@ -234,6 +238,91 @@ TEST(GpPool, SparseProbesAgreeWithAndWithoutPool) {
   const std::vector<double> want = search(nullptr);
   for (size_t workers : {1, 3}) {
     ExpectSameBits(want, search(Pool(workers)), "pooled sparse search");
+  }
+}
+
+TEST(GpPool, ProbeQueueIsBitIdenticalAcrossPoolsAndBudgets) {
+  // One queue, drained by the calling thread and up to five workers, with
+  // and without an `alongside` task that holds a pool worker for longer
+  // than the whole search. Budget 1 leaves every worker idle, 5 gives each
+  // thread at most one probe, and 24 is iTuned's search. Besides the model,
+  // the result holds eight draws from the stream past the hyper candidates
+  // (taken by `alongside`, or by the caller after the call without one) and
+  // the caller's next draw, so the committed stream is pinned too.
+  mt19937_64 gen(61);
+  const size_t n = 130;  // PanelCholesky8 in every probe
+  const size_t d = 4;
+  const std::vector<Vec> xs = RandomPoints(n, d, &gen);
+  const Vec ys = RandomTargets(n, &gen);
+  const Matrix probes = RandomCandidates(5, d, &gen);
+  for (size_t budget : {1, 5, 24}) {
+    SCOPED_TRACE(testing::Message() << "budget=" << budget);
+    auto search = [&](ThreadPool* pool, std::chrono::microseconds hold) {
+      GaussianProcess gp(GpHyperParams{KernelType::kMatern52, {}, 1.0, 1e-4});
+      Rng rng(29);
+      Vec drawn(8);
+      std::function<void(Rng*)> alongside;
+      if (hold.count() > 0) {
+        alongside = [&drawn, hold](Rng* stream) {
+          std::this_thread::sleep_for(hold);
+          for (double& v : drawn) v = stream->Uniform();
+        };
+      }
+      Status fit = gp.FitWithHyperSearch(xs, ys, budget, &rng, pool, alongside);
+      EXPECT_TRUE(fit.ok()) << fit.ToString();
+      if (!alongside) {
+        for (double& v : drawn) v = rng.Uniform();
+      }
+      std::vector<double> out = Fingerprint(gp, probes);
+      out.insert(out.end(), drawn.begin(), drawn.end());
+      out.push_back(rng.Uniform());
+      return out;
+    };
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<double> want =
+        search(nullptr, std::chrono::microseconds(0));
+    const auto hold = 2 * std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - start) +
+                      std::chrono::milliseconds(10);
+    for (size_t workers : {0, 1, 3, 7}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << workers);
+      ThreadPool* pool = workers == 0 ? nullptr : Pool(workers);
+      ExpectSameBits(want, search(pool, std::chrono::microseconds(0)),
+                     "queued search");
+      ExpectSameBits(want, search(pool, hold), "queued search beside a hold");
+    }
+  }
+}
+
+TEST(GpPool, FailedSearchLeavesTheCallersStreamUnmoved) {
+  // A NaN target makes every probe's likelihood non-finite. The alongside
+  // task still runs, but its stream is dropped: the caller's next draw is
+  // the one a search without it leaves, which is where iTuned's and
+  // OtterTune's fallback draws start.
+  mt19937_64 gen(67);
+  std::vector<Vec> xs = RandomPoints(30, 3, &gen);
+  Vec ys = RandomTargets(30, &gen);
+  ys[7] = std::numeric_limits<double>::quiet_NaN();
+  for (size_t workers : {0, 3}) {
+    ThreadPool* pool = workers == 0 ? nullptr : Pool(workers);
+    GaussianProcess plain_gp;
+    Rng plain(31);
+    EXPECT_EQ(plain_gp.FitWithHyperSearch(xs, ys, 6, &plain, pool).code(),
+              StatusCode::kInternal);
+    GaussianProcess gp;
+    Rng rng(31);
+    bool ran = false;
+    EXPECT_EQ(gp.FitWithHyperSearch(xs, ys, 6, &rng, pool,
+                                    [&ran](Rng* stream) {
+                                      ran = true;
+                                      for (int i = 0; i < 100; ++i) {
+                                        stream->Uniform();
+                                      }
+                                    })
+                  .code(),
+              StatusCode::kInternal);
+    EXPECT_TRUE(ran) << "workers=" << workers;
+    EXPECT_EQ(rng.Next(), plain.Next()) << "workers=" << workers;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/core/mock_system.h"
 #include "tests/testing_util.h"
 #include "tuners/experiment/adaptive_sampling.h"
@@ -204,6 +206,34 @@ TEST(ITunedTest, RealDbmsWorkloadEndToEnd) {
   ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok());
   double default_obj = evaluator.history().front().objective;
   EXPECT_LT(evaluator.best()->objective, default_obj / 2.0);
+}
+
+TEST(ITunedTest, NonFiniteObjectiveFallsBackThenEscalates) {
+  // A NaN objective on the first BO trial (the 10th, after the defaults and
+  // the 8-point design) poisons every later hyper search. The first two
+  // failures draw random fallbacks from the stream as the failed search
+  // left it; the third escalates as kInternal. The fallbacks are pinned
+  // values, so a search that advanced the stream on failure would move them.
+  QuadraticSystem system;
+  ITunedTuner tuner;
+  Evaluator evaluator(&system, MockWorkload(), TuningBudget{30});
+  size_t calls = 0;
+  evaluator.set_objective(
+      [&calls](const Configuration&, const ExecutionResult& result) {
+        return ++calls == 10 ? std::numeric_limits<double>::quiet_NaN()
+                             : result.runtime_seconds;
+      });
+  Rng rng(23);
+  Status status = tuner.Tune(&evaluator, &rng);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ASSERT_EQ(evaluator.history().size(), 12u);
+  // Taken from the serial loop before the draw moved alongside the fit.
+  const std::vector<Vec> want = {{0.75070970893507338, 0.44251979949541126},
+                                 {0.92915546988630004, 0.12429834304096188}};
+  for (size_t f = 0; f < 2; ++f) {
+    Vec got = system.space().ToUnitVector(evaluator.history()[10 + f].config);
+    EXPECT_EQ(got, want[f]) << "fallback " << f;
+  }
 }
 
 }  // namespace

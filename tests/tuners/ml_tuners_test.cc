@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/core/mock_system.h"
 #include "tests/testing_util.h"
 #include "tuners/ml_tuners/ernest.h"
@@ -57,6 +59,47 @@ TEST(OtterTuneTest, BuildsDefaultRepositoryWhenEmpty) {
   Rng rng(12);
   ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok());
   EXPECT_NE(evaluator.best(), nullptr);
+}
+
+TEST(OtterTuneTest, NonFiniteObjectiveFallsBackThenEscalates) {
+  // A NaN objective on the first recommendation (the 6th trial, after the
+  // defaults and 4 LHS probes) shifts every later training target to NaN.
+  // The first two failed searches fall back to the incumbent with its top
+  // knobs redrawn from the stream as the search left it; the third
+  // escalates as kInternal. The fallbacks are pinned values, so a search
+  // that advanced the stream on failure would move them.
+  auto dbms = MakeTestDbms();
+  Workload target = MakeDbmsOlapWorkload(0.5);
+  OtterTuneRepository repo = BuildOtterTuneRepository(
+      dbms.get(), DefaultHistoryWorkloads("simulated-dbms", target.kind), 12,
+      7);
+  OtterTuneTuner tuner(std::move(repo), /*target_observations=*/4,
+                       /*top_knobs=*/6);
+  Evaluator evaluator(dbms.get(), target, TuningBudget{15});
+  size_t calls = 0;
+  evaluator.set_objective(
+      [&calls](const Configuration&, const ExecutionResult& result) {
+        double objective = result.runtime_seconds * (result.failed ? 10.0 : 1.0);
+        return ++calls == 6 ? std::numeric_limits<double>::quiet_NaN()
+                            : objective;
+      });
+  Rng rng(11);
+  Status status = tuner.Tune(&evaluator, &rng);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+  ASSERT_EQ(evaluator.history().size(), 8u);
+  // Taken from the serial loop before the draw moved alongside the fit.
+  const std::vector<Vec> want = {
+      {0.82100577393649588, 0.30199346317157844, 0.22222222222222221,
+       0.16666666666666669, 0.265625, 0.37309483131152782,
+       0.90717348033658152, 0.5, 0.90497208266452833, 1.0,
+       0.056971676153418346, 1.0},
+      {0.82100577393649588, 0.98012361032042361, 0.69841269841269837,
+       0.16666666666666669, 0.46875, 0.92190363659247287, 0.375, 0.0,
+       0.90497208266452833, 1.0, 0.056971676153418346, 1.0}};
+  for (size_t f = 0; f < 2; ++f) {
+    Vec got = dbms->space().ToUnitVector(evaluator.history()[6 + f].config);
+    EXPECT_EQ(got, want[f]) << "fallback " << f;
+  }
 }
 
 TEST(RoddNnTest, LearnsQuadraticBowl) {

@@ -13,7 +13,12 @@ using testing_util::MakeTestDbms;
 class RepositoryIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "atune_repo_test.txt";
+  // One file per test: ctest runs the cases in parallel processes, and a
+  // shared path lets one case's TearDown delete another's file.
+  std::string path_ =
+      ::testing::TempDir() + "/atune_repo_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
 };
 
 TEST_F(RepositoryIoTest, SaveLoadRoundTrip) {

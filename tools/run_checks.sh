@@ -63,6 +63,18 @@
 #                                   # saturation with no lost sessions. Then
 #                                   # reruns the net test suite (reactor,
 #                                   # transport, wire) under ThreadSanitizer.
+#   tools/run_checks.sh --surrogate # the pooled GP surrogate under both
+#                                   # sanitizers: the tsan preset runs the ml
+#                                   # and tuners suites (the shared probe
+#                                   # index, the `alongside` task and its
+#                                   # stream copy in FitWithHyperSearch, and
+#                                   # iTuned/OtterTune drawing candidates on
+#                                   # a worker), then the asan-ubsan preset
+#                                   # runs the math and ml suites (the packed
+#                                   # in-place Cholesky, whose diagonal-block
+#                                   # rows read accumulator lanes past their
+#                                   # own diagonal; those reads must stay
+#                                   # inside the n(n+1)/2 buffer)
 #   tools/run_checks.sh --drift     # Release build + bench_drift at full
 #                                   # scale, gated on the pass flags in
 #                                   # BENCH_drift.json: adaptive recovery
@@ -387,6 +399,29 @@ if [ "${1:-}" = "--service" ]; then
   echo "service checks passed: zero session fatals under transport faults,"
   echo "kill/restart resume bit-identical, admission p99 bounded under"
   echo "saturation, net test suite clean under tsan"
+  exit 0
+fi
+
+if [ "${1:-}" = "--surrogate" ]; then
+  jobs="$(nproc 2>/dev/null || echo 2)"
+  echo "=== [surrogate] tsan preset, ml + tuners suites ==="
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$jobs" \
+      --target atune_ml_tests atune_tuners_tests
+  ./build-tsan/tests/atune_ml_tests --gtest_brief=1
+  ./build-tsan/tests/atune_tuners_tests --gtest_brief=1
+  echo "=== [surrogate] asan-ubsan preset, math + ml suites ==="
+  cmake --preset asan-ubsan
+  cmake --build --preset asan-ubsan -j "$jobs" \
+      --target atune_math_tests atune_ml_tests
+  # UBSan reports and carries on by default; halting makes a report fail
+  # the stage the way an ASan report does.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      ./build-asan/tests/atune_math_tests --gtest_brief=1
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      ./build-asan/tests/atune_ml_tests --gtest_brief=1
+  echo "surrogate checks passed: probe queue, alongside draw and stream"
+  echo "commit clean under tsan; packed kernels clean under asan/ubsan"
   exit 0
 fi
 
