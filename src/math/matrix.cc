@@ -25,6 +25,11 @@ namespace atune {
 namespace {
 
 std::atomic<bool> g_scalar_kernels{false};
+std::atomic<bool> g_sse2_kernels{false};
+
+/// Factors from this size on go through PanelCholesky8; below it the
+/// panel's transpose-buffer setup costs more than its lanes save.
+constexpr size_t kPanelCholeskyFrom = 16;
 
 /// Blocked forward substitution y = L⁻¹ b over contiguous spans: rows are
 /// processed in blocks of four so their independent subtraction chains
@@ -297,7 +302,7 @@ __attribute__((target("avx"))) void SolvePanel16Avx(const double* ld,
 
 bool AvxAvailable() {
   static const bool ok = __builtin_cpu_supports("avx");
-  return ok;
+  return ok && !g_sse2_kernels.load(std::memory_order_relaxed);
 }
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 #endif  // ATUNE_HAVE_SSE2
@@ -431,6 +436,46 @@ void PanelBulkPairSse2(const double* pt, size_t j0, const double* li,
   _mm_storeu_pd(accq + 6, q3);
 }
 
+/// In-block tail of four rows below a full panel, lane r carrying row r:
+/// for c = 0..7, L(r, j0 + c) = (acc[r * 8 + c] - sum_{k<c} L(r, j0 + k) *
+/// blk[c * 8 + k]) / blk[c * 8 + c], subtractions in ascending k, exactly
+/// the scalar tail's chain per row. `blk` is the panel's diagonal block
+/// (row c, column k <= c) and l[r] is row r. Rows 0 and 1 share one
+/// register, rows 2 and 3 the other.
+void PanelTail4Sse2(const double* blk, const double* acc, double* const* l,
+                    size_t j0) {
+  __m128d p[8], q[8];
+  for (size_t c = 0; c < 8; c += 2) {
+    const __m128d a0 = _mm_loadu_pd(acc + 0 + c);
+    const __m128d a1 = _mm_loadu_pd(acc + 8 + c);
+    const __m128d a2 = _mm_loadu_pd(acc + 16 + c);
+    const __m128d a3 = _mm_loadu_pd(acc + 24 + c);
+    p[c] = _mm_unpacklo_pd(a0, a1);
+    p[c + 1] = _mm_unpackhi_pd(a0, a1);
+    q[c] = _mm_unpacklo_pd(a2, a3);
+    q[c + 1] = _mm_unpackhi_pd(a2, a3);
+  }
+#pragma GCC unroll 8
+  for (size_t c = 0; c < 8; ++c) {
+    const double* bc = blk + c * 8;
+#pragma GCC unroll 8
+    for (size_t k = 0; k < c; ++k) {
+      const __m128d b = _mm_set1_pd(bc[k]);
+      p[c] = _mm_sub_pd(p[c], _mm_mul_pd(p[k], b));
+      q[c] = _mm_sub_pd(q[c], _mm_mul_pd(q[k], b));
+    }
+    const __m128d d = _mm_set1_pd(bc[c]);
+    p[c] = _mm_div_pd(p[c], d);
+    q[c] = _mm_div_pd(q[c], d);
+  }
+  for (size_t c = 0; c < 8; c += 2) {
+    _mm_storeu_pd(l[0] + j0 + c, _mm_unpacklo_pd(p[c], p[c + 1]));
+    _mm_storeu_pd(l[1] + j0 + c, _mm_unpackhi_pd(p[c], p[c + 1]));
+    _mm_storeu_pd(l[2] + j0 + c, _mm_unpacklo_pd(q[c], q[c + 1]));
+    _mm_storeu_pd(l[3] + j0 + c, _mm_unpackhi_pd(q[c], q[c + 1]));
+  }
+}
+
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
 /// AVX builds of the two bulk helpers: same per-lane chains, half the
 /// instructions (no FMA — fusing would change bits). Picked at runtime.
@@ -470,6 +515,51 @@ __attribute__((target("avx"))) void PanelBulkPairAvx(
   _mm256_storeu_pd(accq + 0, q0);
   _mm256_storeu_pd(accq + 4, q1);
 }
+
+/// 4 x 4 transpose of the rows a0..a3; it is its own inverse.
+__attribute__((target("avx"), always_inline)) inline void Transpose4Avx(
+    __m256d& a0, __m256d& a1, __m256d& a2, __m256d& a3) {
+  const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
+  const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
+  const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+  const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+  a0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+  a1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+  a2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+  a3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// AVX build of PanelTail4Sse2: the four rows' chains in one register.
+__attribute__((target("avx"))) void PanelTail4Avx(const double* blk,
+                                                  const double* acc,
+                                                  double* const* l,
+                                                  size_t j0) {
+  __m256d col[8];
+  for (size_t h = 0; h < 8; h += 4) {
+    col[h + 0] = _mm256_loadu_pd(acc + 0 + h);
+    col[h + 1] = _mm256_loadu_pd(acc + 8 + h);
+    col[h + 2] = _mm256_loadu_pd(acc + 16 + h);
+    col[h + 3] = _mm256_loadu_pd(acc + 24 + h);
+    Transpose4Avx(col[h + 0], col[h + 1], col[h + 2], col[h + 3]);
+  }
+#pragma GCC unroll 8
+  for (size_t c = 0; c < 8; ++c) {
+    const double* bc = blk + c * 8;
+#pragma GCC unroll 8
+    for (size_t k = 0; k < c; ++k) {
+      col[c] = _mm256_sub_pd(
+          col[c], _mm256_mul_pd(col[k], _mm256_broadcast_sd(bc + k)));
+    }
+    col[c] = _mm256_div_pd(col[c], _mm256_broadcast_sd(bc + c));
+  }
+  for (size_t h = 0; h < 8; h += 4) {
+    Transpose4Avx(col[h + 0], col[h + 1], col[h + 2], col[h + 3]);
+    _mm256_storeu_pd(l[0] + j0 + h, col[h + 0]);
+    _mm256_storeu_pd(l[1] + j0 + h, col[h + 1]);
+    _mm256_storeu_pd(l[2] + j0 + h, col[h + 2]);
+    _mm256_storeu_pd(l[3] + j0 + h, col[h + 3]);
+  }
+}
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 
 template <typename Rows>
@@ -480,14 +570,17 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
   // final by now) are copied once into a small transposed buffer
   // (pt[k*8 + c] = L(j0+c, k), at most 8*n doubles, cache-resident), so the
   // dominant shared-prefix subtraction reads eight contiguous lanes per k;
-  // explicit SSE2 two-lane ops process them, and rows below the panel go
-  // two at a time sharing the column loads. Every SIMD lane is an
-  // independent per-element chain whose subtractions land in the same
-  // ascending-k order as reference::Cholesky — bulk prefix k < j0 through
-  // the buffer, then the scalar in-block tail k in [j0, j) — so the factor
-  // is bit-identical; the panelization and lanes only buy SIMD width and
-  // instruction-level parallelism (the naive loop is one serial FMA chain
-  // per element). Hand-written intrinsics because GCC's auto-vectorizer
+  // explicit SSE2 two-lane ops process them. Rows below the panel go four
+  // at a time: two bulk pairs share the column loads, and then the four
+  // rows' in-block tails k in [j0, j), each a chain of dependent divides,
+  // run abreast in SIMD lanes, lane r carrying row r. A leftover pair and
+  // single row keep the scalar tail. Every SIMD lane is an independent
+  // per-element chain whose subtractions land in the same ascending-k order
+  // as reference::Cholesky — bulk prefix k < j0 through the buffer, then
+  // the in-block tail — so the factor is bit-identical; the panelization
+  // and lanes only buy SIMD width and instruction-level parallelism (the
+  // naive loop is one serial multiply-subtract chain per element).
+  // Hand-written intrinsics because GCC's auto-vectorizer
   // turns the same loop into a shuffle storm that is slower than scalar.
   // `pt` is caller storage of kPanel * n doubles. Like BlockedCholesky4,
   // a == ld factors in place: each lower-triangle entry of A is read before
@@ -537,8 +630,37 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
       if (sum <= 0.0) return false;
       li[i] = std::sqrt(sum);
     }
-    // Rows below the panel, two at a time sharing the column loads.
+    // Rows below the panel (only a full panel has any): four at a time,
+    // two bulk pairs and then one four-lane tail over the diagonal block.
     size_t i = j0 + w;
+    double blk[kPanel * kPanel] = {};
+    if (i + 4 <= n) {
+      for (size_t c = 0; c < kPanel; ++c) {
+        const double* rj = ld + rows(j0 + c) + j0;
+        for (size_t k = 0; k <= c; ++k) blk[c * kPanel + k] = rj[k];
+      }
+    }
+    for (; i + 4 <= n; i += 4) {
+      double* const l[4] = {ld + rows(i), ld + rows(i + 1), ld + rows(i + 2),
+                            ld + rows(i + 3)};
+      double acc[4 * kPanel];
+      for (size_t r = 0; r < 4; ++r) {
+        const double* ar = a + rows(i + r) + j0;
+        for (size_t c = 0; c < kPanel; ++c) acc[r * kPanel + c] = ar[c];
+      }
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+      if (use_avx) {
+        PanelBulkPairAvx(pt, j0, l[0], l[1], acc, acc + 8);
+        PanelBulkPairAvx(pt, j0, l[2], l[3], acc + 16, acc + 24);
+        PanelTail4Avx(blk, acc, l, j0);
+        continue;
+      }
+#endif
+      PanelBulkPairSse2(pt, j0, l[0], l[1], acc, acc + 8);
+      PanelBulkPairSse2(pt, j0, l[2], l[3], acc + 16, acc + 24);
+      PanelTail4Sse2(blk, acc, l, j0);
+    }
+    // Leftover rows: a pair sharing the column loads, then a single row.
     for (; i + 2 <= n; i += 2) {
       const double* ai = a + rows(i);
       const double* bi = a + rows(i + 1);
@@ -606,6 +728,10 @@ void SetScalarKernelsForTesting(bool scalar) {
 
 bool ScalarKernelsForTesting() {
   return g_scalar_kernels.load(std::memory_order_acquire);
+}
+
+void SetSse2KernelsForTesting(bool sse2) {
+  g_sse2_kernels.store(sse2, std::memory_order_relaxed);
 }
 
 namespace internal {
@@ -756,10 +882,8 @@ Result<Matrix> Matrix::Cholesky() const {
   double* ld = l.data_.data();
   bool pd;
 #if defined(ATUNE_HAVE_SSE2)
-  // The panel kernel's transpose-buffer setup only pays for itself once the
-  // O(n^3) bulk dominates; small factors stay on the block-of-four path.
   std::vector<double> pt;
-  if (n >= 128) {
+  if (n >= kPanelCholeskyFrom) {
     pt.resize(8 * n);
     pd = PanelCholesky8(a, ld, n, DenseRows{n}, pt.data());
   } else {
@@ -779,8 +903,8 @@ template <typename Rows>
 bool CholeskyInPlace(double* a, size_t n, Rows rows, double* panel) {
 #if defined(ATUNE_HAVE_SSE2)
   // The same kernel choice as Cholesky(), so the factors are bit-identical.
-  return n >= 128 ? PanelCholesky8(a, a, n, rows, panel)
-                  : BlockedCholesky4(a, a, n, rows);
+  return n >= kPanelCholeskyFrom ? PanelCholesky8(a, a, n, rows, panel)
+                                 : BlockedCholesky4(a, a, n, rows);
 #else
   (void)panel;
   return BlockedCholesky4(a, a, n, rows);

@@ -171,7 +171,7 @@ inline size_t PackedSize(size_t n) { return PackedRows()(n); }
 /// triangle (diagonal included) of an n x n SPD matrix A, addressed by
 /// `rows` (DenseRows or PackedRows), and that triangle is overwritten with
 /// the factor L of A = L Lᵀ. It runs Matrix::Cholesky()'s kernels
-/// (PanelCholesky8 from n = 128, BlockedCholesky4 below) on the same
+/// (PanelCholesky8 from n = 16, BlockedCholesky4 below) on the same
 /// arithmetic, so every entry of L is bit-identical to Cholesky()'s. The
 /// strict upper triangle of a dense buffer is never written: one that
 /// starts zeroed ends byte-equal to Cholesky()'s factor. `panel` is caller
@@ -211,6 +211,12 @@ void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride,
 /// computation is in flight.
 void SetScalarKernelsForTesting(bool scalar);
 bool ScalarKernelsForTesting();
+
+/// Routes the AVX-dispatched kernels (PanelCholesky8's bulk and tail
+/// helpers, the sixteen-lane panel solve) to their SSE2 bodies, so hosts
+/// with AVX run those too; results are bit-identical either way. Testing
+/// only, process-wide; a no-op on builds without the AVX dispatch.
+void SetSse2KernelsForTesting(bool sse2);
 
 /// Dot product; sizes must match (asserted).
 double Dot(const Vec& a, const Vec& b);

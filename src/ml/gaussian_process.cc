@@ -5,6 +5,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <string>
 
 #include "common/logging.h"
@@ -47,19 +48,86 @@ constexpr size_t kPredictLanes = 16;
 /// dense n x n buffers did.
 constexpr size_t kMaxProbeThreads = 6;
 
+/// KernelValue's tail over m squared scaled distances, in place: out[i]
+/// becomes k(r) for r = sqrt(out[i]). sqrt and the Matérn polynomial's
+/// s * s / 3.0 run two SSE2 lanes abreast and exp stays libm, one entry at
+/// a time; every entry takes KernelValue's operations in its order, so the
+/// bits are KernelValue's.
+void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
+  size_t i = 0;
+#if defined(ATUNE_HAVE_SSE2)
+  double lane[2];
+  if (se) {
+    const __m128d neg_half = _mm_set1_pd(-0.5);
+    for (; i + 2 <= m; i += 2) {
+      const __m128d r = _mm_sqrt_pd(_mm_loadu_pd(out + i));
+      _mm_storeu_pd(lane, _mm_mul_pd(_mm_mul_pd(neg_half, r), r));
+      out[i] = sv * std::exp(lane[0]);
+      out[i + 1] = sv * std::exp(lane[1]);
+    }
+  } else {
+    const __m128d root5 = _mm_set1_pd(std::sqrt(5.0));
+    const __m128d one = _mm_set1_pd(1.0);
+    const __m128d three = _mm_set1_pd(3.0);
+    const __m128d scale = _mm_set1_pd(sv);
+    double poly[2];
+    for (; i + 2 <= m; i += 2) {
+      const __m128d s = _mm_mul_pd(root5, _mm_sqrt_pd(_mm_loadu_pd(out + i)));
+      const __m128d p = _mm_add_pd(_mm_add_pd(one, s),
+                                   _mm_div_pd(_mm_mul_pd(s, s), three));
+      _mm_storeu_pd(poly, _mm_mul_pd(scale, p));
+      _mm_storeu_pd(lane, s);
+      out[i] = poly[0] * std::exp(-lane[0]);
+      out[i + 1] = poly[1] * std::exp(-lane[1]);
+    }
+  }
+#endif
+  for (; i < m; ++i) {
+    if (se) {
+      double r = std::sqrt(out[i]);
+      out[i] = sv * std::exp(-0.5 * r * r);
+    } else {
+      double s = std::sqrt(5.0) * std::sqrt(out[i]);
+      out[i] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
+    }
+  }
+}
+
 /// out[i - begin] = k(x, p_i) for the rows p_i, i in [begin, end), of the
 /// row-major point matrix `pts` (row stride d). `ls` holds the lengthscales
 /// with ScaledDistance's clamp baked in and the kernel switch is hoisted;
 /// the accumulation (x minus point, per dimension, ascending) and the
 /// sqrt→kernel round trip are exactly KernelValue's, so each output is
 /// bit-identical. Two passes: the squared distances of the whole range go
-/// into `out` first, so the next entry's divides need not wait behind the
-/// previous entry's sqrt/exp chain; then the kernel tail runs over `out`.
+/// into `out` first, four entries per step in SSE2 lanes so their divides
+/// overlap, then KernelTailInPlace runs over `out`.
 void KernelRowInto(const double* x, const double* pts, size_t begin,
                    size_t end, size_t d, const double* ls, bool se, double sv,
                    double* out) {
   const size_t m = end - begin;
-  for (size_t i = 0; i < m; ++i) {
+  size_t i = 0;
+#if defined(ATUNE_HAVE_SSE2)
+  for (; i + 4 <= m; i += 4) {
+    const double* x0 = pts + (begin + i) * d;
+    const double* x1 = x0 + d;
+    const double* x2 = x1 + d;
+    const double* x3 = x2 + d;
+    __m128d a01 = _mm_setzero_pd(), a23 = _mm_setzero_pd();
+    for (size_t j = 0; j < d; ++j) {
+      const __m128d xj = _mm_set1_pd(x[j]);
+      const __m128d lj = _mm_set1_pd(ls[j]);
+      const __m128d d01 =
+          _mm_div_pd(_mm_sub_pd(xj, _mm_set_pd(x1[j], x0[j])), lj);
+      const __m128d d23 =
+          _mm_div_pd(_mm_sub_pd(xj, _mm_set_pd(x3[j], x2[j])), lj);
+      a01 = _mm_add_pd(a01, _mm_mul_pd(d01, d01));
+      a23 = _mm_add_pd(a23, _mm_mul_pd(d23, d23));
+    }
+    _mm_storeu_pd(out + i, a01);
+    _mm_storeu_pd(out + i + 2, a23);
+  }
+#endif
+  for (; i < m; ++i) {
     const double* xi = pts + (begin + i) * d;
     double acc = 0.0;
     for (size_t j = 0; j < d; ++j) {
@@ -68,17 +136,7 @@ void KernelRowInto(const double* x, const double* pts, size_t begin,
     }
     out[i] = acc;
   }
-  if (se) {
-    for (size_t i = 0; i < m; ++i) {
-      double r = std::sqrt(out[i]);
-      out[i] = sv * std::exp(-0.5 * r * r);
-    }
-  } else {
-    for (size_t i = 0; i < m; ++i) {
-      double s = std::sqrt(5.0) * std::sqrt(out[i]);
-      out[i] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
-    }
-  }
+  KernelTailInPlace(out, m, se, sv);
 }
 
 /// Builds the lower triangle of K + jitter I over the n x d row-major
@@ -140,14 +198,27 @@ struct ProbeBuffers {
   Vec k;      // packed K + jitter I, then its factor in place
 };
 
+/// The best probe scored so far by FitWithHyperSearch's rule (a larger
+/// score, or an equal one at a lower index; NaN and -inf never enter), with
+/// the jitter its kernel factored at and its packed factor.
+struct KeptProbe {
+  size_t index = std::numeric_limits<size_t>::max();  // none yet
+  double score = 0.0;
+  double jitter = 0.0;
+  Vec factor;
+};
+
 /// FitWithHyperSearch's in-place scoring of exact probes over equal-length
 /// inputs: (*lml)[c] is the log marginal likelihood Fit would give
 /// candidates[c], bit for bit, or NaN when its kernel stays indefinite
 /// through the jitter retries. The calling thread and the pool workers
-/// drain one shared probe index.
+/// drain one shared probe index. A probe that beats *kept swaps its buffer
+/// with kept->factor under a mutex, so the winner's factor survives the
+/// search without a copy.
 void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
                       const std::vector<GpHyperParams>& candidates,
-                      ThreadPool* pool, std::vector<double>* lml) {
+                      ThreadPool* pool, std::vector<double>* lml,
+                      KeptProbe* kept) {
   const size_t n = xs.size();
   const size_t d = xs[0].size();
   const size_t count = candidates.size();
@@ -175,6 +246,8 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
     w.alpha.resize(n);
   }
   for (ProbeBuffers& w : work) w.k.resize(PackedSize(n));
+  kept->factor.resize(PackedSize(n));
+  std::mutex kept_mu;
   std::atomic<size_t> next{0};
   RunSlices(threads, pool, [&](size_t t) {
     ProbeBuffers& w = work[t];
@@ -195,8 +268,19 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
       packed::ForwardSolveInto(w.k.data(), n, centered.data(), w.y1.data());
       packed::BackwardSolveTransposeInto(w.k.data(), n, w.y1.data(),
                                          w.alpha.data());
-      (*lml)[c] = LogMarginal(centered.data(), w.alpha.data(), n,
-                              packed::LogDetFromCholesky(w.k.data(), n));
+      const double score =
+          LogMarginal(centered.data(), w.alpha.data(), n,
+                      packed::LogDetFromCholesky(w.k.data(), n));
+      (*lml)[c] = score;
+      if (!(score > -std::numeric_limits<double>::infinity())) continue;
+      std::lock_guard<std::mutex> lock(kept_mu);
+      if (kept->index == std::numeric_limits<size_t>::max() ||
+          score > kept->score || (score == kept->score && c < kept->index)) {
+        kept->index = c;
+        kept->score = score;
+        kept->jitter = jitter;
+        kept->factor.swap(w.k);
+      }
     }
   });
 }
@@ -483,6 +567,7 @@ Status GaussianProcess::FitWithHyperSearch(
 
   // Score each candidate's log marginal likelihood (NaN = failed fit).
   std::vector<double> lml(candidates.size());
+  KeptProbe kept;
   const bool equal_length =
       dims > 0 && std::all_of(xs.begin(), xs.end(), [dims](const Vec& x) {
         return x.size() == dims;
@@ -490,7 +575,7 @@ Status GaussianProcess::FitWithHyperSearch(
   const bool exact =
       params_.max_exact_points == 0 || xs.size() <= params_.max_exact_points;
   if (equal_length && exact && !ScalarKernelsForTesting()) {
-    ScoreExactProbes(xs, ys, candidates, pool, &lml);
+    ScoreExactProbes(xs, ys, candidates, pool, &lml, &kept);
   } else {
     auto score = [&xs, &ys](const GpHyperParams& cand) -> double {
       GaussianProcess probe(cand);
@@ -516,17 +601,17 @@ Status GaussianProcess::FitWithHyperSearch(
 
   // First strictly-better candidate wins — index order breaks ties exactly
   // like the serial loop did.
-  const GpHyperParams* best = nullptr;
+  size_t best = candidates.size();
   double best_lml = -std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (std::isnan(lml[i])) continue;
     if (lml[i] > best_lml) {
       best_lml = lml[i];
-      best = &candidates[i];
+      best = i;
     }
   }
   Status fit = Status::OK();
-  if (best == nullptr) {
+  if (best == candidates.size()) {
     // Every candidate produced a non-finite log marginal likelihood: the
     // design is degenerate (duplicated points, non-finite targets). Fitting
     // defaults anyway would hand callers a model built on garbage; surface
@@ -535,8 +620,25 @@ Status GaussianProcess::FitWithHyperSearch(
         "GP hyper search: all %zu candidates produced a non-finite log "
         "marginal likelihood (degenerate design of %zu points)",
         candidates.size(), xs.size()));
+  } else if (kept.index == best) {
+    // The winning probe already factored K + jitter I with Fit's
+    // arithmetic: its packed rows, expanded into a zeroed chol_, are
+    // byte-equal to the factor Fit would build, so nothing is refactored.
+    params_ = candidates[best];
+    xs_ = xs;
+    ys_ = ys;
+    sparse_ = false;
+    RebuildFlatCache();
+    const size_t n = xs.size();
+    chol_ = Matrix(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = kept.factor.data() + PackedRows()(i);
+      std::copy(row, row + i + 1, chol_.RowPtr(i));
+    }
+    jitter_ = kept.jitter;
+    RecomputePosterior();
   } else {
-    params_ = *best;
+    params_ = candidates[best];
     fit = Fit(xs, ys);
   }
   if (beside.valid()) beside.get();
@@ -634,11 +736,11 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
       }
     }
     // Kernel-row panel: panel[i][c] = k(candidate c, x_i). Per (i, c) the
-    // accumulation order and sqrt→kernel round trip are exactly
-    // KernelRowRangeInto's, so each lane matches Predict bit for bit.
+    // accumulation order and the tail are exactly KernelRowRangeInto's, so
+    // each lane matches Predict bit for bit.
     for (size_t i = 0; i < n; ++i) {
       const double* xi = xs_flat_.data() + i * d;
-      double acc[kLanes] = {};
+      double* pi = panel + i * kLanes;
 #if defined(ATUNE_HAVE_SSE2)
       // Hand-vectorized per-lane chains (GCC's auto-vectorizer interleaves
       // the array-accumulator form into shuffle-bound code). Each lane's
@@ -659,12 +761,13 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
           a2 = _mm_add_pd(a2, _mm_mul_pd(d2, d2));
           a3 = _mm_add_pd(a3, _mm_mul_pd(d3, d3));
         }
-        _mm_storeu_pd(acc + h + 0, a0);
-        _mm_storeu_pd(acc + h + 2, a1);
-        _mm_storeu_pd(acc + h + 4, a2);
-        _mm_storeu_pd(acc + h + 6, a3);
+        _mm_storeu_pd(pi + h + 0, a0);
+        _mm_storeu_pd(pi + h + 2, a1);
+        _mm_storeu_pd(pi + h + 4, a2);
+        _mm_storeu_pd(pi + h + 6, a3);
       }
 #else
+      double acc[kLanes] = {};
       for (size_t j = 0; j < d; ++j) {
         double xij = xi[j];
         double lj = ls[j];
@@ -674,19 +777,9 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
           acc[c] += diff * diff;
         }
       }
+      std::copy(acc, acc + kLanes, pi);
 #endif
-      double* pi = panel + i * kLanes;
-      if (se) {
-        for (size_t c = 0; c < kLanes; ++c) {
-          double r = std::sqrt(acc[c]);
-          pi[c] = sv * std::exp(-0.5 * r * r);
-        }
-      } else {
-        for (size_t c = 0; c < kLanes; ++c) {
-          double s = std::sqrt(5.0) * std::sqrt(acc[c]);
-          pi[c] = sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
-        }
-      }
+      KernelTailInPlace(pi, kLanes, se, sv);
     }
     // Means before the in-place solve consumes the panel (ascending i, the
     // same order as Dot(kstar, alpha_)).

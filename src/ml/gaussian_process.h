@@ -110,10 +110,11 @@ class GaussianProcess {
   size_t EvictOldest(size_t keep_last);
 
   /// Fits hyperparameters by maximizing the log marginal likelihood over a
-  /// random search of `budget` candidate hyperparameter settings, then fits
-  /// the posterior with the winner. Candidates are pre-drawn from `rng` and
-  /// ties broken by candidate index, so the winner — and therefore the
-  /// fitted model — is the same with or without a pool.
+  /// random search of `budget` candidate hyperparameter settings, and
+  /// leaves the model fitted with the winner, exactly as Fit would.
+  /// Candidates are pre-drawn from `rng` and ties broken by candidate
+  /// index, so the winner — and therefore the fitted model — is the same
+  /// with or without a pool.
   ///
   /// Exact probes over equal-length inputs score in place: one flattened
   /// training matrix and one centred target vector are shared, and each
@@ -124,18 +125,22 @@ class GaussianProcess {
   /// calling thread and, with a non-null `pool`, up to five workers take
   /// the next unscored index until none is left, each scoring into a buffer
   /// of its own. A score does not depend on the thread that computed it,
-  /// and the winner is still picked by index. At most six packed buffers
-  /// are live, the size of three dense n x n ones, and every buffer a
-  /// worker touches is sized on the calling thread first, so workers never
-  /// allocate. Under SetScalarKernelsForTesting, for ragged inputs and for
-  /// sparse probes (n past max_exact_points) each candidate instead fits
-  /// its own GaussianProcess, one pool task per candidate.
+  /// and the winner is still picked by index. One more packed buffer keeps
+  /// the best probe so far (a probe that beats it swaps buffers with it
+  /// under a mutex), and the model takes the winner's factor and jitter
+  /// from it instead of refactoring the kernel. At most seven packed
+  /// buffers are live, the size of three and a half dense n x n ones, and
+  /// every buffer a worker touches is sized on the calling thread first, so
+  /// workers never allocate. Under SetScalarKernelsForTesting, for ragged
+  /// inputs and for sparse probes (n past max_exact_points) each candidate
+  /// instead fits its own GaussianProcess, one pool task per candidate, and
+  /// the winner is refit with Fit.
   ///
   /// `alongside`, when set, is work that needs the caller's random stream
   /// but not the model, such as drawing acquisition candidates. It runs on
   /// `pool` (on the calling thread without one) with a copy of `*rng` taken
-  /// right after the hyper candidates are drawn, overlapping the scoring
-  /// and the final fit, and this call returns only after it has finished.
+  /// right after the hyper candidates are drawn, overlapping the scoring,
+  /// and this call returns only after it has finished.
   /// `*rng` becomes that copy only when the fit succeeds, so on success the
   /// stream has advanced exactly as if the caller had drawn after the
   /// call, and on failure it stands where the caller's fallback draws

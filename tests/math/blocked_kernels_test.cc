@@ -45,6 +45,14 @@ Vec RandomVec(size_t n, mt19937_64* gen) {
   return v;
 }
 
+/// Routes the AVX-dispatched kernels to their SSE2 bodies for one scope, so
+/// hosts with AVX test both; restores AVX even when an assertion returns.
+class Sse2Kernels {
+ public:
+  explicit Sse2Kernels(bool sse2) { SetSse2KernelsForTesting(sse2); }
+  ~Sse2Kernels() { SetSse2KernelsForTesting(false); }
+};
+
 ::testing::AssertionResult BitIdentical(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ::testing::AssertionFailure() << "shape mismatch";
@@ -86,27 +94,34 @@ Vec RandomVec(size_t n, mt19937_64* gen) {
 }
 
 TEST(BlockedKernels, CholeskyBitIdenticalAcrossSizes) {
-  mt19937_64 gen(7);
   // Sizes straddle every blocking boundary (n % 4 in {0,1,2,3}) including
-  // degenerate 0/1 and a "large" case.
-  for (size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 97}) {
-    Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
-    auto fast = a.Cholesky();
-    auto ref = reference::Cholesky(a);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(ref.ok());
-    EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n;
+  // degenerate 0/1 and a "large" case, on the AVX and the SSE2 bodies.
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels guard(sse2);
+    mt19937_64 gen(7);
+    for (size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 97}) {
+      Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
+      auto fast = a.Cholesky();
+      auto ref = reference::Cholesky(a);
+      ASSERT_TRUE(fast.ok());
+      ASSERT_TRUE(ref.ok());
+      EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n << " sse2=" << sse2;
+    }
   }
 }
 
 TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
+  // Every size from 16 goes through PanelCholesky8; 33, 50, 67 and 100
+  // leave 1, 2, 3 and 0 rows below each panel after the groups of four.
   mt19937_64 gen(11);
-  for (size_t n : {8, 33, 50}) {
+  for (size_t n : {8, 33, 50, 67, 100}) {
     Matrix a = RandomSpd(n, &gen, 1e-9);
     auto fast = a.Cholesky();
     auto ref = reference::Cholesky(a);
     ASSERT_EQ(fast.ok(), ref.ok()) << "n=" << n;
-    if (fast.ok()) EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n;
+    if (fast.ok()) {
+      EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n;
+    }
   }
 }
 
@@ -128,14 +143,20 @@ TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(BlockedKernels, InPlaceFactorsAndPackedSolvesMatchDense) {
+/// Checks Cholesky() against the reference, the in-place factors (dense
+/// and packed) against Cholesky(), and the packed solves against the dense
+/// ones, at every n from 1 to 140.
+void ExpectInPlaceFactorsAndPackedSolvesMatchDense() {
   mt19937_64 gen(19);
-  // Every size through both kernels: BlockedCholesky4 below n = 128 and
+  // Every size through both kernels: BlockedCholesky4 below n = 16 and
   // PanelCholesky8 from there, with all panel widths of the last block.
+  // The rows below a panel go in fours, then n % 4 of them are left over
+  // (none, a single row, a pair, or a pair and a single row).
   for (size_t n = 1; n <= 140; ++n) {
     Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
     auto want = a.Cholesky();
     ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(BitIdentical(*want, *reference::Cholesky(a))) << "n=" << n;
     // Only the lower triangle of A goes in. Dense, the zeroed upper
     // triangle must come out untouched, so the buffer ends byte-equal to
     // Cholesky()'s. Packed, the buffer is exactly n(n+1)/2 doubles, so a
@@ -178,6 +199,14 @@ TEST(BlockedKernels, InPlaceFactorsAndPackedSolvesMatchDense) {
   EXPECT_FALSE(CholeskyInPlace(packed.data(), 2, PackedRows{}, panel.data()));
 }
 
+TEST(BlockedKernels, InPlaceFactorsAndPackedSolvesMatchDense) {
+  for (bool sse2 : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "sse2=" << sse2);
+    Sse2Kernels guard(sse2);
+    ExpectInPlaceFactorsAndPackedSolvesMatchDense();
+  }
+}
+
 TEST(BlockedKernels, CholeskyNotPositiveDefiniteSameError) {
   Matrix a({{1.0, 2.0}, {2.0, 1.0}});  // indefinite
   auto fast = a.Cholesky();
@@ -217,24 +246,27 @@ TEST(BlockedKernels, ForwardSolveIntoMatchesAndAllowsAliasing) {
 }
 
 TEST(BlockedKernels, ForwardSolveMultiEachColumnBitIdentical) {
-  mt19937_64 gen(19);
-  for (size_t n : {1, 5, 16, 40}) {
-    // Column counts straddle the 8-lane panel boundary.
-    for (size_t m : {1, 3, 7, 8, 9, 17, 24}) {
-      Matrix a = RandomSpd(n, &gen, 2.0);
-      auto l = a.Cholesky();
-      ASSERT_TRUE(l.ok());
-      Matrix b(n, m);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < m; ++j) {
-          b.At(i, j) = std::sin(static_cast<double>(i * m + j));
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels guard(sse2);
+    mt19937_64 gen(19);
+    for (size_t n : {1, 5, 16, 40}) {
+      // Column counts straddle the 8- and 16-lane panel boundaries.
+      for (size_t m : {1, 3, 7, 8, 9, 17, 24}) {
+        Matrix a = RandomSpd(n, &gen, 2.0);
+        auto l = a.Cholesky();
+        ASSERT_TRUE(l.ok());
+        Matrix b(n, m);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < m; ++j) {
+            b.At(i, j) = std::sin(static_cast<double>(i * m + j));
+          }
         }
-      }
-      Matrix y = Matrix::ForwardSolveMulti(*l, b);
-      for (size_t j = 0; j < m; ++j) {
-        EXPECT_TRUE(
-            BitIdentical(y.Col(j), reference::ForwardSolve(*l, b.Col(j))))
-            << "n=" << n << " m=" << m << " col=" << j;
+        Matrix y = Matrix::ForwardSolveMulti(*l, b);
+        for (size_t j = 0; j < m; ++j) {
+          EXPECT_TRUE(
+              BitIdentical(y.Col(j), reference::ForwardSolve(*l, b.Col(j))))
+              << "n=" << n << " m=" << m << " col=" << j << " sse2=" << sse2;
+        }
       }
     }
   }

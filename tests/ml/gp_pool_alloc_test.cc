@@ -1,10 +1,10 @@
 // Verifies that pool workers allocate nothing while they run the GP
 // surrogate's work (DESIGN.md §11): every buffer a hyper-search probe
-// thread, an `alongside` draw or a PredictBatch slice touches is sized on
-// the calling thread first. A worker's first malloc would give it a glibc arena of its own and
-// raise the process's peak RSS. This binary links
-// common/alloc_hook_override.cc, so SampleAllocCount() counts the calling
-// thread's operator-new calls.
+// thread, the kept winner's factor, an `alongside` draw or a PredictBatch
+// slice touches is sized on the calling thread first. A worker's first
+// malloc would give it a glibc arena of its own and raise the process's
+// peak RSS. This binary links common/alloc_hook_override.cc, so
+// SampleAllocCount() counts the calling thread's operator-new calls.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +65,12 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   uint64_t before = worker_count();
   ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool, draw).ok());
   gp.PredictBatch(cands, &scratch, &preds, &pool);
+  // Without a draw to run first the worker scores about half the probes,
+  // so in some searches it beats the kept winner and swaps its buffer in.
+  for (size_t budget : {16, 24, 24}) {
+    GaussianProcess more;
+    ASSERT_TRUE(more.FitWithHyperSearch(xs, ys, budget, &rng, &pool).ok());
+  }
   EXPECT_EQ(worker_count(), before);
   EXPECT_NE(drew_on, std::this_thread::get_id());
   ASSERT_EQ(preds.size(), cands.rows());

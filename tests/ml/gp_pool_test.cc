@@ -1,11 +1,12 @@
 // Bit-identity tests for the pooled GP surrogate (DESIGN.md §6, §11): the
 // hyper search scores its probes in place from one queue that the calling
 // thread and up to five pool workers drain, optionally beside an
-// `alongside` task on the pool, and PredictBatch splits its rows into
-// 16-aligned slices over the calling thread and the pool. Neither may
-// change a bit: the fitted params, the log marginal likelihood and every
-// prediction must equal the unpooled run's, the fast in-place path must
-// equal the scalar reference path, and the caller's random stream must end
+// `alongside` task on the pool, and hands the model its winning probe's
+// factor; PredictBatch splits its rows into 16-aligned slices over the
+// calling thread and the pool. None of it may change a bit: the fitted
+// params, the log marginal likelihood and every prediction must equal the
+// unpooled run's, the fast in-place path must equal the scalar reference
+// path (which refits the winner), and the caller's random stream must end
 // where the unpooled run leaves it.
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "ml/gaussian_process.h"
+#include "obs/metrics.h"
 
 namespace atune {
 namespace {
@@ -127,11 +129,11 @@ void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
 
 TEST(GpPool, HyperSearchIsBitIdenticalAcrossSlicesAndKernels) {
   mt19937_64 gen(5);
-  // n = 127 and 128 straddle the switch from BlockedCholesky4 to
+  // n = 15 and 16 straddle the switch from BlockedCholesky4 to
   // PanelCholesky8; budget 7 does not divide among the probe threads.
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    for (size_t n : {40, 127, 128, 200}) {
+    for (size_t n : {40, 15, 16, 200}) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " kernel="
                                       << static_cast<int>(kernel));
       const size_t d = 4;
@@ -146,8 +148,9 @@ TEST(GpPool, HyperSearchOverDuplicateDesignIsBitIdentical) {
   mt19937_64 gen(9);
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    for (size_t distinct : {14, 50}) {
-      // Every point three times: 42 and 150 rows, one per Cholesky kernel.
+    for (size_t distinct : {5, 14, 50}) {
+      // Every point three times: 15 rows on BlockedCholesky4, 42 and 150
+      // on PanelCholesky8.
       std::vector<Vec> base = RandomPoints(distinct, 3, &gen);
       std::vector<Vec> xs;
       for (int copy = 0; copy < 3; ++copy) {
@@ -170,7 +173,7 @@ TEST(GpPool, JitterEscalationIsBitIdenticalInPlace) {
   mt19937_64 gen(13);
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    for (size_t n : {40, 200}) {
+    for (size_t n : {40, 200, 12}) {
       std::vector<Vec> xs = RandomPoints(n, 3, &gen);
       xs[n / 2] = xs[0];
       Vec ys = RandomTargets(n, &gen);
@@ -192,6 +195,52 @@ TEST(GpPool, JitterEscalationIsBitIdenticalInPlace) {
       }
       scalar[2] = 0.0;
       ExpectSameBits(escalated, scalar, "scalar escalated fit");
+    }
+  }
+}
+
+TEST(GpPool, KeptWinnerFactorGrowsLikeAFit) {
+  // The search hands the model its winning probe's factor instead of
+  // refitting. That model must then carry what Fit leaves behind, the
+  // jitter included: growing it by AddObservation must give the bits of
+  // Fit on the extended data with the winner's params.
+  mt19937_64 gen(71);
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    for (size_t n : {12, 90}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " kernel="
+                                      << static_cast<int>(kernel));
+      std::vector<Vec> xs = RandomPoints(n, 3, &gen);
+      Vec ys = RandomTargets(n, &gen);
+      const std::vector<Vec> extra = RandomPoints(3, 3, &gen);
+      const Vec extra_ys = RandomTargets(3, &gen);
+      const Matrix probes = RandomCandidates(4, 3, &gen);
+      for (size_t workers : {0, 3}) {
+        GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
+        Rng rng(37);
+        ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng,
+                                          workers == 0 ? nullptr
+                                                       : Pool(workers))
+                        .ok());
+        std::vector<Vec> grown_xs = xs;
+        Vec grown_ys = ys;
+        MetricsRegistry metrics;
+        {
+          ScopedMetricsInstall install(&metrics);
+          for (size_t e = 0; e < extra.size(); ++e) {
+            ASSERT_TRUE(gp.AddObservation(extra[e], extra_ys[e]).ok());
+            grown_xs.push_back(extra[e]);
+            grown_ys.push_back(extra_ys[e]);
+          }
+        }
+        // Every observation bordered the factor; none fell back to Fit.
+        EXPECT_EQ(metrics.GetCounter("gp.incremental_refits")->Value(),
+                  extra.size());
+        GaussianProcess refit(gp.params());
+        ASSERT_TRUE(refit.Fit(grown_xs, grown_ys).ok());
+        ExpectSameBits(Fingerprint(refit, probes), Fingerprint(gp, probes),
+                       "kept factor grown");
+      }
     }
   }
 }
@@ -250,7 +299,7 @@ TEST(GpPool, ProbeQueueIsBitIdenticalAcrossPoolsAndBudgets) {
   // (taken by `alongside`, or by the caller after the call without one) and
   // the caller's next draw, so the committed stream is pinned too.
   mt19937_64 gen(61);
-  const size_t n = 130;  // PanelCholesky8 in every probe
+  const size_t n = 130;  // a leftover pair below each of its 16 full panels
   const size_t d = 4;
   const std::vector<Vec> xs = RandomPoints(n, d, &gen);
   const Vec ys = RandomTargets(n, &gen);

@@ -100,6 +100,14 @@
 #                                   # seed-1 goldens, and every resumed twin
 #                                   # equal to its reference), so a broken
 #                                   # checksum shows before a timed run
+#   tools/run_checks.sh --native    # release-native preset (-O3
+#                                   # -march=native, build-native/) + full
+#                                   # ctest: the bit-identity suites on the
+#                                   # host's own ISA, where -march can enable
+#                                   # FMA. The build pins -ffp-contract=off,
+#                                   # so no multiply and add are fused into
+#                                   # one rounding and the fast kernels keep
+#                                   # the reference kernels' bits
 #   tools/run_checks.sh --coverage  # instrumented Debug build + full ctest +
 #                                   # per-directory line-coverage summary for
 #                                   # src/. Uses gcovr if installed, else
@@ -483,6 +491,17 @@ if [ "${1:-}" = "--perfbench" ]; then
   done
   echo "perfbench checks passed: goldens and resumed twins match on both"
   echo "workloads"
+  exit 0
+fi
+
+if [ "${1:-}" = "--native" ]; then
+  jobs="$(nproc 2>/dev/null || echo 2)"
+  echo "=== [native] release-native preset (-O3 -march=native) ==="
+  cmake --preset release-native
+  cmake --build --preset release-native -j "$jobs"
+  echo "=== [native] ctest ==="
+  ctest --preset release-native -j "$jobs"
+  echo "native checks passed: full suite bit-identical on the host ISA"
   exit 0
 fi
 
