@@ -1,5 +1,5 @@
 // E20 — warm-start transfer learning over the sharded knowledge repository
-// (DESIGN.md §14), proven four ways:
+// (DESIGN.md §14), proven three ways:
 //
 //   * convergence: a matrix of (tuner × workload × seed) sessions runs cold
 //     and warm (WarmStartTuner seeded from a repository built out of
@@ -14,16 +14,12 @@
 //     records and resumed against the same pinned snapshot must reach the
 //     uninterrupted OutcomeChecksum with byte-identical final journal —
 //     the warm schedule is replay-derived, not re-decided
-//   * sparse GP: the inducing-point surrogate stays within tolerance of the
-//     exact GP at m = 2n/3, and a disabled approximation (the default) is
-//     bit-identical to the exact path
 //
 // Results go to console + BENCH_warmstart.json (published atomically) +
 // BENCH_warmstart.csv.
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -42,7 +38,6 @@
 #include "core/knowledge_repo.h"
 #include "core/registry.h"
 #include "core/session.h"
-#include "ml/gaussian_process.h"
 #include "tuners/builtin.h"
 #include "tuners/warm_start.h"
 
@@ -150,7 +145,7 @@ int Main() {
   PrintHeader("E20 bench_warmstart",
               "transfer learning across tuning sessions (OtterTune §5)",
               "knowledge-repo warm start: convergence, durable ingest, "
-              "bit-identical warm resume, sparse-GP scaling");
+              "bit-identical warm resume");
 
   TunerRegistry registry;
   RegisterBuiltinTuners(&registry);
@@ -349,56 +344,10 @@ int Main() {
     }
   }
 
-  // ----- pass 4: sparse GP -----------------------------------------------
-  bool sparse_pass = true;
-  {
-    Rng rng(3);
-    const size_t n = SmokeSize(90, 45);
-    std::vector<Vec> xs;
-    Vec ys;
-    for (size_t i = 0; i < n; ++i) {
-      Vec x = {rng.Uniform(), rng.Uniform()};
-      ys.push_back(std::sin(3.0 * x[0]) + 0.5 * std::cos(2.0 * x[1]));
-      xs.push_back(std::move(x));
-    }
-    GpHyperParams params;
-    GaussianProcess exact(params);
-    GpHyperParams sparse_params;
-    sparse_params.max_exact_points = 2 * n / 3;
-    GaussianProcess sparse(sparse_params);
-    GpHyperParams lazy_params;
-    lazy_params.max_exact_points = 10 * n;  // never triggers
-    GaussianProcess lazy(lazy_params);
-    sparse_pass = exact.Fit(xs, ys).ok() && sparse.Fit(xs, ys).ok() &&
-                  lazy.Fit(xs, ys).ok() && sparse.sparse() && !lazy.sparse();
-    double worst = 0.0;
-    bool bit_identical = true;
-    if (sparse_pass) {
-      Rng probe_rng(5);
-      for (int i = 0; i < 30; ++i) {
-        Vec x = {probe_rng.Uniform(), probe_rng.Uniform()};
-        GpPrediction pe = exact.Predict(x);
-        GpPrediction ps = sparse.Predict(x);
-        GpPrediction pl = lazy.Predict(x);
-        worst = std::max(worst, std::fabs(pe.mean - ps.mean));
-        sparse_pass = sparse_pass && std::isfinite(ps.mean) &&
-                      std::isfinite(ps.variance) && ps.variance >= 0.0;
-        bit_identical = bit_identical && pe.mean == pl.mean &&
-                        pe.variance == pl.variance;
-      }
-      sparse_pass = sparse_pass && worst < 0.15 && bit_identical;
-    }
-    std::printf(
-        "\nsparse GP: n=%zu m=%zu worst |mean diff| %.4f (gate < 0.15), "
-        "disabled path bit-identical=%d %s\n",
-        n, sparse.num_inducing(), worst, bit_identical ? 1 : 0,
-        sparse_pass ? "PASS" : "FAIL");
-  }
-
-  const bool pass = warm_pass && ingest_pass && resume_pass && sparse_pass;
-  std::printf("\nacceptance: warm %s, ingest %s, resume %s, sparse %s\n",
+  const bool pass = warm_pass && ingest_pass && resume_pass;
+  std::printf("\nacceptance: warm %s, ingest %s, resume %s\n",
               warm_pass ? "PASS" : "FAIL", ingest_pass ? "PASS" : "FAIL",
-              resume_pass ? "PASS" : "FAIL", sparse_pass ? "PASS" : "FAIL");
+              resume_pass ? "PASS" : "FAIL");
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"bench_warmstart\",\n";
@@ -426,10 +375,9 @@ int Main() {
       fault_ingested, static_cast<unsigned long long>(injected), fault_corrupt,
       storm_loaded.ok() ? storm_loaded->size() : 0, storm_corrupt);
   json << StrFormat(
-      "  \"pass\": {\"warm\": %s, \"ingest\": %s, \"resume\": %s, "
-      "\"sparse\": %s}\n}\n",
+      "  \"pass\": {\"warm\": %s, \"ingest\": %s, \"resume\": %s}\n}\n",
       warm_pass ? "true" : "false", ingest_pass ? "true" : "false",
-      resume_pass ? "true" : "false", sparse_pass ? "true" : "false");
+      resume_pass ? "true" : "false");
   if (AtomicWriteFile("BENCH_warmstart.json", json.str()).ok()) {
     std::printf("wrote BENCH_warmstart.json\n");
   }

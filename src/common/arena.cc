@@ -8,10 +8,6 @@ namespace {
 constexpr size_t kMinBlockBytes = 1024;
 }  // namespace
 
-ScratchArena::ScratchArena(size_t initial_bytes) {
-  if (initial_bytes > 0) AddBlock(initial_bytes);
-}
-
 void ScratchArena::AddBlock(size_t min_bytes) {
   size_t size = kMinBlockBytes;
   if (!blocks_.empty()) size = blocks_.back().size * 2;

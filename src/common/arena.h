@@ -28,7 +28,6 @@ namespace atune {
 class ScratchArena {
  public:
   ScratchArena() = default;
-  explicit ScratchArena(size_t initial_bytes);
 
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;

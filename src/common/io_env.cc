@@ -220,32 +220,6 @@ std::atomic<IoEnv*> g_current_env{nullptr};
 
 }  // namespace
 
-const char* IoOpKindToString(IoOpKind kind) {
-  switch (kind) {
-    case IoOpKind::kOpen:
-      return "open";
-    case IoOpKind::kWrite:
-      return "write";
-    case IoOpKind::kSync:
-      return "sync";
-    case IoOpKind::kClose:
-      return "close";
-    case IoOpKind::kRename:
-      return "rename";
-    case IoOpKind::kTruncate:
-      return "truncate";
-    case IoOpKind::kSyncDir:
-      return "syncdir";
-    case IoOpKind::kUnlink:
-      return "unlink";
-    case IoOpKind::kRead:
-      return "read";
-    case IoOpKind::kStat:
-      return "stat";
-  }
-  return "?";
-}
-
 const char* IoFaultKindToString(IoFaultKind kind) {
   switch (kind) {
     case IoFaultKind::kTransientEio:

@@ -46,7 +46,6 @@ enum class IoOpKind : uint8_t {
   kStat,
 };
 inline constexpr size_t kNumIoOpKinds = 10;
-const char* IoOpKindToString(IoOpKind kind);
 
 /// A writable file handle obtained from an IoEnv.
 class IoFile {

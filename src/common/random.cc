@@ -1,41 +1,6 @@
 #include "common/random.h"
 
-#include <cmath>
-
 namespace atune {
-
-int64_t Rng::Zipf(int64_t n, double theta) {
-  if (n <= 1) return 0;
-  // Inverse-CDF by rejection-free approximation: draw u and walk the
-  // (truncated) harmonic weights. For the sizes used by workload generators
-  // (n up to a few thousand ranks) the direct walk is fast enough and exact.
-  if (n <= 4096) {
-    double norm = 0.0;
-    for (int64_t i = 0; i < n; ++i) norm += 1.0 / std::pow(i + 1.0, theta);
-    double u = Uniform(0.0, norm);
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      acc += 1.0 / std::pow(i + 1.0, theta);
-      if (u <= acc) return i;
-    }
-    return n - 1;
-  }
-  // Large n: use the standard approximation via the continuous power-law
-  // inverse CDF, clamped to the range.
-  double u = Uniform(1e-12, 1.0);
-  double x;
-  if (theta == 1.0) {
-    x = std::exp(u * std::log(static_cast<double>(n)));
-  } else {
-    double one_minus = 1.0 - theta;
-    x = std::pow(u * (std::pow(static_cast<double>(n), one_minus) - 1.0) + 1.0,
-                 1.0 / one_minus);
-  }
-  int64_t idx = static_cast<int64_t>(x) - 1;
-  if (idx < 0) idx = 0;
-  if (idx >= n) idx = n - 1;
-  return idx;
-}
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

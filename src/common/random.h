@@ -60,10 +60,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Zipf-like skewed index in [0, n): probability of rank r proportional
-  /// to 1/(r+1)^theta. Used by workload generators to model access skew.
-  int64_t Zipf(int64_t n, double theta);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

@@ -27,24 +27,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  size_t n = count_ + other.count_;
-  double delta = other.mean_ - mean_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  double nn = static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * na * nb / nn;
-  mean_ += delta * nb / nn;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = n;
-}
-
 double Mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   return std::accumulate(xs.begin(), xs.end(), 0.0) /
@@ -58,8 +40,6 @@ double Variance(const std::vector<double>& xs) {
   for (double x : xs) acc += (x - m) * (x - m);
   return acc / static_cast<double>(xs.size() - 1);
 }
-
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
 double Quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
@@ -141,20 +121,6 @@ double SpearmanCorrelation(const std::vector<double>& xs,
   std::vector<double> x(xs.begin(), xs.begin() + n);
   std::vector<double> y(ys.begin(), ys.begin() + n);
   return PearsonCorrelation(Ranks(x), Ranks(y));
-}
-
-double WelchT(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() < 2 || b.size() < 2) return 0.0;
-  double va = Variance(a) / static_cast<double>(a.size());
-  double vb = Variance(b) / static_cast<double>(b.size());
-  double denom = std::sqrt(va + vb);
-  if (denom <= 0.0) return 0.0;
-  return (Mean(a) - Mean(b)) / denom;
-}
-
-double ConfidenceHalfWidth95(const RunningStats& s) {
-  if (s.count() < 2) return 0.0;
-  return 1.96 * s.stddev() / std::sqrt(static_cast<double>(s.count()));
 }
 
 }  // namespace atune

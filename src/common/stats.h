@@ -20,9 +20,6 @@ class RunningStats {
   double max() const { return max_; }
   double sum() const { return mean_ * static_cast<double>(count_); }
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const RunningStats& other);
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
@@ -36,8 +33,6 @@ double Mean(const std::vector<double>& xs);
 
 /// Sample variance (n-1); 0 if fewer than 2 elements.
 double Variance(const std::vector<double>& xs);
-
-double StdDev(const std::vector<double>& xs);
 
 /// Linear-interpolated quantile, q in [0, 1]. Sorts a copy.
 double Quantile(std::vector<double> xs, double q);
@@ -68,14 +63,6 @@ double PearsonCorrelation(const std::vector<double>& xs,
 /// Spearman rank correlation; ties get average ranks.
 double SpearmanCorrelation(const std::vector<double>& xs,
                            const std::vector<double>& ys);
-
-/// Welch's t statistic for a difference in means between two samples.
-/// Returns 0 when either sample has <2 points or both variances are 0.
-double WelchT(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Half-width of an approximate 95% confidence interval for the mean,
-/// using the normal quantile 1.96 (adequate for the n>=10 used in benches).
-double ConfidenceHalfWidth95(const RunningStats& s);
 
 /// Assigns average ranks (1-based) to values, averaging over ties.
 std::vector<double> Ranks(const std::vector<double>& xs);

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include <algorithm>
+#include <cctype>
 #include <cmath>
 
 namespace atune {
@@ -62,35 +62,12 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return out;
-}
-
 std::string DoubleToString(double v) {
   if (v == static_cast<int64_t>(v) && std::abs(v) < 1e15) {
     return StrFormat("%lld", static_cast<long long>(v));
   }
   std::string s = StrFormat("%.6g", v);
   return s;
-}
-
-std::string BytesToString(double bytes) {
-  const char* units[] = {"B", "KB", "MB", "GB", "TB", "PB"};
-  int unit = 0;
-  while (bytes >= 1024.0 && unit < 5) {
-    bytes /= 1024.0;
-    ++unit;
-  }
-  if (unit == 0) return StrFormat("%.0f B", bytes);
-  return StrFormat("%.1f %s", bytes, units[unit]);
 }
 
 }  // namespace atune

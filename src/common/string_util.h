@@ -20,17 +20,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// Lowercases ASCII characters.
-std::string ToLower(std::string_view s);
 
 /// Renders a double compactly (trims trailing zeros, max 6 significant
 /// decimals) — used for configuration printing.
 std::string DoubleToString(double v);
-
-/// Renders byte counts human-readably: "512 B", "64.0 MB", "1.5 GB".
-std::string BytesToString(double bytes);
 
 }  // namespace atune
 

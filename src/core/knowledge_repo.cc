@@ -262,12 +262,13 @@ Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes) {
   return rec;
 }
 
-KnowledgeRepository::KnowledgeRepository(std::string dir, size_t shard_buckets)
-    : dir_(std::move(dir)), shard_buckets_(shard_buckets == 0 ? 1 : shard_buckets) {}
+KnowledgeRepository::KnowledgeRepository(std::string dir)
+    : dir_(std::move(dir)) {}
 
 std::string KnowledgeRepository::ShardName(const std::string& session_id) const {
+  constexpr size_t kShardBuckets = 16;
   uint32_t h = Crc32(0, session_id.data(), session_id.size());
-  return "s" + std::to_string(size_t(h) % shard_buckets_) + "-" + session_id +
+  return "s" + std::to_string(size_t(h) % kShardBuckets) + "-" + session_id +
          ".krs";
 }
 
@@ -325,84 +326,6 @@ Result<std::vector<KnowledgeRecord>> KnowledgeRepository::LoadShards(
 Result<std::vector<KnowledgeRecord>> KnowledgeRepository::LoadAll(
     size_t* corrupt_skipped) const {
   return LoadShards(ListShards(), corrupt_skipped);
-}
-
-namespace {
-
-// Splits "s<bucket-digits>-<id>.krs" into its embedded session id. The
-// bucket digits cannot contain '-', so the first dash is the separator even
-// when the id itself has dashes. Anything that does not match the pattern
-// is a foreign file compaction must not touch.
-bool ParseShardFilename(const std::string& name, std::string* id) {
-  constexpr size_t kExtLen = 4;  // ".krs"
-  if (name.size() <= kExtLen + 2 || name[0] != 's' ||
-      name.compare(name.size() - kExtLen, kExtLen, ".krs") != 0) {
-    return false;
-  }
-  size_t dash = name.find('-');
-  if (dash == std::string::npos || dash < 2 || dash + 1 >= name.size() - kExtLen) {
-    return false;
-  }
-  for (size_t i = 1; i < dash; ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(name[i]))) return false;
-  }
-  *id = name.substr(dash + 1, name.size() - kExtLen - dash - 1);
-  return ValidShardId(*id);
-}
-
-}  // namespace
-
-Status KnowledgeRepository::Compact(CompactionStats* stats) {
-  CompactionStats local;
-  IoEnv* env = IoEnv::Current();
-  const std::vector<std::string> shards = ListShards();
-  std::set<std::string> present(shards.begin(), shards.end());
-  Status first_error;
-  bool mutated = false;
-  for (const std::string& name : shards) {
-    std::string id;
-    if (!ParseShardFilename(name, &id)) continue;  // foreign file: untouched
-    const std::string canonical = ShardName(id);
-    if (name == canonical) continue;
-    ++local.superseded;
-    if (present.count(canonical) != 0) {
-      // Every Ingest publishes under the current ShardName, so the
-      // canonical twin is the newest record for this id — but it only
-      // supersedes the stale copy if it actually decodes. A corrupt
-      // survivor never costs the duplicate (corrupt-skip contract).
-      if (LoadShard(canonical).ok()) {
-        Status s = env->Unlink(dir_ + "/" + name);
-        if (s.ok()) {
-          ++local.removed;
-          mutated = true;
-        } else if (first_error.ok()) {
-          first_error = s;
-        }
-      } else {
-        ++local.corrupt_kept;
-      }
-    } else if (LoadShard(name).ok()) {
-      // Sole copy stranded under a stale bucket: move it to where current
-      // readers and re-ingests look, instead of dropping knowledge.
-      Status s = env->Rename(dir_ + "/" + name, dir_ + "/" + canonical);
-      if (s.ok()) {
-        ++local.renamed;
-        mutated = true;
-        present.insert(canonical);
-      } else if (first_error.ok()) {
-        first_error = s;
-      }
-    } else {
-      ++local.corrupt_kept;  // unreadable: never unlink or move it
-    }
-  }
-  if (mutated) {
-    // One directory fsync makes the whole pass's unlinks/renames durable.
-    Status s = env->SyncDir(dir_ + "/.");
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  if (stats != nullptr) *stats = local;
-  return first_error;
 }
 
 namespace {

@@ -65,7 +65,7 @@ Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes);
 /// A global, concurrently-written, sharded store of completed sessions.
 ///
 /// Layout: one immutable file per record, `s<bucket>-<session_id>.krs`,
-/// where bucket = hash(session_id) % shard_buckets. Every publish goes
+/// where bucket = hash(session_id) % 16. Every publish goes
 /// through AtomicWriteFile (tmp + fsync + rename + dir fsync on the IoEnv
 /// seam), so a reader never observes a torn shard and the fault-injection
 /// and crash-point harnesses cover ingest for free. Writers to *distinct*
@@ -75,7 +75,7 @@ Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes);
 /// state — so it is trivially safe to share across tenants and threads.
 class KnowledgeRepository {
  public:
-  explicit KnowledgeRepository(std::string dir, size_t shard_buckets = 16);
+  explicit KnowledgeRepository(std::string dir);
 
   const std::string& dir() const { return dir_; }
 
@@ -106,36 +106,8 @@ class KnowledgeRepository {
       const std::vector<std::string>& filenames,
       size_t* corrupt_skipped = nullptr) const;
 
-  /// What one Compact() pass did (all counters are per-pass).
-  struct CompactionStats {
-    size_t superseded = 0;    ///< stale-bucket duplicates found
-    size_t removed = 0;       ///< superseded files unlinked
-    size_t renamed = 0;       ///< sole stale records moved to canonical names
-    size_t corrupt_kept = 0;  ///< undecodable shards left untouched
-  };
-
-  /// Latest-wins compaction: reconciles the directory with the *current*
-  /// bucket mapping. A repository reopened with a different `shard_buckets`
-  /// leaves records stranded under stale bucket prefixes; because every
-  /// Ingest publishes under the current ShardName, the canonical file is
-  /// always the newest record for its session id, so
-  ///   * a stale-bucket file whose canonical twin exists and decodes is
-  ///     superseded — unlinked through the IoEnv seam;
-  ///   * a sole stale-bucket file that decodes is renamed to its canonical
-  ///     name (no knowledge is ever dropped by compaction);
-  ///   * anything that fails to decode is left exactly where it is — the
-  ///     corrupt-skip contract: compaction never destroys evidence, and a
-  ///     corrupt canonical twin also shields its stale duplicate.
-  /// Safe to run concurrently with Ingest of *other* session ids (distinct
-  /// paths); re-ingesting an id concurrently with a pass that is moving
-  /// that id's stale twin may resurface the older (still valid) record.
-  /// Best-effort: the pass visits every shard and returns the first I/O
-  /// error encountered, if any.
-  Status Compact(CompactionStats* stats = nullptr);
-
  private:
   std::string dir_;
-  size_t shard_buckets_;
 };
 
 /// Query-time workload mapping (pure function — see KnowledgeRecord).

@@ -8,20 +8,6 @@
 
 namespace atune {
 
-const char* ParamTypeToString(ParamType type) {
-  switch (type) {
-    case ParamType::kInt:
-      return "int";
-    case ParamType::kDouble:
-      return "double";
-    case ParamType::kBool:
-      return "bool";
-    case ParamType::kCategorical:
-      return "categorical";
-  }
-  return "?";
-}
-
 std::string ParamValueToString(const ParamValue& value) {
   struct Visitor {
     std::string operator()(int64_t v) const {
@@ -217,20 +203,6 @@ ParamValue ParameterDef::Denormalize(double u) const {
     }
   }
   return 0.0;
-}
-
-size_t ParameterDef::Cardinality() const {
-  switch (type_) {
-    case ParamType::kInt:
-      return static_cast<size_t>(max_int_ - min_int_ + 1);
-    case ParamType::kDouble:
-      return 0;
-    case ParamType::kBool:
-      return 2;
-    case ParamType::kCategorical:
-      return categories_.size();
-  }
-  return 0;
 }
 
 }  // namespace atune

@@ -21,8 +21,6 @@ enum class ParamType {
   kCategorical,  ///< one of a fixed set of strings
 };
 
-const char* ParamTypeToString(ParamType type);
-
 /// Renders a ParamValue as text ("64", "0.75", "true", "snappy").
 std::string ParamValueToString(const ParamValue& value);
 
@@ -76,9 +74,6 @@ class ParameterDef {
   /// Inverse of Normalize: maps u in [0,1] (clamped) to a valid value,
   /// rounding integers and snapping categories.
   ParamValue Denormalize(double u) const;
-
-  /// Number of distinct values for discrete domains (0 for kDouble).
-  size_t Cardinality() const;
 
  private:
   ParameterDef() = default;

@@ -26,15 +26,6 @@ Result<const ParameterDef*> ParameterSpace::Find(
   return &params_[it->second];
 }
 
-Result<size_t> ParameterSpace::IndexOf(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
-    return Status::NotFound(
-        StrFormat("unknown parameter '%s'", name.c_str()));
-  }
-  return it->second;
-}
-
 Status ParameterSpace::ValidateConfiguration(
     const Configuration& config) const {
   for (const ParameterDef& def : params_) {
@@ -92,16 +83,6 @@ Configuration ParameterSpace::Neighbor(const Configuration& config,
     x = std::clamp(x + rng->Normal(0.0, sigma), 0.0, 1.0);
   }
   return FromUnitVector(u);
-}
-
-Result<ParameterSpace> ParameterSpace::Subspace(
-    const std::vector<std::string>& names) const {
-  ParameterSpace sub;
-  for (const std::string& name : names) {
-    ATUNE_ASSIGN_OR_RETURN(const ParameterDef* def, Find(name));
-    ATUNE_RETURN_IF_ERROR(sub.Add(*def));
-  }
-  return sub;
 }
 
 }  // namespace atune

@@ -29,8 +29,6 @@ class ParameterSpace {
 
   /// Definition by name, or error.
   Result<const ParameterDef*> Find(const std::string& name) const;
-  /// Dimension index of a parameter name, or error.
-  Result<size_t> IndexOf(const std::string& name) const;
 
   /// A configuration that sets every parameter, exactly covering the space.
   Status ValidateConfiguration(const Configuration& config) const;
@@ -53,9 +51,6 @@ class ParameterSpace {
   /// each dimension is perturbed independently and clamped to [0,1].
   Configuration Neighbor(const Configuration& config, double sigma,
                          Rng* rng) const;
-
-  /// Restriction of this space to the named parameters (in the given order).
-  Result<ParameterSpace> Subspace(const std::vector<std::string>& names) const;
 
  private:
   std::vector<ParameterDef> params_;

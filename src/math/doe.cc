@@ -111,25 +111,6 @@ Result<TwoLevelDesign> PlackettBurmanFoldover(size_t num_factors) {
   return design;
 }
 
-Result<TwoLevelDesign> FullFactorial(size_t num_factors) {
-  if (num_factors == 0 || num_factors > 20) {
-    return Status::InvalidArgument(
-        "FullFactorial: num_factors must be in [1, 20]");
-  }
-  TwoLevelDesign design;
-  design.num_factors = num_factors;
-  size_t total = size_t{1} << num_factors;
-  design.rows.reserve(total);
-  for (size_t mask = 0; mask < total; ++mask) {
-    std::vector<int> row(num_factors);
-    for (size_t c = 0; c < num_factors; ++c) {
-      row[c] = (mask >> c) & 1 ? 1 : -1;
-    }
-    design.rows.push_back(std::move(row));
-  }
-  return design;
-}
-
 Result<std::vector<double>> MainEffects(const TwoLevelDesign& design,
                                         const std::vector<double>& responses) {
   if (responses.size() != design.rows.size()) {

@@ -32,9 +32,6 @@ Result<TwoLevelDesign> PlackettBurman(size_t num_factors);
 /// (this is the variant SARD recommends).
 Result<TwoLevelDesign> PlackettBurmanFoldover(size_t num_factors);
 
-/// Full 2^k factorial design (use only for small k).
-Result<TwoLevelDesign> FullFactorial(size_t num_factors);
-
 /// Main effect of each factor given one response value per design run:
 /// effect[j] = mean(response | factor j = +1) - mean(response | factor j = -1).
 Result<std::vector<double>> MainEffects(const TwoLevelDesign& design,

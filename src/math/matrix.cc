@@ -80,9 +80,9 @@ void BlockedForwardSubstitute(const double* ld, size_t n, Rows rows,
   }
 }
 
-/// In-place panel forward solve L Y = Y with a compile-time lane count so
-/// the accumulators live in registers. Lane c performs exactly
-/// ForwardSolve's operations on column c.
+/// Portable in-place panel forward solve L Y = Y for builds without SSE2,
+/// with a compile-time lane count so the accumulators live in registers.
+/// Lane c performs exactly ForwardSolve's operations on column c.
 template <size_t kLanes>
 void SolvePanelFixed(const double* ld, size_t n, size_t stride, double* panel,
                      size_t pstride) {
@@ -102,90 +102,13 @@ void SolvePanelFixed(const double* ld, size_t n, size_t stride, double* panel,
 }
 
 #if defined(ATUNE_HAVE_SSE2)
-/// Eight-lane in-place panel forward solve with explicit SSE2 two-lane ops,
-/// rows two at a time sharing the panel-row loads. Lane c performs exactly
-/// ForwardSolve's operations on column c in the same ascending-k order
-/// (row i+1 takes its k = i subtraction after row i's divide, as the
-/// sequential solve does), so results are bit-identical. Hand-written
+/// Sixteen-lane in-place panel forward solve with explicit SSE2 two-lane
+/// ops. Its eight accumulators leave no registers for a second row, so rows
+/// go one at a time, each streamed factor row li[] serving all sixteen
+/// lanes. Lane c performs exactly ForwardSolve's operations on column c in
+/// the same ascending-k order, so results are bit-identical. Hand-written
 /// because GCC's auto-vectorizer turns the array-accumulator form into
 /// shuffle-heavy code slower than scalar.
-void SolvePanel8Sse2(const double* ld, size_t n, size_t stride,
-                     double* panel, size_t pstride) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const double* li = ld + i * stride;
-    const double* mi = ld + (i + 1) * stride;
-    double* pi = panel + i * pstride;
-    double* qi = panel + (i + 1) * pstride;
-    __m128d p0 = _mm_loadu_pd(pi + 0), p1 = _mm_loadu_pd(pi + 2);
-    __m128d p2 = _mm_loadu_pd(pi + 4), p3 = _mm_loadu_pd(pi + 6);
-    __m128d q0 = _mm_loadu_pd(qi + 0), q1 = _mm_loadu_pd(qi + 2);
-    __m128d q2 = _mm_loadu_pd(qi + 4), q3 = _mm_loadu_pd(qi + 6);
-    for (size_t k = 0; k < i; ++k) {
-      const __m128d lik = _mm_set1_pd(li[k]);
-      const __m128d mik = _mm_set1_pd(mi[k]);
-      const double* pk = panel + k * pstride;
-      const __m128d c0 = _mm_loadu_pd(pk + 0);
-      const __m128d c1 = _mm_loadu_pd(pk + 2);
-      const __m128d c2 = _mm_loadu_pd(pk + 4);
-      const __m128d c3 = _mm_loadu_pd(pk + 6);
-      p0 = _mm_sub_pd(p0, _mm_mul_pd(lik, c0));
-      p1 = _mm_sub_pd(p1, _mm_mul_pd(lik, c1));
-      p2 = _mm_sub_pd(p2, _mm_mul_pd(lik, c2));
-      p3 = _mm_sub_pd(p3, _mm_mul_pd(lik, c3));
-      q0 = _mm_sub_pd(q0, _mm_mul_pd(mik, c0));
-      q1 = _mm_sub_pd(q1, _mm_mul_pd(mik, c1));
-      q2 = _mm_sub_pd(q2, _mm_mul_pd(mik, c2));
-      q3 = _mm_sub_pd(q3, _mm_mul_pd(mik, c3));
-    }
-    const __m128d lii = _mm_set1_pd(li[i]);
-    p0 = _mm_div_pd(p0, lii);
-    p1 = _mm_div_pd(p1, lii);
-    p2 = _mm_div_pd(p2, lii);
-    p3 = _mm_div_pd(p3, lii);
-    _mm_storeu_pd(pi + 0, p0);
-    _mm_storeu_pd(pi + 2, p1);
-    _mm_storeu_pd(pi + 4, p2);
-    _mm_storeu_pd(pi + 6, p3);
-    const __m128d mii = _mm_set1_pd(mi[i]);
-    q0 = _mm_sub_pd(q0, _mm_mul_pd(mii, p0));
-    q1 = _mm_sub_pd(q1, _mm_mul_pd(mii, p1));
-    q2 = _mm_sub_pd(q2, _mm_mul_pd(mii, p2));
-    q3 = _mm_sub_pd(q3, _mm_mul_pd(mii, p3));
-    const __m128d mjj = _mm_set1_pd(mi[i + 1]);
-    q0 = _mm_div_pd(q0, mjj);
-    q1 = _mm_div_pd(q1, mjj);
-    q2 = _mm_div_pd(q2, mjj);
-    q3 = _mm_div_pd(q3, mjj);
-    _mm_storeu_pd(qi + 0, q0);
-    _mm_storeu_pd(qi + 2, q1);
-    _mm_storeu_pd(qi + 4, q2);
-    _mm_storeu_pd(qi + 6, q3);
-  }
-  for (; i < n; ++i) {
-    const double* li = ld + i * stride;
-    double* pi = panel + i * pstride;
-    __m128d p0 = _mm_loadu_pd(pi + 0), p1 = _mm_loadu_pd(pi + 2);
-    __m128d p2 = _mm_loadu_pd(pi + 4), p3 = _mm_loadu_pd(pi + 6);
-    for (size_t k = 0; k < i; ++k) {
-      const __m128d lik = _mm_set1_pd(li[k]);
-      const double* pk = panel + k * pstride;
-      p0 = _mm_sub_pd(p0, _mm_mul_pd(lik, _mm_loadu_pd(pk + 0)));
-      p1 = _mm_sub_pd(p1, _mm_mul_pd(lik, _mm_loadu_pd(pk + 2)));
-      p2 = _mm_sub_pd(p2, _mm_mul_pd(lik, _mm_loadu_pd(pk + 4)));
-      p3 = _mm_sub_pd(p3, _mm_mul_pd(lik, _mm_loadu_pd(pk + 6)));
-    }
-    const __m128d lii = _mm_set1_pd(li[i]);
-    _mm_storeu_pd(pi + 0, _mm_div_pd(p0, lii));
-    _mm_storeu_pd(pi + 2, _mm_div_pd(p1, lii));
-    _mm_storeu_pd(pi + 4, _mm_div_pd(p2, lii));
-    _mm_storeu_pd(pi + 6, _mm_div_pd(p3, lii));
-  }
-}
-/// Sixteen-lane single-row variant: eight in-register accumulators mean no
-/// two-row tiling fits, but each streamed factor row li[] now serves twice
-/// the lanes, halving the dominant L traffic for wide panels. Same per-lane
-/// order as ForwardSolve, so results are bit-identical.
 void SolvePanel16Sse2(const double* ld, size_t n, size_t stride,
                       double* panel, size_t pstride) {
   for (size_t i = 0; i < n; ++i) {
@@ -306,22 +229,6 @@ bool AvxAvailable() {
 }
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 #endif  // ATUNE_HAVE_SSE2
-
-/// Runtime-lane variant for remainder panels (< 8 columns).
-void SolvePanelVar(const double* ld, size_t n, size_t stride, double* panel,
-                   size_t pstride, size_t lanes) {
-  for (size_t i = 0; i < n; ++i) {
-    const double* li = ld + i * stride;
-    double* pi = panel + i * pstride;
-    for (size_t k = 0; k < i; ++k) {
-      double lik = li[k];
-      const double* pk = panel + k * pstride;
-      for (size_t c = 0; c < lanes; ++c) pi[c] -= lik * pk[c];
-    }
-    double lii = li[i];
-    for (size_t c = 0; c < lanes; ++c) pi[c] /= lii;
-  }
-}
 
 template <typename Rows>
 bool BlockedCholesky4(const double* a, double* ld, size_t n, Rows rows) {
@@ -736,73 +643,27 @@ void SetSse2KernelsForTesting(bool sse2) {
 
 namespace internal {
 
-void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride,
-                       size_t lanes) {
+void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride) {
   const double* ld = l.data().data();
-  size_t n = l.rows();
-  size_t c = 0;
-#if defined(ATUNE_HAVE_SSE2)
-  for (; c + 16 <= lanes; c += 16) {
+  const size_t n = l.rows();
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
-    if (AvxAvailable()) {
-      SolvePanel16Avx(ld, n, l.cols(), panel + c, panel_stride);
-      continue;
-    }
+  if (AvxAvailable()) {
+    SolvePanel16Avx(ld, n, l.cols(), panel, panel_stride);
+    return;
+  }
 #endif
-    SolvePanel16Sse2(ld, n, l.cols(), panel + c, panel_stride);
-  }
-  for (; c + 8 <= lanes; c += 8) {
-    SolvePanel8Sse2(ld, n, l.cols(), panel + c, panel_stride);
-  }
+#if defined(ATUNE_HAVE_SSE2)
+  SolvePanel16Sse2(ld, n, l.cols(), panel, panel_stride);
 #else
-  for (; c + 8 <= lanes; c += 8) {
-    SolvePanelFixed<8>(ld, n, l.cols(), panel + c, panel_stride);
-  }
+  SolvePanelFixed<kPanelLanes>(ld, n, l.cols(), panel, panel_stride);
 #endif
-  if (c < lanes) {
-    SolvePanelVar(ld, n, l.cols(), panel + c, panel_stride, lanes - c);
-  }
 }
 
 }  // namespace internal
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
-  rows_ = init.size();
-  cols_ = rows_ > 0 ? init.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : init) {
-    assert(row.size() == cols_);
-    for (double v : row) data_.push_back(v);
-  }
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::ColumnVector(const Vec& v) {
-  Matrix m(v.size(), 1);
-  for (size_t i = 0; i < v.size(); ++i) m.At(i, 0) = v[i];
-  return m;
-}
-
-Matrix Matrix::Diagonal(const Vec& v) {
-  Matrix m(v.size(), v.size());
-  for (size_t i = 0; i < v.size(); ++i) m.At(i, i) = v[i];
-  return m;
-}
-
 Vec Matrix::Row(size_t r) const {
   Vec out(cols_);
   for (size_t c = 0; c < cols_; ++c) out[c] = At(r, c);
-  return out;
-}
-
-Vec Matrix::Col(size_t c) const {
-  Vec out(rows_);
-  for (size_t r = 0; r < rows_; ++r) out[r] = At(r, c);
   return out;
 }
 
@@ -843,26 +704,6 @@ Vec Matrix::MultiplyVec(const Vec& v) const {
     for (size_t j = 0; j < cols_; ++j) acc += At(i, j) * v[j];
     out[i] = acc;
   }
-  return out;
-}
-
-Matrix Matrix::Add(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Subtract(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scale(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
   return out;
 }
 
@@ -991,39 +832,6 @@ Status Matrix::CholeskyAppendRow(const Vec& row) {
   return Status::OK();
 }
 
-Status Matrix::CholeskyRank1Update(const Vec& v) {
-  if (rows_ != cols_) {
-    return Status::InvalidArgument(
-        "CholeskyRank1Update requires a square factor");
-  }
-  if (v.size() != rows_) {
-    return Status::InvalidArgument(
-        "CholeskyRank1Update: v must have rows() entries");
-  }
-  size_t n = rows_;
-  static thread_local Vec w;
-  w.assign(v.begin(), v.end());
-  // Classical rank-1 update: per column j a Givens-like rotation folds w[j]
-  // into the pivot and sweeps the remainder of the column (O(n²) total).
-  for (size_t j = 0; j < n; ++j) {
-    double ljj = At(j, j);
-    double r = std::sqrt(ljj * ljj + w[j] * w[j]);
-    if (!(r > 0.0) || !std::isfinite(r)) {
-      return Status::FailedPrecondition(
-          "CholeskyRank1Update: pivot became non-positive or non-finite");
-    }
-    double c = r / ljj;
-    double s = w[j] / ljj;
-    At(j, j) = r;
-    for (size_t i = j + 1; i < n; ++i) {
-      double lij = (At(i, j) + s * w[i]) / c;
-      At(i, j) = lij;
-      w[i] = c * w[i] - s * lij;
-    }
-  }
-  return Status::OK();
-}
-
 Vec Matrix::ForwardSolve(const Matrix& l, const Vec& b) {
   size_t n = l.rows();
   assert(b.size() == n);
@@ -1048,22 +856,6 @@ void Matrix::ForwardSolveInto(const Matrix& l, const double* b, double* y) {
     return;
   }
   BlockedForwardSubstitute(l.data_.data(), n, DenseRows{l.cols_}, b, y);
-}
-
-Matrix Matrix::ForwardSolveMulti(const Matrix& l, const Matrix& b) {
-  size_t n = l.rows();
-  assert(b.rows() == n);
-  if (ScalarKernelsForTesting()) {
-    Matrix y(n, b.cols());
-    for (size_t j = 0; j < b.cols(); ++j) {
-      Vec col = reference::ForwardSolve(l, b.Col(j));
-      for (size_t i = 0; i < n; ++i) y.At(i, j) = col[i];
-    }
-    return y;
-  }
-  Matrix y = b;
-  internal::ForwardSolvePanel(l, y.data_.data(), y.cols_, y.cols_);
-  return y;
 }
 
 // Stays naive by design: the k-th subtraction of element ii reads x[k]
@@ -1137,13 +929,6 @@ double DotSpan(const double* a, const double* b, size_t n) {
 }
 
 double Norm2(const Vec& v) { return std::sqrt(Dot(v, v)); }
-
-Vec Axpy(const Vec& a, double s, const Vec& b) {
-  assert(a.size() == b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
-}
 
 double SquaredDistance(const Vec& a, const Vec& b) {
   assert(a.size() == b.size());

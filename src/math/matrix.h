@@ -2,7 +2,6 @@
 #define ATUNE_MATH_MATRIX_H_
 
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 #include "common/status.h"
@@ -13,14 +12,15 @@ namespace atune {
 using Vec = std::vector<double>;
 
 /// Dense row-major matrix with the linear-algebra kernel the tuners need:
-/// products, transpose, Cholesky (full, bordered-append, rank-1 update),
-/// forward/backward solves, and (ridge-regularized) least squares.
+/// products, transpose, Cholesky (full and bordered-append), forward/backward
+/// solves, and (ridge-regularized) least squares.
 ///
-/// The hot kernels (Cholesky, ForwardSolve, ForwardSolveMulti, Multiply,
-/// CholeskyAppendRow) are written as blocked loops over contiguous row
-/// spans: observation stores now reach hundreds of rows and the GP hot path
-/// runs them once per candidate batch, so they are tuned for instruction-
-/// level parallelism and vectorization: hand-written SSE2 lanes on x86-64
+/// The hot kernels (Cholesky, ForwardSolve, Multiply, CholeskyAppendRow and
+/// the sixteen-lane panel solve behind GaussianProcess::PredictBatch) are
+/// written as blocked loops over contiguous row spans: observation stores
+/// now reach hundreds of rows and the GP hot path runs them once per
+/// candidate batch, so they are tuned for instruction-level parallelism and
+/// vectorization: hand-written SSE2 lanes on x86-64
 /// (GCC's auto-vectorizer shuffles the same loops into slower code), with
 /// AVX bodies selected at runtime via __builtin_cpu_supports so the
 /// default build carries no extra ISA requirement (DESIGN.md §11).
@@ -49,15 +49,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  /// Builds from nested initializer lists: Matrix m({{1,2},{3,4}});
-  explicit Matrix(std::initializer_list<std::initializer_list<double>> init);
-
-  static Matrix Identity(size_t n);
-  /// Builds a column vector (n x 1) from v.
-  static Matrix ColumnVector(const Vec& v);
-  /// Builds a diagonal matrix from v.
-  static Matrix Diagonal(const Vec& v);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -69,11 +60,9 @@ class Matrix {
 
   /// Returns row r as a Vec.
   Vec Row(size_t r) const;
-  /// Returns column c as a Vec.
-  Vec Col(size_t c) const;
 
   /// Borrowed contiguous span of row r (cols() doubles) — the hot paths use
-  /// these instead of the copying Row()/Col() accessors.
+  /// these instead of the copying Row() accessor.
   const double* RowPtr(size_t r) const { return data_.data() + r * cols_; }
   double* RowPtr(size_t r) { return data_.data() + r * cols_; }
 
@@ -83,10 +72,6 @@ class Matrix {
   Matrix Multiply(const Matrix& other) const;
   /// Matrix-vector product; v.size() must equal cols().
   Vec MultiplyVec(const Vec& v) const;
-
-  Matrix Add(const Matrix& other) const;
-  Matrix Subtract(const Matrix& other) const;
-  Matrix Scale(double s) const;
 
   /// Adds s to every diagonal entry (in place); used for jitter/ridge terms.
   void AddDiagonal(double s);
@@ -105,25 +90,11 @@ class Matrix {
   /// unchanged) if the bordered matrix is not positive definite.
   Status CholeskyAppendRow(const Vec& row);
 
-  /// Treating *this as a lower Cholesky factor L of A, updates it in place
-  /// to the factor of A + v vᵀ (classical Givens-style rank-1 update,
-  /// O(n²)). Unlike CholeskyAppendRow this is *not* bit-identical to
-  /// refactorizing — it is a different (numerically stable) algorithm — so
-  /// callers on exact-comparison paths must refactorize instead. Fails if
-  /// the update drives a pivot non-positive or non-finite; *this is then
-  /// partially updated and must be refactorized.
-  Status CholeskyRank1Update(const Vec& v);
-
   /// Solves L y = b with L lower triangular.
   static Vec ForwardSolve(const Matrix& l, const Vec& b);
   /// Allocation-free ForwardSolve into caller storage: `b` and `y` are
   /// spans of l.rows() doubles; y == b solves in place (full aliasing only).
   static void ForwardSolveInto(const Matrix& l, const double* b, double* y);
-  /// Solves L Y = B column-by-column: `b` is rows() x m, column j of the
-  /// result is ForwardSolve(l, column j of b), bit-identically. Internally
-  /// solves 8 right-hand sides at a time so independent columns share L's
-  /// memory traffic — this is the batched-acquisition kernel.
-  static Matrix ForwardSolveMulti(const Matrix& l, const Matrix& b);
   /// Solves L^T x = y with L lower triangular (i.e. backward pass).
   static Vec BackwardSolveTranspose(const Matrix& l, const Vec& y);
   /// Allocation-free BackwardSolveTranspose; same span contract as
@@ -195,12 +166,14 @@ double LogDetFromCholesky(const double* l, size_t n);
 }  // namespace packed
 
 namespace internal {
+/// Columns of the panel ForwardSolvePanel solves.
+inline constexpr size_t kPanelLanes = 16;
 /// Solves L Y = Y in place on a row-major panel of l.rows() rows ×
-/// `lanes` columns with row stride `panel_stride`; each lane performs
-/// bit-identically the operations of Matrix::ForwardSolve on that column.
-/// Backbone of ForwardSolveMulti and GaussianProcess::PredictBatch.
-void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride,
-                       size_t lanes);
+/// kPanelLanes columns with row stride `panel_stride`; each lane performs
+/// bit-identically the operations of Matrix::ForwardSolve on that column,
+/// so the lanes share the factor's memory traffic. The solve behind
+/// GaussianProcess::PredictBatch.
+void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
 }  // namespace internal
 
 /// Routes the Matrix hot kernels (and GaussianProcess::PredictBatch) through
@@ -224,8 +197,6 @@ double Dot(const Vec& a, const Vec& b);
 double DotSpan(const double* a, const double* b, size_t n);
 /// Euclidean norm.
 double Norm2(const Vec& v);
-/// Element-wise a + s*b.
-Vec Axpy(const Vec& a, double s, const Vec& b);
 /// Squared Euclidean distance.
 double SquaredDistance(const Vec& a, const Vec& b);
 

@@ -86,20 +86,6 @@ Vec ForwardSolve(const Matrix& l, const Vec& b) {
   return y;
 }
 
-Vec BackwardSolveTranspose(const Matrix& l, const Vec& y) {
-  size_t n = l.rows();
-  assert(y.size() == n);
-  Vec x(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    double sum = y[i];
-    for (size_t k = i + 1; k < n; ++k) {
-      sum -= l.At(k, i) * x[k];
-    }
-    x[i] = sum / l.At(i, i);
-  }
-  return x;
-}
-
 Matrix Multiply(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   Matrix out(a.rows(), b.cols());

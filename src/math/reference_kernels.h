@@ -29,9 +29,6 @@ Status CholeskyAppendRow(Matrix* l, const Vec& row);
 /// Solves L y = b, L lower triangular.
 Vec ForwardSolve(const Matrix& l, const Vec& b);
 
-/// Solves Lᵀ x = y, L lower triangular.
-Vec BackwardSolveTranspose(const Matrix& l, const Vec& y);
-
 /// Row-by-column matrix product with the zero-skip of Matrix::Multiply.
 Matrix Multiply(const Matrix& a, const Matrix& b);
 

@@ -7,14 +7,6 @@
 
 namespace atune {
 
-std::vector<Vec> UniformSamples(size_t count, size_t dims, Rng* rng) {
-  std::vector<Vec> out(count, Vec(dims, 0.0));
-  for (auto& p : out) {
-    for (double& x : p) x = rng->Uniform();
-  }
-  return out;
-}
-
 std::vector<Vec> LatinHypercubeSamples(size_t count, size_t dims, Rng* rng) {
   std::vector<Vec> out(count, Vec(dims, 0.0));
   if (count == 0) return out;
@@ -43,28 +35,6 @@ std::vector<Vec> MaximinLatinHypercube(size_t count, size_t dims,
     }
   }
   return best;
-}
-
-std::vector<Vec> GridSamples(size_t points_per_dim, size_t dims) {
-  std::vector<Vec> out;
-  if (points_per_dim == 0 || dims == 0) return out;
-  size_t total = 1;
-  for (size_t d = 0; d < dims; ++d) total *= points_per_dim;
-  out.reserve(total);
-  for (size_t idx = 0; idx < total; ++idx) {
-    Vec p(dims, 0.0);
-    size_t rem = idx;
-    for (size_t d = 0; d < dims; ++d) {
-      size_t level = rem % points_per_dim;
-      rem /= points_per_dim;
-      p[d] = points_per_dim == 1
-                 ? 0.5
-                 : static_cast<double>(level) /
-                       static_cast<double>(points_per_dim - 1);
-    }
-    out.push_back(std::move(p));
-  }
-  return out;
 }
 
 namespace {

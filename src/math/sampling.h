@@ -12,9 +12,6 @@ namespace atune {
 /// Space-filling and random designs over the unit hypercube [0,1]^dims.
 /// All samplers return `count` points, each a Vec of length `dims`.
 
-/// Plain i.i.d. uniform sampling.
-std::vector<Vec> UniformSamples(size_t count, size_t dims, Rng* rng);
-
 /// Latin Hypercube Sampling: each dimension is split into `count` strata and
 /// every stratum is hit exactly once (uniform jitter within the stratum).
 /// This is the initialization design used by iTuned [Duan et al., 2009].
@@ -25,10 +22,6 @@ std::vector<Vec> LatinHypercubeSamples(size_t count, size_t dims, Rng* rng);
 /// refinement).
 std::vector<Vec> MaximinLatinHypercube(size_t count, size_t dims,
                                        size_t restarts, Rng* rng);
-
-/// Full-factorial grid with `points_per_dim` levels per dimension.
-/// Total size is points_per_dim^dims; callers must keep dims small.
-std::vector<Vec> GridSamples(size_t points_per_dim, size_t dims);
 
 /// Halton low-discrepancy sequence (deterministic quasi-random design).
 std::vector<Vec> HaltonSamples(size_t count, size_t dims);

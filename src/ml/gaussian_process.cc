@@ -38,10 +38,9 @@ double ScaledDistance(const Vec& a, const Vec& b,
   return std::sqrt(acc);
 }
 
-/// Candidates per PredictBatch chunk: the panel solve streams the whole
-/// Cholesky factor once per chunk, so wider chunks halve the dominant memory
-/// traffic versus 8.
-constexpr size_t kPredictLanes = 16;
+/// Candidates per PredictBatch chunk: one panel of the forward solve, which
+/// streams the whole Cholesky factor once per chunk.
+constexpr size_t kPredictLanes = internal::kPanelLanes;
 
 /// Hyper-search probe threads: the calling thread plus up to five pool
 /// workers. Each owns one packed n(n+1)/2 buffer, so six cost what three
@@ -342,14 +341,9 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
   if (params_.lengthscales.empty()) {
     params_.lengthscales.assign(dims, 0.3);
   }
-  if (params_.max_exact_points > 0 && n > params_.max_exact_points) {
-    return SparseFit(xs, ys);
-  }
 
   xs_ = xs;
   ys_ = ys;
-  sparse_ = false;  // mode bookkeeping only; the exact arithmetic below is
-                    // untouched by the sparse path's existence
   RebuildFlatCache();
 
   double jitter = params_.noise_variance;
@@ -425,18 +419,6 @@ Status GaussianProcess::AddObservation(const Vec& x, double y) {
     return Status::InvalidArgument(
         "GP AddObservation: dimension mismatch with fitted data");
   }
-  if (sparse_ || (params_.max_exact_points > 0 &&
-                  xs_.size() + 1 > params_.max_exact_points)) {
-    // Sparse mode has no incremental factor to border, and an exact model
-    // crossing the threshold must switch modes: refit, re-selecting the
-    // inducing set over the extended data. Copy out — Fit overwrites the
-    // members it reads from.
-    std::vector<Vec> xs = xs_;
-    xs.push_back(x);
-    Vec ys = ys_;
-    ys.push_back(y);
-    return Fit(xs, ys);
-  }
   ScopedSpan span(CurrentTracer(), "gp_fit");
   if (span.active()) {
     span.AddArg("mode", "incremental");
@@ -490,7 +472,6 @@ size_t GaussianProcess::EvictOldest(size_t keep_last) {
     xs_.clear();
     ys_.clear();
     fitted_ = false;
-    sparse_ = false;
     RebuildFlatCache();
     return evicted;
   }
@@ -503,7 +484,6 @@ size_t GaussianProcess::EvictOldest(size_t keep_last) {
     // Honesty over staleness: a window too degenerate to refit leaves the
     // model unfitted, never silently serving the pre-eviction posterior.
     fitted_ = false;
-    sparse_ = false;
   }
   return evicted;
 }
@@ -539,10 +519,6 @@ Status GaussianProcess::FitWithHyperSearch(
   std::vector<GpHyperParams> candidates(std::max<size_t>(budget, 1));
   for (GpHyperParams& cand : candidates) {
     cand.kernel = params_.kernel;
-    // The approximation setting rides along: probes past the threshold fit
-    // (and score) sparsely, and the winning candidate must not silently
-    // reset the mode when it is assigned back into params_.
-    cand.max_exact_points = params_.max_exact_points;
     cand.lengthscales.resize(dims);
     for (double& l : cand.lengthscales) {
       // Log-uniform lengthscales over [0.05, 2] of the unit cube.
@@ -572,9 +548,7 @@ Status GaussianProcess::FitWithHyperSearch(
       dims > 0 && std::all_of(xs.begin(), xs.end(), [dims](const Vec& x) {
         return x.size() == dims;
       });
-  const bool exact =
-      params_.max_exact_points == 0 || xs.size() <= params_.max_exact_points;
-  if (equal_length && exact && !ScalarKernelsForTesting()) {
+  if (equal_length && !ScalarKernelsForTesting()) {
     ScoreExactProbes(xs, ys, candidates, pool, &lml, &kept);
   } else {
     auto score = [&xs, &ys](const GpHyperParams& cand) -> double {
@@ -627,7 +601,6 @@ Status GaussianProcess::FitWithHyperSearch(
     params_ = candidates[best];
     xs_ = xs;
     ys_ = ys;
-    sparse_ = false;
     RebuildFlatCache();
     const size_t n = xs.size();
     chol_ = Matrix(n, n);
@@ -649,7 +622,6 @@ Status GaussianProcess::FitWithHyperSearch(
 GpPrediction GaussianProcess::Predict(const Vec& x) const {
   GpPrediction out;
   if (!fitted_) return out;
-  if (sparse_) return SparsePredict(x);
   size_t n = xs_.size();
   if (ScalarKernelsForTesting() || !flat_ok_ || x.size() != clamped_ls_.size()) {
     // Pre-speed-layer path, kept verbatim: the scalar half of the
@@ -683,13 +655,6 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
   size_t m = candidates.rows();
   out->assign(m, GpPrediction{});
   if (!fitted_ || m == 0) return;
-  if (sparse_) {
-    // The sparse posterior has a single (scalar) evaluation path, so the
-    // batched call is just the per-row loop — no fast/scalar split to keep
-    // bit-identical.
-    for (size_t r = 0; r < m; ++r) (*out)[r] = SparsePredict(candidates.Row(r));
-    return;
-  }
   size_t n = xs_.size();
   size_t d = clamped_ls_.size();
   if (ScalarKernelsForTesting() || !flat_ok_ || candidates.cols() != d ||
@@ -802,7 +767,7 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
       _mm_storeu_pd(mean_acc + h + 4, m2);
       _mm_storeu_pd(mean_acc + h + 6, m3);
     }
-    internal::ForwardSolvePanel(chol_, panel, kLanes, kLanes);
+    internal::ForwardSolvePanel(chol_, panel, kLanes);
     for (size_t h = 0; h < kLanes; h += 8) {
       __m128d v0 = _mm_setzero_pd(), v1 = _mm_setzero_pd();
       __m128d v2 = _mm_setzero_pd(), v3 = _mm_setzero_pd();
@@ -828,7 +793,7 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
       const double* pi = panel + i * kLanes;
       for (size_t c = 0; c < kLanes; ++c) mean_acc[c] += pi[c] * ai;
     }
-    internal::ForwardSolvePanel(chol_, panel, kLanes, kLanes);
+    internal::ForwardSolvePanel(chol_, panel, kLanes);
     for (size_t i = 0; i < n; ++i) {
       const double* pi = panel + i * kLanes;
       for (size_t c = 0; c < kLanes; ++c) var_acc[c] += pi[c] * pi[c];
@@ -840,193 +805,6 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
       p.variance = std::max(SelfKernel() - var_acc[c], 0.0);
     }
   }
-}
-
-void GaussianProcess::BuildKernelRows(const Matrix& candidates,
-                                      Matrix* rows) const {
-  size_t m = candidates.rows();
-  size_t n = xs_.size();
-  if (rows->rows() != m || rows->cols() != n) *rows = Matrix(m, n);
-  if (!fitted_) return;
-  if (ScalarKernelsForTesting() || !flat_ok_ ||
-      candidates.cols() != clamped_ls_.size()) {
-    for (size_t r = 0; r < m; ++r) {
-      Vec cand = candidates.Row(r);
-      double* out_row = rows->RowPtr(r);
-      for (size_t i = 0; i < n; ++i) out_row[i] = KernelValue(cand, xs_[i]);
-    }
-    return;
-  }
-  for (size_t r = 0; r < m; ++r) {
-    KernelRowRangeInto(candidates.RowPtr(r), 0, n, rows->RowPtr(r));
-  }
-}
-
-Status GaussianProcess::SparseFit(const std::vector<Vec>& xs, const Vec& ys) {
-  size_t n = xs.size();
-  size_t m = std::min(params_.max_exact_points, n);
-  ScopedSpan span(CurrentTracer(), "gp_fit");
-  if (span.active()) {
-    span.AddArg("mode", "sparse");
-    span.AddArg("n", std::to_string(n));
-  }
-  if (MetricsRegistry* metrics = CurrentMetrics()) {
-    metrics->GetCounter("gp.sparse_fits")->Increment();
-  }
-  xs_ = xs;
-  ys_ = ys;
-  RebuildFlatCache();
-  fitted_ = false;
-  sparse_ = false;
-
-  // Deterministic farthest-point (k-center greedy) inducing selection in
-  // the lengthscale-scaled metric, seeded at the first point; ties go to
-  // the lowest index. Stops early when every remaining point duplicates a
-  // selected one — the inducing set never carries duplicate rows.
-  std::vector<size_t> sel;
-  sel.reserve(m);
-  sel.push_back(0);
-  Vec mind(n);
-  for (size_t i = 0; i < n; ++i) {
-    mind[i] = ScaledDistance(xs[i], xs[0], params_.lengthscales);
-  }
-  while (sel.size() < m) {
-    size_t best = 0;
-    for (size_t i = 1; i < n; ++i) {
-      if (mind[i] > mind[best]) best = i;
-    }
-    if (!(mind[best] > 1e-12)) break;  // NaN distances also stop here
-    sel.push_back(best);
-    for (size_t i = 0; i < n; ++i) {
-      mind[i] = std::min(mind[i], ScaledDistance(xs[i], xs[best],
-                                                 params_.lengthscales));
-    }
-  }
-  inducing_.clear();
-  for (size_t idx : sel) inducing_.push_back(xs[idx]);
-  m = inducing_.size();
-
-  // Kzz (m x m) and Kzf (m x n). The sparse posterior has one evaluation
-  // path (plain KernelValue), so there is no fast/scalar split to keep
-  // bit-identical here.
-  Matrix kzz(m, m);
-  for (size_t i = 0; i < m; ++i) {
-    kzz.At(i, i) = SelfKernel();
-    for (size_t j = i + 1; j < m; ++j) {
-      double v = KernelValue(inducing_[i], inducing_[j]);
-      kzz.At(i, j) = v;
-      kzz.At(j, i) = v;
-    }
-  }
-  Matrix kzf(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      kzf.At(i, j) = KernelValue(inducing_[i], xs[j]);
-    }
-  }
-  for (double v : kzz.data()) {
-    if (!std::isfinite(v)) {
-      return Status::Internal(
-          "GP sparse fit: degenerate inducing set (non-finite Kzz)");
-    }
-  }
-  for (double v : kzf.data()) {
-    if (!std::isfinite(v)) {
-      return Status::Internal(
-          "GP sparse fit: degenerate inducing set (non-finite Kzf)");
-    }
-  }
-
-  // A = Kzz + sigma^-2 Kzf Kfz; jitter escalates on both factors together
-  // so the predictive's two quadratic terms stay consistent.
-  double sigma2 = std::max(params_.noise_variance, 1e-10);
-  Matrix a(m, m);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i; j < m; ++j) {
-      double acc = 0.0;
-      const double* ri = kzf.RowPtr(i);
-      const double* rj = kzf.RowPtr(j);
-      for (size_t t = 0; t < n; ++t) acc += ri[t] * rj[t];
-      double v = kzz.At(i, j) + acc / sigma2;
-      a.At(i, j) = v;
-      a.At(j, i) = v;
-    }
-  }
-  double jitter = 1e-10;
-  Result<Matrix> kzz_chol = Status::Internal("unset");
-  Result<Matrix> a_chol = Status::Internal("unset");
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Matrix kzz_j = kzz;
-    kzz_j.AddDiagonal(jitter);
-    kzz_chol = kzz_j.Cholesky();
-    Matrix a_j = a;
-    a_j.AddDiagonal(jitter);
-    a_chol = a_j.Cholesky();
-    if (kzz_chol.ok() && a_chol.ok()) break;
-    jitter *= 10.0;
-  }
-  if (!kzz_chol.ok() || !a_chol.ok()) {
-    return Status::Internal(
-        "GP sparse fit: degenerate inducing set (factorization failed "
-        "through jitter escalation)");
-  }
-  kzz_chol_ = std::move(kzz_chol).value();
-  a_chol_ = std::move(a_chol).value();
-  jitter_ = jitter;
-
-  y_mean_ = 0.0;
-  for (double y : ys_) y_mean_ += y;
-  y_mean_ /= static_cast<double>(n);
-  Vec centered(n);
-  for (size_t i = 0; i < n; ++i) centered[i] = ys_[i] - y_mean_;
-  Vec b(m);
-  for (size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    const double* ri = kzf.RowPtr(i);
-    for (size_t t = 0; t < n; ++t) acc += ri[t] * centered[t];
-    b[i] = acc;
-  }
-  Vec y1 = Matrix::ForwardSolve(a_chol_, b);
-  Vec ainv_b = Matrix::BackwardSolveTranspose(a_chol_, y1);
-  sparse_alpha_.resize(m);
-  for (size_t i = 0; i < m; ++i) sparse_alpha_[i] = ainv_b[i] / sigma2;
-
-  // DTC log marginal likelihood of y ~ N(mean, Qff + sigma^2 I) via the
-  // Woodbury/determinant lemmas:
-  //   y^T (.)^-1 y = sigma^-2 yc^T yc - sigma^-2 b^T alpha
-  //   log|.|       = log|A| - log|Kzz| + n log sigma^2
-  double yty = 0.0;
-  for (double v : centered) yty += v * v;
-  double fit_term = -0.5 * (yty / sigma2 - Dot(b, sparse_alpha_) / sigma2);
-  double det_term = -0.5 * (Matrix::LogDetFromCholesky(a_chol_) -
-                            Matrix::LogDetFromCholesky(kzz_chol_) +
-                            static_cast<double>(n) * std::log(sigma2));
-  double const_term = -0.5 * static_cast<double>(n) * std::log(kTwoPi);
-  log_marginal_likelihood_ = fit_term + det_term + const_term;
-  if (!std::isfinite(log_marginal_likelihood_) ||
-      !std::isfinite(Dot(sparse_alpha_, sparse_alpha_))) {
-    return Status::Internal(
-        "GP sparse fit: degenerate inducing set (non-finite posterior)");
-  }
-  sparse_ = true;
-  fitted_ = true;
-  return Status::OK();
-}
-
-GpPrediction GaussianProcess::SparsePredict(const Vec& x) const {
-  // DTC predictive: mean = kz^T alpha, var = k** - kz^T Kzz^-1 kz
-  // + kz^T A^-1 kz. A >= Kzz in the PSD order, so the variance never
-  // exceeds the prior and the clamp below only absorbs rounding.
-  GpPrediction out;
-  size_t m = inducing_.size();
-  Vec kz(m);
-  for (size_t i = 0; i < m; ++i) kz[i] = KernelValue(x, inducing_[i]);
-  out.mean = y_mean_ + Dot(kz, sparse_alpha_);
-  Vec v = Matrix::ForwardSolve(kzz_chol_, kz);
-  Vec w = Matrix::ForwardSolve(a_chol_, kz);
-  double var = SelfKernel() - Dot(v, v) + Dot(w, w);
-  out.variance = std::max(var, 0.0);
-  return out;
 }
 
 }  // namespace atune

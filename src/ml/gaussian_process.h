@@ -25,16 +25,6 @@ struct GpHyperParams {
   std::vector<double> lengthscales;  ///< one per dim; empty = 1.0 each
   double signal_variance = 1.0;      ///< s^2
   double noise_variance = 1e-4;      ///< observation noise
-  /// Inducing-point sparse approximation (DTC/SoR). 0 (the default) keeps
-  /// the exact GP: that code path's arithmetic is completely untouched, so
-  /// disabling the approximation is bit-identical by construction. When
-  /// > 0 and the training set exceeds it, Fit selects this many inducing
-  /// points by a deterministic farthest-point traversal and fits the DTC
-  /// posterior instead — O(n m²) rather than O(n³), which keeps surrogates
-  /// tractable as the knowledge repository grows past 10⁴ observations.
-  /// With the inducing set equal to the training set the DTC predictive
-  /// equals the exact GP, which is the accuracy contract tests pin down.
-  size_t max_exact_points = 0;
 };
 
 /// Posterior prediction at one point.
@@ -131,10 +121,9 @@ class GaussianProcess {
   /// from it instead of refactoring the kernel. At most seven packed
   /// buffers are live, the size of three and a half dense n x n ones, and
   /// every buffer a worker touches is sized on the calling thread first, so
-  /// workers never allocate. Under SetScalarKernelsForTesting, for ragged
-  /// inputs and for sparse probes (n past max_exact_points) each candidate
-  /// instead fits its own GaussianProcess, one pool task per candidate, and
-  /// the winner is refit with Fit.
+  /// workers never allocate. Under SetScalarKernelsForTesting and for
+  /// ragged inputs each candidate instead fits its own GaussianProcess, one
+  /// pool task per candidate, and the winner is refit with Fit.
   ///
   /// `alongside`, when set, is work that needs the caller's random stream
   /// but not the model, such as drawing acquisition candidates. It runs on
@@ -171,21 +160,12 @@ class GaussianProcess {
                     std::vector<GpPrediction>* out,
                     ThreadPool* pool = nullptr) const;
 
-  /// Batched kernel-row builder: rows->At(r, i) = k(candidates row r, x_i)
-  /// for every training point i, bit-identical to the per-point KernelValue
-  /// loop. `*rows` is caller-provided and only reallocated when its shape
-  /// changes, so a caller looping over batches reuses the same storage.
-  void BuildKernelRows(const Matrix& candidates, Matrix* rows) const;
-
   /// Log marginal likelihood of the fitted model.
   double LogMarginalLikelihood() const { return log_marginal_likelihood_; }
 
   bool fitted() const { return fitted_; }
   const GpHyperParams& params() const { return params_; }
   size_t num_points() const { return xs_.size(); }
-  /// True when the last fit used the inducing-point approximation.
-  bool sparse() const { return sparse_; }
-  size_t num_inducing() const { return inducing_.size(); }
 
  private:
   double KernelValue(const Vec& a, const Vec& b) const;
@@ -194,8 +174,8 @@ class GaussianProcess {
   /// KernelValue(x, xs_[i]) (same per-dimension accumulation order, with
   /// the lengthscale clamp and kernel-type switch hoisted out of the loop).
   /// Requires flat_ok_ and x spanning clamped_ls_.size() doubles. Routes
-  /// Predict's kstar, AddObservation's bordered row and BuildKernelRows;
-  /// Fit and the hyper-search probes build K with the same row kernel.
+  /// Predict's kstar and AddObservation's bordered row; Fit and the
+  /// hyper-search probes build K with the same row kernel.
   void KernelRowRangeInto(const double* x, size_t begin, size_t end,
                           double* out) const;
   /// PredictBatch's fast path over rows [begin, end), begin a multiple of
@@ -212,13 +192,6 @@ class GaussianProcess {
   /// Recomputes y_mean_/alpha_/LML from xs_, ys_ and the current chol_
   /// (two O(n²) triangular solves); shared by Fit and AddObservation.
   void RecomputePosterior();
-  /// DTC inducing-point fit (Fit dispatches here past max_exact_points).
-  /// A degenerate inducing set — non-finite kernel entries or a factor
-  /// that stays indefinite through jitter escalation — returns kInternal
-  /// and leaves the model unfitted (never a NaN posterior), per the PR 5
-  /// honesty contract.
-  Status SparseFit(const std::vector<Vec>& xs, const Vec& ys);
-  GpPrediction SparsePredict(const Vec& x) const;
 
   GpHyperParams params_;
   std::vector<Vec> xs_;
@@ -232,15 +205,6 @@ class GaussianProcess {
   double jitter_ = 0.0;  // diagonal jitter chol_ was computed with
   double log_marginal_likelihood_ = 0.0;
   bool fitted_ = false;
-
-  // Inducing-point (DTC) state; meaningful only while sparse_ is true.
-  // chol_/alpha_ are not maintained in sparse mode — every consumer
-  // dispatches on sparse_ first.
-  bool sparse_ = false;
-  std::vector<Vec> inducing_;  // Z, the m selected inducing points
-  Matrix kzz_chol_;            // chol(Kzz + jitter I)
-  Matrix a_chol_;              // chol(Kzz + sigma^-2 Kzf Kfz + jitter I)
-  Vec sparse_alpha_;           // sigma^-2 A^{-1} Kzf (y - mean)
 };
 
 }  // namespace atune

@@ -44,14 +44,6 @@ std::vector<Vec> StandardScaler::TransformAll(const std::vector<Vec>& xs) const 
   return out;
 }
 
-Vec StandardScaler::InverseTransform(const Vec& z) const {
-  Vec x(z.size(), 0.0);
-  for (size_t d = 0; d < z.size() && d < means_.size(); ++d) {
-    x[d] = stds_[d] > 0.0 ? z[d] * stds_[d] + means_[d] : means_[d];
-  }
-  return x;
-}
-
 Status RidgeRegression::Fit(const std::vector<Vec>& xs, const Vec& ys) {
   if (xs.empty() || xs.size() != ys.size()) {
     return Status::InvalidArgument("RidgeRegression: bad training data");
@@ -99,8 +91,9 @@ Status LassoRegression::Fit(const std::vector<Vec>& xs, const Vec& ys) {
   }
   size_t n = xs.size();
   size_t dims = xs[0].size();
-  scaler_.Fit(xs);
-  std::vector<Vec> zs = scaler_.TransformAll(xs);
+  StandardScaler scaler;
+  scaler.Fit(xs);
+  std::vector<Vec> zs = scaler.TransformAll(xs);
 
   double y_mean = 0.0;
   for (double y : ys) y_mean += y;
@@ -141,20 +134,6 @@ Status LassoRegression::Fit(const std::vector<Vec>& xs, const Vec& ys) {
   intercept_ = y_mean;
   fitted_ = true;
   return Status::OK();
-}
-
-double LassoRegression::Predict(const Vec& x) const {
-  if (!fitted_) return 0.0;
-  Vec z = scaler_.Transform(x);
-  return intercept_ + Dot(weights_, z);
-}
-
-size_t LassoRegression::NumNonZero(double eps) const {
-  size_t count = 0;
-  for (double w : weights_) {
-    if (std::abs(w) > eps) ++count;
-  }
-  return count;
 }
 
 Result<std::vector<size_t>> LassoPathRanking(const std::vector<Vec>& xs,

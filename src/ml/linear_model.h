@@ -17,7 +17,6 @@ class StandardScaler {
   void Fit(const std::vector<Vec>& xs);
   Vec Transform(const Vec& x) const;
   std::vector<Vec> TransformAll(const std::vector<Vec>& xs) const;
-  Vec InverseTransform(const Vec& z) const;
 
   bool fitted() const { return !means_.empty(); }
   const Vec& means() const { return means_; }
@@ -58,20 +57,17 @@ class LassoRegression {
       : lambda_(lambda), max_iters_(max_iters), tol_(tol) {}
 
   Status Fit(const std::vector<Vec>& xs, const Vec& ys);
-  double Predict(const Vec& x) const;
 
   /// Weights in the standardized feature space (sparsity pattern is what
   /// matters for ranking).
   const Vec& weights() const { return weights_; }
   double intercept() const { return intercept_; }
-  size_t NumNonZero(double eps = 1e-9) const;
   bool fitted() const { return fitted_; }
 
  private:
   double lambda_;
   size_t max_iters_;
   double tol_;
-  StandardScaler scaler_;
   Vec weights_;       // in standardized space
   double intercept_ = 0.0;  // in original y units
   bool fitted_ = false;

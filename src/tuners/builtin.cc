@@ -73,26 +73,4 @@ void RegisterBuiltinTuners(TunerRegistry* registry) {
                 [] { return std::make_unique<StageRetunerTuner>(); });
 }
 
-void RegisterCategoryRepresentatives(TunerRegistry* registry,
-                                     const std::string& system_name) {
-  registry->Add("rule-based", [system_name] {
-    return std::make_unique<RuleBasedTuner>("rules-" + system_name,
-                                            MakeRulesForSystem(system_name));
-  });
-  registry->Add("cost-model",
-                [] { return std::make_unique<CostModelTuner>(); });
-  registry->Add("trace-simulator",
-                [] { return std::make_unique<TraceSimulatorTuner>(); });
-  registry->Add("ituned", [] { return std::make_unique<ITunedTuner>(); });
-  registry->Add("ottertune",
-                [] { return std::make_unique<OtterTuneTuner>(); });
-  if (system_name == "simulated-dbms") {
-    registry->Add("adaptive",
-                  [] { return std::make_unique<AdaptiveMemoryTuner>(); });
-  } else {
-    registry->Add("adaptive",
-                  [] { return std::make_unique<StageRetunerTuner>(); });
-  }
-}
-
 }  // namespace atune

@@ -1,8 +1,6 @@
 #ifndef ATUNE_TUNERS_BUILTIN_H_
 #define ATUNE_TUNERS_BUILTIN_H_
 
-#include <string>
-
 #include "core/registry.h"
 
 namespace atune {
@@ -18,13 +16,6 @@ namespace atune {
 ///   machine learning:  "ottertune", "rodd-nn", "ernest", "grey-box"
 ///   adaptive:          "colt", "adaptive-memory", "stage-retuner"
 void RegisterBuiltinTuners(TunerRegistry* registry);
-
-/// Registers one representative tuner per taxonomy category for a given
-/// system (used by the Table-1 comparison benches): the rule set matching
-/// `system_name`, cost-model, trace-simulator, ituned, ottertune, and a
-/// suitable adaptive tuner.
-void RegisterCategoryRepresentatives(TunerRegistry* registry,
-                                     const std::string& system_name);
 
 }  // namespace atune
 

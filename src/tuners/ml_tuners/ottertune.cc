@@ -1,14 +1,10 @@
 #include "tuners/ml_tuners/ottertune.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <fstream>
 #include <functional>
 #include <limits>
-#include <sstream>
 
-#include "common/file_util.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -45,89 +41,6 @@ std::vector<Workload> DefaultHistoryWorkloads(const std::string& system_name,
     if (w.kind != exclude_kind) out.push_back(std::move(w));
   }
   return out;
-}
-
-Status SaveOtterTuneRepository(const OtterTuneRepository& repository,
-                               const std::string& path) {
-  // Buffer the whole repository and publish it atomically (write-temp-
-  // then-rename): a crash mid-save can never tear an existing repository.
-  std::ostringstream out;
-  out << "atune-repository v1\n";
-  out << "metrics " << repository.metric_names.size();
-  for (const std::string& m : repository.metric_names) out << " " << m;
-  out << "\n";
-  out << "sessions " << repository.sessions.size() << "\n";
-  out.precision(17);
-  for (const auto& session : repository.sessions) {
-    // Workload names are single tokens by convention; enforce it.
-    std::string name = session.workload_name;
-    for (char& c : name) {
-      if (std::isspace(static_cast<unsigned char>(c))) c = '_';
-    }
-    size_t dims = session.configs.empty() ? 0 : session.configs[0].size();
-    out << "session " << name << " " << session.configs.size() << " " << dims
-        << "\n";
-    for (size_t i = 0; i < session.configs.size(); ++i) {
-      for (double v : session.configs[i]) out << v << " ";
-      out << "| ";
-      for (double v : session.metrics[i]) out << v << " ";
-      out << "| " << session.objectives[i] << "\n";
-    }
-  }
-  return AtomicWriteFile(path, out.str());
-}
-
-Result<OtterTuneRepository> LoadOtterTuneRepository(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open repository '" + path + "'");
-  }
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "atune-repository" || version != "v1") {
-    return Status::InvalidArgument("'" + path + "' is not a v1 repository");
-  }
-  OtterTuneRepository repo;
-  std::string token;
-  size_t metric_count = 0;
-  in >> token >> metric_count;
-  if (token != "metrics") {
-    return Status::InvalidArgument("repository missing metrics header");
-  }
-  for (size_t m = 0; m < metric_count; ++m) {
-    std::string name;
-    in >> name;
-    repo.metric_names.push_back(name);
-  }
-  size_t session_count = 0;
-  in >> token >> session_count;
-  if (token != "sessions") {
-    return Status::InvalidArgument("repository missing sessions header");
-  }
-  for (size_t s = 0; s < session_count; ++s) {
-    OtterTuneRepository::Session session;
-    size_t obs = 0, dims = 0;
-    in >> token >> session.workload_name >> obs >> dims;
-    if (token != "session" || !in) {
-      return Status::InvalidArgument("malformed session header");
-    }
-    for (size_t i = 0; i < obs; ++i) {
-      Vec config(dims), metrics(metric_count);
-      for (double& v : config) in >> v;
-      std::string sep;
-      in >> sep;  // "|"
-      for (double& v : metrics) in >> v;
-      in >> sep;  // "|"
-      double objective = 0.0;
-      in >> objective;
-      if (!in) return Status::InvalidArgument("malformed observation row");
-      session.configs.push_back(std::move(config));
-      session.metrics.push_back(std::move(metrics));
-      session.objectives.push_back(objective);
-    }
-    repo.sessions.push_back(std::move(session));
-  }
-  return repo;
 }
 
 OtterTuneRepository BuildOtterTuneRepository(

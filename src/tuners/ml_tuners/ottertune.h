@@ -30,14 +30,6 @@ struct OtterTuneRepository {
   }
 };
 
-/// Persists a repository to a text file so the expensive offline collection
-/// can be reused across tuning sessions (the ML category's core asset).
-Status SaveOtterTuneRepository(const OtterTuneRepository& repository,
-                               const std::string& path);
-
-/// Loads a repository written by SaveOtterTuneRepository.
-Result<OtterTuneRepository> LoadOtterTuneRepository(const std::string& path);
-
 /// Runs `samples_per_workload` random configurations of `system` under each
 /// historical workload and records (config, metrics, objective). This is
 /// the *offline, reusable* data collection the ML category amortizes across

@@ -32,9 +32,9 @@ TEST(ScratchArena, ResetReusesTheSameBlock) {
 }
 
 TEST(ScratchArena, OverflowChainsThenCoalescesOnReset) {
-  ScratchArena arena(128);
+  ScratchArena arena;
   arena.Allocate(100);
-  arena.Allocate(4000);  // outgrows the first block
+  arena.Allocate(4000);  // outgrows the first, minimum-size block
   EXPECT_GE(arena.block_count(), 2u);
   size_t high_water = arena.capacity();
   arena.Reset();

@@ -62,30 +62,6 @@ TEST(RngTest, BernoulliRespectsProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.03);
 }
 
-TEST(RngTest, ZipfSkewsTowardLowRanks) {
-  Rng rng(17);
-  const int64_t n = 100;
-  std::vector<int> counts(n, 0);
-  for (int i = 0; i < 20000; ++i) {
-    int64_t r = rng.Zipf(n, 1.0);
-    ASSERT_GE(r, 0);
-    ASSERT_LT(r, n);
-    counts[r]++;
-  }
-  // Rank 0 should dominate rank 50 heavily under theta=1.
-  EXPECT_GT(counts[0], counts[50] * 5);
-}
-
-TEST(RngTest, ZipfThetaZeroIsRoughlyUniform) {
-  Rng rng(19);
-  const int64_t n = 10;
-  std::vector<int> counts(n, 0);
-  for (int i = 0; i < 20000; ++i) counts[rng.Zipf(n, 0.0)]++;
-  for (int64_t r = 0; r < n; ++r) {
-    EXPECT_NEAR(counts[r] / 20000.0, 0.1, 0.02);
-  }
-}
-
 TEST(RngTest, CategoricalFollowsWeights) {
   Rng rng(23);
   std::vector<double> weights = {1.0, 3.0, 0.0};

@@ -20,34 +20,6 @@ TEST(RunningStatsTest, MatchesBatchFormulas) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStatsTest, MergeEqualsCombinedStream) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    double x = std::sin(i) * 10.0;
-    (i % 2 == 0 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  RunningStats a_copy = a;
-  a.Merge(b);  // empty other: no change
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.Merge(a_copy);  // empty this: adopt other
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(StatsTest, QuantileInterpolates) {
   std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
@@ -143,21 +115,6 @@ TEST(StatsTest, RanksAverageTies) {
   EXPECT_DOUBLE_EQ(r[1], 2.5);
   EXPECT_DOUBLE_EQ(r[2], 2.5);
   EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(StatsTest, WelchTSeparatesDifferentMeans) {
-  std::vector<double> a = {10.0, 10.1, 9.9, 10.05, 9.95};
-  std::vector<double> b = {12.0, 12.1, 11.9, 12.05, 11.95};
-  EXPECT_LT(WelchT(a, b), -10.0);
-  EXPECT_GT(WelchT(b, a), 10.0);
-  EXPECT_DOUBLE_EQ(WelchT(a, {1.0}), 0.0);  // too few samples
-}
-
-TEST(StatsTest, ConfidenceIntervalShrinksWithN) {
-  RunningStats small, large;
-  for (int i = 0; i < 10; ++i) small.Add(i % 3);
-  for (int i = 0; i < 1000; ++i) large.Add(i % 3);
-  EXPECT_GT(ConfidenceHalfWidth95(small), ConfidenceHalfWidth95(large));
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -297,165 +296,6 @@ TEST(KnowledgeRepoTest, InFlightTempFilesAreNeverListed) {
   std::vector<std::string> shards = repo.ListShards();
   ASSERT_EQ(shards.size(), 1u);
   EXPECT_EQ(shards[0], repo.ShardName("visible"));
-}
-
-// Latest-wins compaction: a repository reopened with a different bucket
-// count leaves records stranded under stale bucket prefixes. Compact must
-// unlink a stale file only when its canonical twin exists and decodes
-// (every Ingest writes the canonical name, so the twin is the newer
-// record), move a sole stale record to its canonical name instead of
-// dropping knowledge, and converge to a pass that changes nothing.
-TEST(KnowledgeRepoTest, CompactReconcilesStaleBucketsLatestWins) {
-  const std::string dir = TempDirFor("krs_compact");
-  KnowledgeRepository old_repo(dir, 16);
-  KnowledgeRepository new_repo(dir, 4);
-  // Ids sorted by how their bucket behaves across the reopen: two that
-  // move, one that stays put.
-  std::string moved_dup, moved_sole, stable;
-  for (int i = 0; moved_dup.empty() || moved_sole.empty() || stable.empty();
-       ++i) {
-    std::string id = "sess-" + std::to_string(i);
-    if (old_repo.ShardName(id) != new_repo.ShardName(id)) {
-      (moved_dup.empty() ? moved_dup : moved_sole) = id;
-    } else if (stable.empty()) {
-      stable = id;
-    }
-  }
-  ASSERT_TRUE(old_repo.Ingest(TestRecord(moved_dup, 1.0)).ok());
-  ASSERT_TRUE(old_repo.Ingest(TestRecord(moved_sole, 2.0)).ok());
-  ASSERT_TRUE(old_repo.Ingest(TestRecord(stable, 3.0)).ok());
-  // Re-ingest after the reopen: the updated record publishes under the new
-  // canonical name, leaving the 16-bucket file as a stale duplicate.
-  ASSERT_TRUE(new_repo.Ingest(TestRecord(moved_dup, 10.0)).ok());
-  ASSERT_EQ(new_repo.ListShards().size(), 4u);  // the duplicate is visible
-
-  KnowledgeRepository::CompactionStats stats;
-  ASSERT_TRUE(new_repo.Compact(&stats).ok());
-  EXPECT_EQ(stats.superseded, 2u);
-  EXPECT_EQ(stats.removed, 1u);   // moved_dup's stale twin
-  EXPECT_EQ(stats.renamed, 1u);   // moved_sole's sole copy
-  EXPECT_EQ(stats.corrupt_kept, 0u);
-
-  // Every survivor sits under its current canonical name...
-  std::vector<std::string> shards = new_repo.ListShards();
-  ASSERT_EQ(shards.size(), 3u);
-  for (const std::string& id : {moved_dup, moved_sole, stable}) {
-    EXPECT_NE(std::find(shards.begin(), shards.end(), new_repo.ShardName(id)),
-              shards.end())
-        << id;
-  }
-  // ...the duplicate resolved latest-wins...
-  auto dup = new_repo.LoadShard(new_repo.ShardName(moved_dup));
-  ASSERT_TRUE(dup.ok());
-  EXPECT_EQ(dup->fingerprint[0], 110.0);  // the re-ingested record
-  // ...and the sole stale record was moved, not dropped.
-  auto sole = new_repo.LoadShard(new_repo.ShardName(moved_sole));
-  ASSERT_TRUE(sole.ok());
-  EXPECT_EQ(sole->fingerprint[0], 102.0);
-
-  // A second pass finds nothing to do (idempotent fixed point).
-  ASSERT_TRUE(new_repo.Compact(&stats).ok());
-  EXPECT_EQ(stats.superseded, 0u);
-  EXPECT_EQ(new_repo.ListShards().size(), 3u);
-}
-
-// The corrupt-skip contract extends to compaction: an undecodable file is
-// never unlinked or moved, and a corrupt canonical twin shields its stale
-// duplicate (deleting the only readable copy would destroy evidence).
-TEST(KnowledgeRepoTest, CompactNeverTouchesCorruptShards) {
-  const std::string dir = TempDirFor("krs_compact_corrupt");
-  KnowledgeRepository old_repo(dir, 16);
-  KnowledgeRepository new_repo(dir, 4);
-  std::string dup, sole;
-  for (int i = 0; dup.empty() || sole.empty(); ++i) {
-    std::string id = "sess-" + std::to_string(i);
-    if (old_repo.ShardName(id) != new_repo.ShardName(id)) {
-      (dup.empty() ? dup : sole) = id;
-    }
-  }
-  ASSERT_TRUE(old_repo.Ingest(TestRecord(dup, 1.0)).ok());
-  ASSERT_TRUE(old_repo.Ingest(TestRecord(sole, 2.0)).ok());
-  ASSERT_TRUE(new_repo.Ingest(TestRecord(dup, 10.0)).ok());
-  // Corrupt the canonical twin and the sole stale record.
-  for (const std::string& name :
-       {new_repo.ShardName(dup), old_repo.ShardName(sole)}) {
-    std::ofstream out(dir + "/" + name, std::ios::binary | std::ios::trunc);
-    out << "ATUNEKRS stomped";
-  }
-
-  KnowledgeRepository::CompactionStats stats;
-  ASSERT_TRUE(new_repo.Compact(&stats).ok());
-  EXPECT_EQ(stats.superseded, 2u);
-  EXPECT_EQ(stats.removed, 0u);
-  EXPECT_EQ(stats.renamed, 0u);
-  EXPECT_EQ(stats.corrupt_kept, 2u);
-  // All three files are still exactly where they were.
-  EXPECT_EQ(new_repo.ListShards().size(), 3u);
-  // The readable stale copy of `dup` still loads (knowledge preserved).
-  auto kept = new_repo.LoadShard(old_repo.ShardName(dup));
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(kept->fingerprint[0], 101.0);
-}
-
-// Compaction runs concurrently with an 8-thread ingest storm: writers to
-// distinct session ids never contend with the pass (distinct paths), so
-// every ingest lands, every pre-existing stale record is reconciled, and
-// the final store decodes clean.
-TEST(KnowledgeRepoTest, EightThreadIngestWhileCompacting) {
-  const std::string dir = TempDirFor("krs_compact_storm");
-  {
-    KnowledgeRepository old_repo(dir, 16);
-    for (int i = 0; i < 32; ++i) {
-      ASSERT_TRUE(
-          old_repo.Ingest(TestRecord("pre-" + std::to_string(i), double(i)))
-              .ok());
-    }
-  }
-  KnowledgeRepository repo(dir, 4);  // reopened: some pre-records are stale
-
-  const size_t kThreads = 8;
-  const size_t kPerThread = 16;
-  std::atomic<size_t> failures{0};
-  std::atomic<size_t> writers_left{kThreads};
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&repo, &failures, &writers_left, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        KnowledgeRecord rec =
-            TestRecord("t" + std::to_string(t) + "-s" + std::to_string(i),
-                       double(t * 100 + i));
-        if (!repo.Ingest(rec).ok()) failures.fetch_add(1);
-      }
-      writers_left.fetch_sub(1);
-    });
-  }
-  // Chew through the stale pre-records while the storm is in flight.
-  size_t passes = 0;
-  while (writers_left.load() > 0) {
-    EXPECT_TRUE(repo.Compact().ok());
-    ++passes;
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_GE(passes, 1u);
-
-  // One quiescent pass reaches the fixed point, then everything decodes.
-  KnowledgeRepository::CompactionStats stats;
-  ASSERT_TRUE(repo.Compact(&stats).ok());
-  ASSERT_TRUE(repo.Compact(&stats).ok());
-  EXPECT_EQ(stats.superseded, 0u);
-  size_t skipped = 99;
-  auto all = repo.LoadAll(&skipped);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_EQ(all->size(), 32u + kThreads * kPerThread);
-  // Every survivor sits under its current canonical name.
-  for (const std::string& shard : repo.ListShards()) {
-    auto rec = repo.LoadShard(shard);
-    ASSERT_TRUE(rec.ok()) << shard;
-    EXPECT_EQ(shard, repo.ShardName(rec->session_id));
-  }
 }
 
 // Regression companion to the PR-4 daemon counter-leak test: serving tenant

@@ -28,7 +28,6 @@ TEST(ParameterSpaceTest, FindAndIndexOf) {
   auto def = space.Find("frac");
   ASSERT_TRUE(def.ok());
   EXPECT_EQ((*def)->name(), "frac");
-  EXPECT_EQ(*space.IndexOf("flag"), 2u);
   EXPECT_EQ(space.Find("missing").status().code(), StatusCode::kNotFound);
 }
 
@@ -93,16 +92,6 @@ TEST(ParameterSpaceTest, NeighborStaysValidAndClose) {
   // Large sigma should actually move points.
   Configuration far = space.Neighbor(base, 0.5, &rng);
   EXPECT_FALSE(Configuration::Diff(base, far).empty());
-}
-
-TEST(ParameterSpaceTest, SubspaceSelectsAndOrders) {
-  ParameterSpace space = MakeSpace();
-  auto sub = space.Subspace({"codec", "mem_mb"});
-  ASSERT_TRUE(sub.ok());
-  EXPECT_EQ(sub->dims(), 2u);
-  EXPECT_EQ(sub->param(0).name(), "codec");
-  EXPECT_EQ(sub->param(1).name(), "mem_mb");
-  EXPECT_FALSE(space.Subspace({"nope"}).ok());
 }
 
 TEST(ParameterSpaceTest, RandomConfigurationCoversSpace) {

@@ -17,7 +17,6 @@ TEST(ParameterDefTest, IntValidateAndRange) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(p.Validate(ParamValue{2.5}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(p.Cardinality(), 91u);
 }
 
 TEST(ParameterDefTest, LinearNormalizeRoundTrip) {
@@ -55,7 +54,6 @@ TEST(ParameterDefTest, BoolBehavior) {
   EXPECT_DOUBLE_EQ(p.Normalize(ParamValue{true}), 1.0);
   EXPECT_EQ(std::get<bool>(p.Denormalize(0.49)), false);
   EXPECT_EQ(std::get<bool>(p.Denormalize(0.51)), true);
-  EXPECT_EQ(p.Cardinality(), 2u);
 }
 
 TEST(ParameterDefTest, CategoricalBehavior) {
@@ -69,7 +67,6 @@ TEST(ParameterDefTest, CategoricalBehavior) {
   EXPECT_EQ(std::get<std::string>(p.Denormalize(0.5)), "lz4");
   EXPECT_EQ(std::get<std::string>(p.Denormalize(1.0)), "zlib");
   EXPECT_DOUBLE_EQ(p.Normalize(ParamValue{std::string("zlib")}), 1.0);
-  EXPECT_EQ(p.Cardinality(), 3u);
 }
 
 TEST(ParameterDefTest, NanDoubleRejected) {
@@ -83,13 +80,6 @@ TEST(ParamValueTest, ToString) {
   EXPECT_EQ(ParamValueToString(ParamValue{true}), "true");
   EXPECT_EQ(ParamValueToString(ParamValue{false}), "false");
   EXPECT_EQ(ParamValueToString(ParamValue{std::string("kryo")}), "kryo");
-}
-
-TEST(ParamTypeTest, Names) {
-  EXPECT_STREQ(ParamTypeToString(ParamType::kInt), "int");
-  EXPECT_STREQ(ParamTypeToString(ParamType::kDouble), "double");
-  EXPECT_STREQ(ParamTypeToString(ParamType::kBool), "bool");
-  EXPECT_STREQ(ParamTypeToString(ParamType::kCategorical), "categorical");
 }
 
 }  // namespace

@@ -43,21 +43,5 @@ TEST(RegistryTest, BuiltinTunersAllRegisteredAndInstantiable) {
   EXPECT_EQ(categories.size(), 6u);
 }
 
-TEST(RegistryTest, CategoryRepresentativesPerSystem) {
-  for (const char* system :
-       {"simulated-dbms", "simulated-mapreduce", "simulated-spark"}) {
-    TunerRegistry registry;
-    RegisterCategoryRepresentatives(&registry, system);
-    EXPECT_EQ(registry.size(), 6u) << system;
-    std::set<TunerCategory> categories;
-    for (const std::string& name : registry.Names()) {
-      auto tuner = registry.Create(name);
-      ASSERT_TRUE(tuner.ok());
-      categories.insert((*tuner)->category());
-    }
-    EXPECT_EQ(categories.size(), 6u) << system;
-  }
-}
-
 }  // namespace
 }  // namespace atune

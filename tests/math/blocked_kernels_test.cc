@@ -1,8 +1,8 @@
 // Property tests for the blocked fast-path kernels of math/matrix.cc against
 // the naive references in math/reference_kernels.h (DESIGN.md §11). The
-// contract is *bit-identity* — memcmp-level equality of the output doubles —
-// except for CholeskyRank1Update, which is a different algorithm and is held
-// to a numerical tolerance against full refactorization.
+// contract is *bit-identity*: memcmp-level equality of the output doubles.
+// Kernels with an AVX body also run their SSE2 body here, through
+// SetSse2KernelsForTesting.
 
 #include <cmath>
 #include <cstring>
@@ -12,6 +12,7 @@
 #include "gtest/gtest.h"
 #include "math/matrix.h"
 #include "math/reference_kernels.h"
+#include "tests/math/matrix_of.h"
 
 namespace atune {
 namespace {
@@ -192,7 +193,7 @@ void ExpectInPlaceFactorsAndPackedSolvesMatchDense() {
   }
   // {{1, 2}, {2, 1}}'s lower triangle is indefinite in both layouts.
   Vec panel(16);
-  Matrix indefinite({{1.0, 0.0}, {2.0, 1.0}});
+  Matrix indefinite = MatrixOf({{1.0, 0.0}, {2.0, 1.0}});
   EXPECT_FALSE(CholeskyInPlace(indefinite.RowPtr(0), 2, DenseRows{2},
                                panel.data()));
   Vec packed = {1.0, 2.0, 1.0};
@@ -208,7 +209,7 @@ TEST(BlockedKernels, InPlaceFactorsAndPackedSolvesMatchDense) {
 }
 
 TEST(BlockedKernels, CholeskyNotPositiveDefiniteSameError) {
-  Matrix a({{1.0, 2.0}, {2.0, 1.0}});  // indefinite
+  Matrix a = MatrixOf({{1.0, 2.0}, {2.0, 1.0}});  // indefinite
   auto fast = a.Cholesky();
   auto ref = reference::Cholesky(a);
   ASSERT_FALSE(fast.ok());
@@ -245,28 +246,32 @@ TEST(BlockedKernels, ForwardSolveIntoMatchesAndAllowsAliasing) {
   EXPECT_TRUE(BitIdentical(in_place, expect));
 }
 
-TEST(BlockedKernels, ForwardSolveMultiEachColumnBitIdentical) {
+// The panel solve behind GaussianProcess::PredictBatch: each of the sixteen
+// lanes must equal reference::ForwardSolve on its column bit for bit, on the
+// AVX body and on the SSE2 body alike.
+TEST(BlockedKernels, ForwardSolvePanelEachLaneBitIdentical) {
+  constexpr size_t kLanes = internal::kPanelLanes;
   for (bool sse2 : {false, true}) {
     Sse2Kernels guard(sse2);
     mt19937_64 gen(19);
     for (size_t n : {1, 5, 16, 40}) {
-      // Column counts straddle the 8- and 16-lane panel boundaries.
-      for (size_t m : {1, 3, 7, 8, 9, 17, 24}) {
-        Matrix a = RandomSpd(n, &gen, 2.0);
-        auto l = a.Cholesky();
-        ASSERT_TRUE(l.ok());
-        Matrix b(n, m);
+      Matrix a = RandomSpd(n, &gen, 2.0);
+      auto l = a.Cholesky();
+      ASSERT_TRUE(l.ok());
+      Vec panel(n * kLanes);
+      for (size_t k = 0; k < panel.size(); ++k) {
+        panel[k] = std::sin(static_cast<double>(k));
+      }
+      const Vec rhs = panel;
+      internal::ForwardSolvePanel(*l, panel.data(), kLanes);
+      for (size_t c = 0; c < kLanes; ++c) {
+        Vec b(n), y(n);
         for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            b.At(i, j) = std::sin(static_cast<double>(i * m + j));
-          }
+          b[i] = rhs[i * kLanes + c];
+          y[i] = panel[i * kLanes + c];
         }
-        Matrix y = Matrix::ForwardSolveMulti(*l, b);
-        for (size_t j = 0; j < m; ++j) {
-          EXPECT_TRUE(
-              BitIdentical(y.Col(j), reference::ForwardSolve(*l, b.Col(j))))
-              << "n=" << n << " m=" << m << " col=" << j << " sse2=" << sse2;
-        }
+        EXPECT_TRUE(BitIdentical(y, reference::ForwardSolve(*l, b)))
+            << "n=" << n << " lane=" << c << " sse2=" << sse2;
       }
     }
   }
@@ -324,30 +329,6 @@ TEST(BlockedKernels, AppendRowRejectsIndefiniteBorderUnchanged) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(l.rows(), 1u);
   EXPECT_EQ(l.At(0, 0), 2.0);
-}
-
-TEST(BlockedKernels, Rank1UpdateMatchesRefactorizationNumerically) {
-  mt19937_64 gen(31);
-  for (size_t n : {1, 4, 9, 25, 50}) {
-    Matrix a = RandomSpd(n, &gen, 2.0 + n);
-    Vec v = RandomVec(n, &gen);
-    auto l = a.Cholesky();
-    ASSERT_TRUE(l.ok());
-    ASSERT_TRUE(l->CholeskyRank1Update(v).ok());
-    Matrix updated = a;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) updated.At(i, j) += v[i] * v[j];
-    }
-    auto full = updated.Cholesky();
-    ASSERT_TRUE(full.ok());
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j <= i; ++j) {
-        EXPECT_NEAR(l->At(i, j), full->At(i, j),
-                    1e-9 * (1.0 + std::fabs(full->At(i, j))))
-            << "n=" << n << " (" << i << "," << j << ")";
-      }
-    }
-  }
 }
 
 TEST(BlockedKernels, ScalarSwitchRoutesToReference) {

@@ -53,20 +53,6 @@ TEST(DoeTest, FoldoverDoublesRunsAndMirrors) {
   }
 }
 
-TEST(DoeTest, FullFactorialEnumeratesAll) {
-  auto design = FullFactorial(3);
-  ASSERT_TRUE(design.ok());
-  EXPECT_EQ(design->rows.size(), 8u);
-  // All rows distinct.
-  for (size_t i = 0; i < 8; ++i) {
-    for (size_t j = i + 1; j < 8; ++j) {
-      EXPECT_NE(design->rows[i], design->rows[j]);
-    }
-  }
-  EXPECT_FALSE(FullFactorial(0).ok());
-  EXPECT_FALSE(FullFactorial(21).ok());
-}
-
 TEST(DoeTest, MainEffectsRecoverAdditiveModel) {
   // Response = 10 + 3*x0 - 5*x2 (x in {-1,+1}): effects are 2*coef.
   auto design = PlackettBurman(4);

@@ -8,19 +8,6 @@
 namespace atune {
 namespace {
 
-TEST(SamplingTest, UniformSamplesShapeAndRange) {
-  Rng rng(1);
-  auto pts = UniformSamples(50, 4, &rng);
-  ASSERT_EQ(pts.size(), 50u);
-  for (const Vec& p : pts) {
-    ASSERT_EQ(p.size(), 4u);
-    for (double x : p) {
-      EXPECT_GE(x, 0.0);
-      EXPECT_LT(x, 1.0);
-    }
-  }
-}
-
 // Property: LHS puts exactly one sample in each of the n strata, per dim.
 class LhsStratificationTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
@@ -54,26 +41,6 @@ TEST(SamplingTest, MaximinLhsAtLeastAsSpreadAsSingle) {
   auto maximin = MaximinLatinHypercube(12, 3, 20, &rng2);
   EXPECT_GE(MinPairwiseDistance(maximin) + 1e-12,
             MinPairwiseDistance(single));
-}
-
-TEST(SamplingTest, GridSamplesEnumerateLattice) {
-  auto pts = GridSamples(3, 2);
-  EXPECT_EQ(pts.size(), 9u);
-  // All coordinates on {0, 0.5, 1}.
-  for (const Vec& p : pts) {
-    for (double x : p) {
-      EXPECT_TRUE(x == 0.0 || x == 0.5 || x == 1.0) << x;
-    }
-  }
-  // All distinct.
-  std::sort(pts.begin(), pts.end());
-  EXPECT_EQ(std::unique(pts.begin(), pts.end()), pts.end());
-}
-
-TEST(SamplingTest, GridSinglePointIsCenter) {
-  auto pts = GridSamples(1, 3);
-  ASSERT_EQ(pts.size(), 1u);
-  for (double x : pts[0]) EXPECT_DOUBLE_EQ(x, 0.5);
 }
 
 TEST(SamplingTest, HaltonDeterministicAndInRange) {

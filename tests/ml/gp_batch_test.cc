@@ -1,7 +1,7 @@
 // Bit-identity tests for the batched GP paths of DESIGN.md §11:
-// PredictBatch vs per-point Predict, BuildKernelRows vs the KernelValue
-// loop, the batch acquisition wrappers vs their scalar forms, and the
-// fast-vs-scalar A/B switch over a full Fit/AddObservation/Predict cycle.
+// PredictBatch vs per-point Predict, the batch acquisition wrappers vs their
+// scalar forms, and the fast-vs-scalar A/B switch over a full
+// Fit/AddObservation/Predict cycle.
 
 #include <cstring>
 #include <random>
@@ -118,35 +118,6 @@ TEST(GpBatch, PredictBatchNullScratchFallsBack) {
     EXPECT_TRUE(SameBits(batch[r].mean, p.mean));
     EXPECT_TRUE(SameBits(batch[r].variance, p.variance));
   }
-}
-
-TEST(GpBatch, BuildKernelRowsMatchesPerPointAndReusesStorage) {
-  mt19937_64 gen(11);
-  size_t n = 21, d = 6, m = 13;
-  GaussianProcess gp(
-      GpHyperParams{KernelType::kSquaredExponential, {}, 1.3, 1e-4});
-  std::vector<Vec> xs = RandomPoints(n, d, &gen);
-  ASSERT_TRUE(gp.Fit(xs, RandomTargets(n, &gen)).ok());
-  Matrix cands = RandomCandidates(m, d, &gen);
-  Matrix rows;
-  gp.BuildKernelRows(cands, &rows);
-  ASSERT_EQ(rows.rows(), m);
-  ASSERT_EQ(rows.cols(), n);
-  // Reference via the scalar switch (KernelValue path).
-  SetScalarKernelsForTesting(true);
-  Matrix ref;
-  gp.BuildKernelRows(cands, &ref);
-  SetScalarKernelsForTesting(false);
-  for (size_t r = 0; r < m; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(SameBits(rows.At(r, i), ref.At(r, i)))
-          << "(" << r << "," << i << ")";
-    }
-  }
-  // Same-shape call must not reallocate the caller's buffer.
-  const double* storage = rows.RowPtr(0);
-  gp.BuildKernelRows(cands, &rows);
-  EXPECT_EQ(rows.RowPtr(0), storage);
 }
 
 TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {

@@ -101,7 +101,8 @@ void ExpectSameBits(const std::vector<double>& want,
 }
 
 /// Runs the same seeded hyper search without a pool, with pools of 1..4
-/// workers and under the scalar kernels, and requires identical bits.
+/// workers, and under the scalar kernels without a pool and on a pool of
+/// three (one pool task per candidate), and requires identical bits.
 void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
                          GpHyperParams params, size_t budget,
                          const Matrix& probes) {
@@ -119,12 +120,15 @@ void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
     ExpectSameBits(want, Fingerprint(search(Pool(workers)), probes),
                    "pooled search");
   }
-  GaussianProcess scalar;
-  {
-    ScalarKernels guard;
-    scalar = search(nullptr);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), Pool(3)}) {
+    GaussianProcess scalar;
+    {
+      ScalarKernels guard;
+      scalar = search(pool);
+    }
+    ExpectSameBits(want, Fingerprint(scalar, probes),
+                   pool == nullptr ? "scalar search" : "pooled scalar search");
   }
-  ExpectSameBits(want, Fingerprint(scalar, probes), "scalar search");
 }
 
 TEST(GpPool, HyperSearchIsBitIdenticalAcrossSlicesAndKernels) {
@@ -265,28 +269,6 @@ TEST(GpPool, FitThatNeverFactorsLeavesTheModelUnfitted) {
     EXPECT_EQ(fit.code(), StatusCode::kInternal);
     EXPECT_FALSE(gp.fitted());
     EXPECT_EQ(gp.Predict({0.5}).variance, 0.0);
-  }
-}
-
-TEST(GpPool, SparseProbesAgreeWithAndWithoutPool) {
-  // Past max_exact_points every probe fits the DTC approximation through
-  // its own GaussianProcess, one pool task per candidate.
-  mt19937_64 gen(33);
-  std::vector<Vec> xs = RandomPoints(60, 3, &gen);
-  Vec ys = RandomTargets(60, &gen);
-  Matrix probes = RandomCandidates(4, 3, &gen);
-  GpHyperParams params{KernelType::kMatern52, {}, 1.0, 1e-4};
-  params.max_exact_points = 25;
-  auto search = [&](ThreadPool* pool) {
-    GaussianProcess gp(params);
-    Rng rng(4);
-    EXPECT_TRUE(gp.FitWithHyperSearch(xs, ys, 6, &rng, pool).ok());
-    EXPECT_TRUE(gp.sparse());
-    return Fingerprint(gp, probes);
-  };
-  const std::vector<double> want = search(nullptr);
-  for (size_t workers : {1, 3}) {
-    ExpectSameBits(want, search(Pool(workers)), "pooled sparse search");
   }
 }
 

@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "tests/math/matrix_of.h"
 
 namespace atune {
 namespace {
 
 TEST(NnlsTest, RecoversNonNegativeSolution) {
   // b = A x with x = (2, 0.5) >= 0: NNLS should recover it exactly.
-  Matrix a({{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}});
+  Matrix a = MatrixOf({{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {2.0, 1.0}});
   Vec x_true = {2.0, 0.5};
   Vec b = a.MultiplyVec(x_true);
   auto x = SolveNnls(a, b);
@@ -21,7 +22,7 @@ TEST(NnlsTest, RecoversNonNegativeSolution) {
 TEST(NnlsTest, ClampsNegativeComponents) {
   // Unconstrained least squares would want a negative coefficient; NNLS
   // must return 0 for it.
-  Matrix a({{1.0, 1.0}, {1.0, 2.0}, {1.0, 3.0}});
+  Matrix a = MatrixOf({{1.0, 1.0}, {1.0, 2.0}, {1.0, 3.0}});
   Vec b = {3.0, 2.0, 1.0};  // decreasing in the 2nd feature
   auto x = SolveNnls(a, b);
   ASSERT_TRUE(x.ok());

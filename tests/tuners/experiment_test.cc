@@ -87,8 +87,11 @@ TEST(SardTest, RanksEffectsCorrectly) {
   EXPECT_EQ(tuner.ranking()[0], "dominant");
   EXPECT_EQ(tuner.ranking()[1], "weak");
   // Effects have the right sign: raising "dominant" lowers runtime.
-  auto idx = system.space().IndexOf("dominant");
-  EXPECT_LT(tuner.effects()[*idx], 0.0);
+  const ParameterSpace& space = system.space();
+  size_t idx = 0;
+  while (idx < space.dims() && space.param(idx).name() != "dominant") ++idx;
+  ASSERT_LT(idx, space.dims());
+  EXPECT_LT(tuner.effects()[idx], 0.0);
 }
 
 TEST(SardTest, RefinementImprovesOnScreening) {

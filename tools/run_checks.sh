@@ -46,13 +46,11 @@
 #                                   # grid, knowledge-repo ingest under a 15%
 #                                   # I/O fault schedule plus an 8-thread
 #                                   # writer storm with zero corrupt or torn
-#                                   # shards, warmed kill -> resume checksum +
-#                                   # journal-byte identity, and sparse-GP
-#                                   # predictions within tolerance of exact
-#                                   # (bit-identical when disabled). Then
+#                                   # shards, and warmed kill -> resume
+#                                   # checksum + journal-byte identity. Then
 #                                   # rebuilds the asan-ubsan preset and
-#                                   # reruns the knowledge-repo and sparse-GP
-#                                   # suites under sanitizers.
+#                                   # reruns the knowledge-repo suite under
+#                                   # sanitizers.
 #   tools/run_checks.sh --service   # Release build + bench_service at full
 #                                   # scale, gated on the pass flags in
 #                                   # BENCH_service.json: zero session fatals
@@ -100,6 +98,17 @@
 #                                   # seed-1 goldens, and every resumed twin
 #                                   # equal to its reference), so a broken
 #                                   # checksum shows before a timed run
+#   tools/run_checks.sh --deadcode  # builds the tree and perfbench at -O0
+#                                   # -fno-inline with one section per
+#                                   # function and links with --gc-sections
+#                                   # (build-deadcode/), then sorts every
+#                                   # out-of-line atune:: library function by
+#                                   # the first binary group that keeps it:
+#                                   # atune/atuned, perfbench, benches and
+#                                   # examples, tests. Prints the counts and
+#                                   # fails on any function that only tests
+#                                   # keep, or that nothing keeps, unless the
+#                                   # allowlist in this stage names it
 #   tools/run_checks.sh --native    # release-native preset (-O3
 #                                   # -march=native, build-native/) + full
 #                                   # ctest: the bit-identity suites on the
@@ -153,15 +162,14 @@ if [ "${1:-}" = "--smoke" ]; then
   # for them directly instead of waiting for a full ctest pass.
   ./build/tests/atune_obs_tests --gtest_brief=1
   echo "atune_obs_tests: ok"
-  echo "=== [smoke] knowledge-repo / sparse-GP / warm-start suites ==="
+  echo "=== [smoke] knowledge-repo / warm-start suites ==="
   # The warm-start transfer path gates bit-identity (fingerprints, k-NN
   # mapping, seeded resume) the same way the obs layer gates traces, so the
   # smoke run pays for these suites directly too. Filtered: the rest of each
   # binary runs under full ctest.
   ./build/tests/atune_core_tests --gtest_brief=1 --gtest_filter='KnowledgeRepo*'
-  ./build/tests/atune_ml_tests --gtest_brief=1 --gtest_filter='SparseGp*'
   ./build/tests/atune_tuners_tests --gtest_brief=1 --gtest_filter='WarmStart*'
-  echo "knowledge-repo + sparse-GP + warm-start suites: ok"
+  echo "knowledge-repo + warm-start suites: ok"
   echo "=== [smoke] CLI --trace round trip ==="
   # End-to-end: a tiny tuning session must leave a loadable Chrome trace
   # behind. grep-level validation only; the byte-exact goldens live in
@@ -352,31 +360,25 @@ if [ "${1:-}" = "--warmstart" ]; then
   # ingest under a 15% short-write/EINTR/EIO fault schedule plus an 8-thread
   # concurrent writer storm (gate: every shard present, zero corrupt), a
   # warmed journaled session killed at {1, n/2, n-1} records and resumed
-  # (gate: checksum + final journal bytes identical), and sparse-GP
-  # predictions vs exact (gate: within tolerance; disabled path bitwise
-  # identical to exact).
+  # (gate: checksum + final journal bytes identical).
   ./build/bench/bench_warmstart
-  if ! grep -q '"pass": {"warm": true, "ingest": true, "resume": true, "sparse": true}' \
+  if ! grep -q '"pass": {"warm": true, "ingest": true, "resume": true}' \
       BENCH_warmstart.json; then
     echo "warmstart gate FAILED:" >&2
     grep '"pass"' BENCH_warmstart.json >&2 || true
     exit 1
   fi
-  echo "=== [warmstart] asan-ubsan preset, repo + sparse-GP suites ==="
-  # Rerun the suites that exercise the new decode/fault/crash paths under
-  # Address+UBSanitizer: shard decode of corrupted bytes, the forked
-  # crash-at-every-io-op sweep, and the sparse-GP linear algebra are exactly
-  # the code that should meet asan/ubsan.
+  echo "=== [warmstart] asan-ubsan preset, knowledge-repo suite ==="
+  # Rerun the suite that exercises the decode/fault/crash paths under
+  # Address+UBSanitizer: shard decode of corrupted bytes and the forked
+  # crash-at-every-io-op sweep are exactly the code that should meet
+  # asan/ubsan.
   cmake --preset asan-ubsan
-  cmake --build --preset asan-ubsan -j "$jobs" \
-      --target atune_core_tests atune_ml_tests
+  cmake --build --preset asan-ubsan -j "$jobs" --target atune_core_tests
   ./build-asan/tests/atune_core_tests --gtest_brief=1 \
       --gtest_filter='KnowledgeRepo*'
-  ./build-asan/tests/atune_ml_tests --gtest_brief=1 \
-      --gtest_filter='SparseGp*'
   echo "warmstart checks passed: warm median beats cold, zero corrupt shards"
-  echo "under faults and concurrent writers, warmed resume bit-identical,"
-  echo "sparse GP within tolerance and bit-identical when disabled"
+  echo "under faults and concurrent writers, warmed resume bit-identical"
   exit 0
 fi
 
@@ -491,6 +493,106 @@ if [ "${1:-}" = "--perfbench" ]; then
   done
   echo "perfbench checks passed: goldens and resumed twins match on both"
   echo "workloads"
+  exit 0
+fi
+
+if [ "${1:-}" = "--deadcode" ]; then
+  jobs="$(nproc 2>/dev/null || echo 2)"
+  out=build-deadcode
+  sym="$out/symbols"
+  # -O0 -fno-inline keeps every function out of line, and one section per
+  # function lets --gc-sections drop each one a binary never reaches.
+  gc_flags=(-DCMAKE_BUILD_TYPE=None
+            "-DCMAKE_CXX_FLAGS=-O0 -fno-inline -ffunction-sections -fdata-sections"
+            -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+  echo "=== [deadcode] build the tree and perfbench with linker GC ==="
+  cmake -B "$out" -S . "${gc_flags[@]}" > /dev/null
+  cmake --build "$out" -j "$jobs" > /dev/null
+  cmake -B "$out/perfbench" -S perfbench "${gc_flags[@]}" > /dev/null
+  cmake --build "$out/perfbench" -j "$jobs" > /dev/null
+  echo "=== [deadcode] classify library functions by the binaries that keep them ==="
+  mkdir -p "$sym"
+  # The library set: strong text symbols the atune_* archives define whose
+  # demangled name starts with atune::, lambdas left out and ABI tags
+  # dropped from the names.
+  nm --defined-only "$out"/src/*/libatune_*.a |
+      awk '$2 == "T" || $2 == "t" { print $3 }' | sort -u > "$sym/lib.mangled"
+  c++filt < "$sym/lib.mangled" | paste "$sym/lib.mangled" - |
+      awk -F'\t' -v OFS='\t' '$2 ~ /^atune::/ && $2 !~ /\{lambda\(/ {
+        gsub(/\[abi:[a-z0-9]+\]/, "", $2); print }' > "$sym/lib"
+  # A binary keeps a function when its symbol survives the link.
+  kept() { nm --defined-only "$@" | awk 'NF == 3 { print $3 }' | sort -u; }
+  executables() { find "$@" -maxdepth 1 -type f -perm -u+x | sort; }
+  kept "$out/tools/atune" "$out/tools/atuned" > "$sym/1-atune"
+  kept "$out/perfbench/perfbench" > "$sym/2-perfbench"
+  # shellcheck disable=SC2046  # one argument per binary
+  kept $(executables "$out/bench" "$out/examples") > "$sym/3-benches"
+  kept "$out"/tests/atune_*_tests > "$sym/4-tests"
+  # Functions that only tests reach but stay, each with its reason. An entry
+  # covers every demangled name it is a prefix of; an entry that covers no
+  # such function is stale and fails the stage too.
+  allow=(
+    # Test hooks.
+    'atune::SetSse2KernelsForTesting('  # runs the SSE2 bodies on AVX hosts
+    'atune::Tracer::Tracer(std::function'  # injected clock for byte-exact trace goldens
+    'atune::NetFaultSchedule::Single('  # one targeted transport fault per test
+    'atune::NetFaultKindToString('  # names the injected fault in test output
+    'atune::FaultInjectingTransport::injected_total('  # proves the faults fired
+    'atune::GetLogLevel('  # tests restore the global log level they change
+    # atuned API that the ROADMAP's atuned item gives production callers.
+    'atune::MetricsSnapshot::ToJson('  # the planned stats wire payload
+    'atune::MetricsRegistry::PublishJson('  # publishes that payload
+    'atune::TuningClient::Cancel('  # the planned atune --cancel=ID
+    'atune::EncodeCancelRequest('  # its request frame
+    'atune::ParseCancelResponse('  # its response frame
+  )
+  printf '%s\n' "${allow[@]}" > "$sym/allow"
+  # Each function goes to the first category whose binaries keep it; the
+  # C1/C2 copies of a constructor count once, in their best category.
+  awk -F'\t' -v sym="$sym" '
+    FILENAME == sym "/allow" { allow[++na] = $1; next }
+    FILENAME == sym "/1-atune" { k1[$1] = 1; next }
+    FILENAME == sym "/2-perfbench" { k2[$1] = 1; next }
+    FILENAME == sym "/3-benches" { k3[$1] = 1; next }
+    FILENAME == sym "/4-tests" { k4[$1] = 1; next }
+    {
+      rank = ($1 in k1) ? 1 : ($1 in k2) ? 2 : ($1 in k3) ? 3 : ($1 in k4) ? 4 : 5
+      if (!($2 in best) || rank < best[$2]) best[$2] = rank
+    }
+    END {
+      split("atune/atuned,perfbench,benches/examples,tests only,nothing", label, ",")
+      for (f in best) {
+        count[best[f]]++
+        if (best[f] < 4) continue
+        hit = 0
+        for (a = 1; a <= na; ++a) {
+          if (index(f, allow[a]) == 1) { hit = 1; used[a] = 1 }
+        }
+        if (hit) { allowed++; continue }
+        printf "  %-9s %s\n", (best[f] == 4 ? "tests" : "nothing"), f | "sort >&2"
+        bad++
+      }
+      for (a = 1; a <= na; ++a) {
+        if (!(a in used)) {
+          printf "  %-9s %s\n", "stale", allow[a] | "sort >&2"
+          bad++
+        }
+      }
+      close("sort >&2")
+      total = 0
+      for (r = 1; r <= 5; ++r) total += count[r]
+      printf "%d library functions; kept by:\n", total
+      for (r = 1; r <= 5; ++r) printf "  %-18s %4d\n", label[r], count[r]
+      printf "  (%d of them allowlisted)\n", allowed
+      exit (bad > 0)
+    }' "$sym/allow" "$sym/1-atune" "$sym/2-perfbench" "$sym/3-benches" \
+      "$sym/4-tests" "$sym/lib" || {
+    echo "deadcode gate FAILED: delete the functions above with the tests" >&2
+    echo "that only exercise them, or allowlist them in this script" >&2
+    exit 1
+  }
+  echo "deadcode checks passed: every library function outside the allowlist"
+  echo "is reached by atune, atuned, perfbench, a bench or an example"
   exit 0
 fi
 
