@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -77,17 +78,13 @@ double Percentile(std::vector<double> values, double p) {
   return values[idx];
 }
 
-/// Removes a session's durable triple; RemoveStateDir then rmdirs the dir.
-void RemoveSessionFiles(const std::string& dir, const std::string& id) {
-  std::remove((dir + "/" + id + ".meta").c_str());
-  std::remove((dir + "/" + id + ".wal").c_str());
-  std::remove((dir + "/" + id + ".result").c_str());
-}
-
-void RemoveStateDir(const std::string& dir,
-                    const std::vector<std::string>& ids) {
-  for (const std::string& id : ids) RemoveSessionFiles(dir, id);
-  ::rmdir(dir.c_str());
+/// Removes one of the bench's daemon state dirs and everything in it: the
+/// sessions' .meta/.wal/.result and the knowledge/*.krs shards the daemon
+/// ingests as sessions complete. Each gate clears its dir before it starts
+/// as well as after, so no run starts on an earlier run's shards.
+void RemoveStateDir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 /// An in-process daemon on its own serve thread (fault + saturation gates).
@@ -144,6 +141,7 @@ FaultGate RunFaultGate() {
   opts.journal_dir = "bench_service_faults.state";
   opts.workers = 4;
   opts.max_queue = 64;
+  RemoveStateDir(opts.journal_dir);
   LocalDaemon daemon(opts);
   if (!daemon.Start()) return gate;
 
@@ -191,11 +189,7 @@ FaultGate RunFaultGate() {
   }
   gate.pass = gate.fatals == 0 && gate.wrong_trials == 0;
 
-  std::vector<std::string> ids;
-  for (size_t i = 0; i < gate.tenants; ++i) {
-    ids.push_back(StrFormat("fault-%zu", i));
-  }
-  RemoveStateDir(opts.journal_dir, ids);
+  RemoveStateDir(opts.journal_dir);
   return gate;
 }
 
@@ -268,6 +262,7 @@ std::vector<SessionRef> RunResumeReference(
   std::vector<SessionRef> refs;
   const std::string state = "bench_service_ref.state";
   DaemonOptions opts = ResumeDaemonOptions("bench_service_ref.sock", state);
+  RemoveStateDir(state);
   LocalDaemon daemon(opts);
   if (!daemon.Start()) return refs;
   TuningClient::Options copts;
@@ -287,9 +282,7 @@ std::vector<SessionRef> RunResumeReference(
     refs.push_back(ref);
   }
   daemon.Stop();
-  std::vector<std::string> ids;
-  for (const auto& ref : refs) ids.push_back(ref.spec.session_id);
-  RemoveStateDir(state, ids);
+  RemoveStateDir(state);
   return refs;
 }
 
@@ -300,6 +293,7 @@ KillPoint RunKillPoint(uint64_t kill_after_ms,
   const std::string sock = "bench_service_kill.sock";
   const std::string state = "bench_service_kill.state";
   DaemonOptions opts = ResumeDaemonOptions(sock, state);
+  RemoveStateDir(state);
 
   // Phase 1: submit the fleet, then SIGKILL the daemon mid-run.
   pid_t pid = ForkDaemon(opts);
@@ -364,9 +358,7 @@ KillPoint RunKillPoint(uint64_t kill_after_ms,
   }
   kp.pass = kp.recovered && kp.checksum_match && kp.journal_identical;
 
-  std::vector<std::string> ids;
-  for (const auto& ref : refs) ids.push_back(ref.spec.session_id);
-  RemoveStateDir(state, ids);
+  RemoveStateDir(state);
   std::remove(sock.c_str());
   return kp;
 }
@@ -395,6 +387,7 @@ AdmissionGate RunAdmissionGate() {
   opts.workers = 2;  // deliberately scarce: shedding is the point
   opts.max_queue = 8;
   opts.retry_after_ms = 25;
+  RemoveStateDir(opts.journal_dir);
   LocalDaemon daemon(opts);
   if (!daemon.Start()) return gate;
 
@@ -465,11 +458,7 @@ AdmissionGate RunAdmissionGate() {
   gate.max_ms = all.empty() ? 0.0 : *std::max_element(all.begin(), all.end());
   gate.pass = gate.lost == 0 && gate.p99_ms <= kP99BoundMs && gate.sheds > 0;
 
-  std::vector<std::string> ids;
-  for (size_t i = 0; i < gate.tenants; ++i) {
-    ids.push_back(StrFormat("sat-%zu", i));
-  }
-  RemoveStateDir(opts.journal_dir, ids);
+  RemoveStateDir(opts.journal_dir);
   return gate;
 }
 

@@ -1,21 +1,17 @@
 #include "math/matrix.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
-#if defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
-#define ATUNE_HAVE_SSE2 1
-#if defined(__GNUC__) && defined(__x86_64__)
-// AVX bodies are compiled per-function via target attributes and picked at
-// runtime with __builtin_cpu_supports, so the default build needs no extra
-// flags and still runs on plain SSE2 machines.
-#include <immintrin.h>
+#if defined(__x86_64__)
+// The AVX instances compile per function through target attributes and are
+// picked at runtime with __builtin_cpu_supports, so the default build needs
+// no extra flags and still runs on plain SSE2 machines.
 #define ATUNE_HAVE_AVX_DISPATCH 1
-#endif
 #endif
 
 #include "math/reference_kernels.h"
@@ -24,12 +20,23 @@ namespace atune {
 
 namespace {
 
+using internal::Load;
+using internal::Store;
+using internal::V2;
+
+/// Four lanes, the AVX instance. GCC passes a 32-byte vector in a register
+/// only where AVX is enabled, so V4 appears only inside the always-inline
+/// bodies that a target("avx") entry reaches.
+typedef double V4 __attribute__((vector_size(32)));
+
+template <typename V>
+constexpr size_t kWidth = sizeof(V) / sizeof(double);
+
+/// Columns per PanelCholesky8 panel.
+constexpr size_t kPanel = 8;
+
 std::atomic<bool> g_scalar_kernels{false};
 std::atomic<bool> g_sse2_kernels{false};
-
-/// Factors from this size on go through PanelCholesky8; below it the
-/// panel's transpose-buffer setup costs more than its lanes save.
-constexpr size_t kPanelCholeskyFrom = 16;
 
 /// Blocked forward substitution y = L⁻¹ b over contiguous spans: rows are
 /// processed in blocks of four so their independent subtraction chains
@@ -80,429 +87,211 @@ void BlockedForwardSubstitute(const double* ld, size_t n, Rows rows,
   }
 }
 
-/// Portable in-place panel forward solve L Y = Y for builds without SSE2,
-/// with a compile-time lane count so the accumulators live in registers.
-/// Lane c performs exactly ForwardSolve's operations on column c.
-template <size_t kLanes>
-void SolvePanelFixed(const double* ld, size_t n, size_t stride, double* panel,
-                     size_t pstride) {
-  for (size_t i = 0; i < n; ++i) {
-    const double* li = ld + i * stride;
-    double* pi = panel + i * pstride;
-    double acc[kLanes];
-    for (size_t c = 0; c < kLanes; ++c) acc[c] = pi[c];
-    for (size_t k = 0; k < i; ++k) {
-      double lik = li[k];
-      const double* pk = panel + k * pstride;
-      for (size_t c = 0; c < kLanes; ++c) acc[c] -= lik * pk[c];
-    }
-    double lii = li[i];
-    for (size_t c = 0; c < kLanes; ++c) pi[c] = acc[c] / lii;
+/// Backward substitution x = L⁻ᵀ y, L's rows addressed by `rows`; x == y is
+/// allowed. Stays naive by design: the k-th subtraction of element ii reads
+/// x[k] for k > ii, i.e. in-block elements that a descending block would
+/// finalize *after* the bulk phase, so no blocking preserves each element's
+/// subtraction order. It runs once per GP refit or probe, not per
+/// candidate.
+template <typename Rows>
+void BackwardSubstituteTranspose(const double* ld, size_t n, Rows rows,
+                                 const double* y, double* x) {
+  for (size_t ii = n; ii-- > 0;) {
+    double sum = y[ii];
+    for (size_t k = ii + 1; k < n; ++k) sum -= ld[rows(k) + ii] * x[k];
+    x[ii] = sum / ld[rows(ii) + ii];
   }
 }
-
-#if defined(ATUNE_HAVE_SSE2)
-/// Sixteen-lane in-place panel forward solve with explicit SSE2 two-lane
-/// ops. Its eight accumulators leave no registers for a second row, so rows
-/// go one at a time, each streamed factor row li[] serving all sixteen
-/// lanes. Lane c performs exactly ForwardSolve's operations on column c in
-/// the same ascending-k order, so results are bit-identical. Hand-written
-/// because GCC's auto-vectorizer turns the array-accumulator form into
-/// shuffle-heavy code slower than scalar.
-void SolvePanel16Sse2(const double* ld, size_t n, size_t stride,
-                      double* panel, size_t pstride) {
-  for (size_t i = 0; i < n; ++i) {
-    const double* li = ld + i * stride;
-    double* pi = panel + i * pstride;
-    __m128d a0 = _mm_loadu_pd(pi + 0), a1 = _mm_loadu_pd(pi + 2);
-    __m128d a2 = _mm_loadu_pd(pi + 4), a3 = _mm_loadu_pd(pi + 6);
-    __m128d a4 = _mm_loadu_pd(pi + 8), a5 = _mm_loadu_pd(pi + 10);
-    __m128d a6 = _mm_loadu_pd(pi + 12), a7 = _mm_loadu_pd(pi + 14);
-    for (size_t k = 0; k < i; ++k) {
-      const __m128d lik = _mm_set1_pd(li[k]);
-      const double* pk = panel + k * pstride;
-      a0 = _mm_sub_pd(a0, _mm_mul_pd(lik, _mm_loadu_pd(pk + 0)));
-      a1 = _mm_sub_pd(a1, _mm_mul_pd(lik, _mm_loadu_pd(pk + 2)));
-      a2 = _mm_sub_pd(a2, _mm_mul_pd(lik, _mm_loadu_pd(pk + 4)));
-      a3 = _mm_sub_pd(a3, _mm_mul_pd(lik, _mm_loadu_pd(pk + 6)));
-      a4 = _mm_sub_pd(a4, _mm_mul_pd(lik, _mm_loadu_pd(pk + 8)));
-      a5 = _mm_sub_pd(a5, _mm_mul_pd(lik, _mm_loadu_pd(pk + 10)));
-      a6 = _mm_sub_pd(a6, _mm_mul_pd(lik, _mm_loadu_pd(pk + 12)));
-      a7 = _mm_sub_pd(a7, _mm_mul_pd(lik, _mm_loadu_pd(pk + 14)));
-    }
-    const __m128d lii = _mm_set1_pd(li[i]);
-    _mm_storeu_pd(pi + 0, _mm_div_pd(a0, lii));
-    _mm_storeu_pd(pi + 2, _mm_div_pd(a1, lii));
-    _mm_storeu_pd(pi + 4, _mm_div_pd(a2, lii));
-    _mm_storeu_pd(pi + 6, _mm_div_pd(a3, lii));
-    _mm_storeu_pd(pi + 8, _mm_div_pd(a4, lii));
-    _mm_storeu_pd(pi + 10, _mm_div_pd(a5, lii));
-    _mm_storeu_pd(pi + 12, _mm_div_pd(a6, lii));
-    _mm_storeu_pd(pi + 14, _mm_div_pd(a7, lii));
-  }
-}
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-/// AVX build of the sixteen-lane solve: four 4-wide accumulators per row
-/// leave room for two-row tiling, so each factor row and each panel row is
-/// loaded once per pair. vmulpd/vsubpd/vdivpd are per-lane IEEE doubles
-/// (no FMA — fusing would drop the intermediate rounding and change bits),
-/// so lane c still reproduces ForwardSolve's exact operation order.
-__attribute__((target("avx"))) void SolvePanel16Avx(const double* ld,
-                                                    size_t n, size_t stride,
-                                                    double* panel,
-                                                    size_t pstride) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const double* li = ld + i * stride;
-    const double* mi = ld + (i + 1) * stride;
-    double* pi = panel + i * pstride;
-    double* qi = panel + (i + 1) * pstride;
-    __m256d p0 = _mm256_loadu_pd(pi + 0), p1 = _mm256_loadu_pd(pi + 4);
-    __m256d p2 = _mm256_loadu_pd(pi + 8), p3 = _mm256_loadu_pd(pi + 12);
-    __m256d q0 = _mm256_loadu_pd(qi + 0), q1 = _mm256_loadu_pd(qi + 4);
-    __m256d q2 = _mm256_loadu_pd(qi + 8), q3 = _mm256_loadu_pd(qi + 12);
-    for (size_t k = 0; k < i; ++k) {
-      const __m256d lik = _mm256_broadcast_sd(li + k);
-      const __m256d mik = _mm256_broadcast_sd(mi + k);
-      const double* pk = panel + k * pstride;
-      const __m256d c0 = _mm256_loadu_pd(pk + 0);
-      const __m256d c1 = _mm256_loadu_pd(pk + 4);
-      const __m256d c2 = _mm256_loadu_pd(pk + 8);
-      const __m256d c3 = _mm256_loadu_pd(pk + 12);
-      p0 = _mm256_sub_pd(p0, _mm256_mul_pd(lik, c0));
-      p1 = _mm256_sub_pd(p1, _mm256_mul_pd(lik, c1));
-      p2 = _mm256_sub_pd(p2, _mm256_mul_pd(lik, c2));
-      p3 = _mm256_sub_pd(p3, _mm256_mul_pd(lik, c3));
-      q0 = _mm256_sub_pd(q0, _mm256_mul_pd(mik, c0));
-      q1 = _mm256_sub_pd(q1, _mm256_mul_pd(mik, c1));
-      q2 = _mm256_sub_pd(q2, _mm256_mul_pd(mik, c2));
-      q3 = _mm256_sub_pd(q3, _mm256_mul_pd(mik, c3));
-    }
-    const __m256d lii = _mm256_broadcast_sd(li + i);
-    p0 = _mm256_div_pd(p0, lii);
-    p1 = _mm256_div_pd(p1, lii);
-    p2 = _mm256_div_pd(p2, lii);
-    p3 = _mm256_div_pd(p3, lii);
-    _mm256_storeu_pd(pi + 0, p0);
-    _mm256_storeu_pd(pi + 4, p1);
-    _mm256_storeu_pd(pi + 8, p2);
-    _mm256_storeu_pd(pi + 12, p3);
-    const __m256d mii = _mm256_broadcast_sd(mi + i);
-    q0 = _mm256_sub_pd(q0, _mm256_mul_pd(mii, p0));
-    q1 = _mm256_sub_pd(q1, _mm256_mul_pd(mii, p1));
-    q2 = _mm256_sub_pd(q2, _mm256_mul_pd(mii, p2));
-    q3 = _mm256_sub_pd(q3, _mm256_mul_pd(mii, p3));
-    const __m256d mjj = _mm256_broadcast_sd(mi + i + 1);
-    q0 = _mm256_div_pd(q0, mjj);
-    q1 = _mm256_div_pd(q1, mjj);
-    q2 = _mm256_div_pd(q2, mjj);
-    q3 = _mm256_div_pd(q3, mjj);
-    _mm256_storeu_pd(qi + 0, q0);
-    _mm256_storeu_pd(qi + 4, q1);
-    _mm256_storeu_pd(qi + 8, q2);
-    _mm256_storeu_pd(qi + 12, q3);
-  }
-  for (; i < n; ++i) {
-    const double* li = ld + i * stride;
-    double* pi = panel + i * pstride;
-    __m256d p0 = _mm256_loadu_pd(pi + 0), p1 = _mm256_loadu_pd(pi + 4);
-    __m256d p2 = _mm256_loadu_pd(pi + 8), p3 = _mm256_loadu_pd(pi + 12);
-    for (size_t k = 0; k < i; ++k) {
-      const __m256d lik = _mm256_broadcast_sd(li + k);
-      const double* pk = panel + k * pstride;
-      p0 = _mm256_sub_pd(p0, _mm256_mul_pd(lik, _mm256_loadu_pd(pk + 0)));
-      p1 = _mm256_sub_pd(p1, _mm256_mul_pd(lik, _mm256_loadu_pd(pk + 4)));
-      p2 = _mm256_sub_pd(p2, _mm256_mul_pd(lik, _mm256_loadu_pd(pk + 8)));
-      p3 = _mm256_sub_pd(p3, _mm256_mul_pd(lik, _mm256_loadu_pd(pk + 12)));
-    }
-    const __m256d lii = _mm256_broadcast_sd(li + i);
-    _mm256_storeu_pd(pi + 0, _mm256_div_pd(p0, lii));
-    _mm256_storeu_pd(pi + 4, _mm256_div_pd(p1, lii));
-    _mm256_storeu_pd(pi + 8, _mm256_div_pd(p2, lii));
-    _mm256_storeu_pd(pi + 12, _mm256_div_pd(p3, lii));
-  }
-}
-
-bool AvxAvailable() {
-  static const bool ok = __builtin_cpu_supports("avx");
-  return ok && !g_sse2_kernels.load(std::memory_order_relaxed);
-}
-#endif  // ATUNE_HAVE_AVX_DISPATCH
-#endif  // ATUNE_HAVE_SSE2
 
 template <typename Rows>
-bool BlockedCholesky4(const double* a, double* ld, size_t n, Rows rows) {
-  // Row i, columns blocked by four: four independent subtraction chains
-  // over the shared prefix k < j, then a sequential in-block tail. Same
-  // ascending-k order per element as reference::Cholesky — bit-identical;
-  // the blocking only buys instruction-level parallelism. Reads only A's
-  // lower triangle, each entry before the factor entry at the same
-  // position is written, so a == ld factors in place. `rows` addresses
-  // both A and L.
-  for (size_t i = 0; i < n; ++i) {
-    const double* ai = a + rows(i);
-    double* li = ld + rows(i);
-    size_t j = 0;
-    for (; j + 4 <= i; j += 4) {
-      const double* r0 = ld + rows(j + 0);
-      const double* r1 = ld + rows(j + 1);
-      const double* r2 = ld + rows(j + 2);
-      const double* r3 = ld + rows(j + 3);
-      double acc0 = ai[j + 0];
-      double acc1 = ai[j + 1];
-      double acc2 = ai[j + 2];
-      double acc3 = ai[j + 3];
-      for (size_t k = 0; k < j; ++k) {
-        double lik = li[k];
-        acc0 -= lik * r0[k];
-        acc1 -= lik * r1[k];
-        acc2 -= lik * r2[k];
-        acc3 -= lik * r3[k];
-      }
-      double l0 = acc0 / r0[j + 0];
-      li[j + 0] = l0;
-      acc1 -= l0 * r1[j + 0];
-      double l1 = acc1 / r1[j + 1];
-      li[j + 1] = l1;
-      acc2 -= l0 * r2[j + 0];
-      acc2 -= l1 * r2[j + 1];
-      double l2 = acc2 / r2[j + 2];
-      li[j + 2] = l2;
-      acc3 -= l0 * r3[j + 0];
-      acc3 -= l1 * r3[j + 1];
-      acc3 -= l2 * r3[j + 2];
-      li[j + 3] = acc3 / r3[j + 3];
-    }
-    for (; j < i; ++j) {
-      const double* rj = ld + rows(j);
-      double sum = ai[j];
-      for (size_t k = 0; k < j; ++k) sum -= li[k] * rj[k];
-      li[j] = sum / rj[j];
-    }
-    double sum = ai[i];
-    for (size_t k = 0; k < i; ++k) sum -= li[k] * li[k];
-    if (sum <= 0.0) return false;
-    li[i] = std::sqrt(sum);
-  }
-  return true;
+double LogDetOfFactor(const double* ld, size_t n, Rows rows) {
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) acc += std::log(ld[rows(i) + i]);
+  return 2.0 * acc;
 }
 
-#if defined(ATUNE_HAVE_SSE2)
-/// Shared-prefix bulk for one panel row: acc[c] -= sum_{k<j0} li[k]*pt[k*8+c]
-/// with each lane an independent ascending-k chain (bit-identical to the
-/// scalar loop). `pt` is the panel's transposed prefix buffer.
-void PanelBulkRowSse2(const double* pt, size_t j0, const double* li,
-                      double* acc) {
-  __m128d p0 = _mm_loadu_pd(acc + 0), p1 = _mm_loadu_pd(acc + 2);
-  __m128d p2 = _mm_loadu_pd(acc + 4), p3 = _mm_loadu_pd(acc + 6);
-  for (size_t k = 0; k < j0; ++k) {
-    const __m128d lik = _mm_set1_pd(li[k]);
-    const double* ptk = pt + k * 8;
-    p0 = _mm_sub_pd(p0, _mm_mul_pd(lik, _mm_loadu_pd(ptk + 0)));
-    p1 = _mm_sub_pd(p1, _mm_mul_pd(lik, _mm_loadu_pd(ptk + 2)));
-    p2 = _mm_sub_pd(p2, _mm_mul_pd(lik, _mm_loadu_pd(ptk + 4)));
-    p3 = _mm_sub_pd(p3, _mm_mul_pd(lik, _mm_loadu_pd(ptk + 6)));
+// The SIMD kernels. Each is one always-inline body over its lane vector V
+// (V2, or V4 inside a target("avx") entry): every lane is one output
+// element's own chain, and V's +, -, *, / are per-lane IEEE operations, so
+// each element takes the scalar loop's operations in the scalar loop's
+// order, with no reassociation and no reciprocal multiply.
+
+/// acc[r][·] -= l[r][k] * src[k * src_stride + ·] for k < count, ascending:
+/// kR rows of kA vectors each, the rows sharing each load of src's row k.
+template <typename V, size_t kR, size_t kA>
+__attribute__((always_inline)) inline void SubtractPrefix(
+    V (&acc)[kR][kA], const double* const* l, const double* src,
+    size_t src_stride, size_t count) {
+  for (size_t k = 0; k < count; ++k) {
+    const double* sk = src + k * src_stride;
+    V col[kA] = {};
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Load(&col[a], sk + a * kWidth<V>);
+    }
+    ATUNE_UNROLL for (size_t r = 0; r < kR; ++r) {
+      const double lrk = l[r][k];
+      ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) acc[r][a] -= lrk * col[a];
+    }
   }
-  _mm_storeu_pd(acc + 0, p0);
-  _mm_storeu_pd(acc + 2, p1);
-  _mm_storeu_pd(acc + 4, p2);
-  _mm_storeu_pd(acc + 6, p3);
 }
 
-/// Two-row variant sharing the pt column loads.
-void PanelBulkPairSse2(const double* pt, size_t j0, const double* li,
-                       const double* mi, double* accp, double* accq) {
-  __m128d p0 = _mm_loadu_pd(accp + 0), p1 = _mm_loadu_pd(accp + 2);
-  __m128d p2 = _mm_loadu_pd(accp + 4), p3 = _mm_loadu_pd(accp + 6);
-  __m128d q0 = _mm_loadu_pd(accq + 0), q1 = _mm_loadu_pd(accq + 2);
-  __m128d q2 = _mm_loadu_pd(accq + 4), q3 = _mm_loadu_pd(accq + 6);
-  for (size_t k = 0; k < j0; ++k) {
-    const __m128d lik = _mm_set1_pd(li[k]);
-    const __m128d mik = _mm_set1_pd(mi[k]);
-    const double* ptk = pt + k * 8;
-    const __m128d c0 = _mm_loadu_pd(ptk + 0);
-    const __m128d c1 = _mm_loadu_pd(ptk + 2);
-    const __m128d c2 = _mm_loadu_pd(ptk + 4);
-    const __m128d c3 = _mm_loadu_pd(ptk + 6);
-    p0 = _mm_sub_pd(p0, _mm_mul_pd(lik, c0));
-    p1 = _mm_sub_pd(p1, _mm_mul_pd(lik, c1));
-    p2 = _mm_sub_pd(p2, _mm_mul_pd(lik, c2));
-    p3 = _mm_sub_pd(p3, _mm_mul_pd(lik, c3));
-    q0 = _mm_sub_pd(q0, _mm_mul_pd(mik, c0));
-    q1 = _mm_sub_pd(q1, _mm_mul_pd(mik, c1));
-    q2 = _mm_sub_pd(q2, _mm_mul_pd(mik, c2));
-    q3 = _mm_sub_pd(q3, _mm_mul_pd(mik, c3));
+/// The in-block tail of a forward substitution over kB unknowns x[r], each
+/// kA vectors wide: x[r] -= d[r][q] * x[q] for q < r ascending, then
+/// x[r] /= d[r][r], row by row.
+template <typename V, size_t kB, size_t kA>
+__attribute__((always_inline)) inline void SolveInBlock(
+    V (&x)[kB][kA], const double* const* d) {
+  ATUNE_UNROLL for (size_t r = 0; r < kB; ++r) {
+    ATUNE_UNROLL for (size_t q = 0; q < r; ++q) {
+      ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) x[r][a] -= d[r][q] * x[q][a];
+    }
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) x[r][a] /= d[r][r];
   }
-  _mm_storeu_pd(accp + 0, p0);
-  _mm_storeu_pd(accp + 2, p1);
-  _mm_storeu_pd(accp + 4, p2);
-  _mm_storeu_pd(accp + 6, p3);
-  _mm_storeu_pd(accq + 0, q0);
-  _mm_storeu_pd(accq + 2, q1);
-  _mm_storeu_pd(accq + 4, q2);
-  _mm_storeu_pd(accq + 6, q3);
+}
+
+/// Rows i .. i + kR - 1 of the sixteen-lane in-place panel forward solve
+/// L Y = Y, abreast: each streamed panel row k < i serves all kR factor
+/// rows, then the in-block tail finishes them in order. Lane c performs
+/// exactly ForwardSolve's operations on column c.
+template <typename V, size_t kR>
+__attribute__((always_inline)) inline void SolvePanelRows(
+    const double* ld, size_t stride, double* panel, size_t pstride,
+    size_t i) {
+  constexpr size_t kA = internal::kPanelLanes / kWidth<V>;
+  const double* l[kR] = {};
+  const double* d[kR] = {};
+  V acc[kR][kA] = {};
+  ATUNE_UNROLL for (size_t r = 0; r < kR; ++r) {
+    l[r] = ld + (i + r) * stride;
+    d[r] = l[r] + i;
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Load(&acc[r][a], panel + (i + r) * pstride + a * kWidth<V>);
+    }
+  }
+  SubtractPrefix(acc, l, panel, pstride, i);
+  SolveInBlock(acc, d);
+  ATUNE_UNROLL for (size_t r = 0; r < kR; ++r) {
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Store(panel + (i + r) * pstride + a * kWidth<V>, acc[r][a]);
+    }
+  }
+}
+
+/// The whole panel solve, kR rows abreast and then one at a time. Eight
+/// two-lane accumulators per row leave no registers for a second row; with
+/// four lanes, two rows fit and share each panel row's loads.
+template <typename V, size_t kR>
+__attribute__((always_inline)) inline void SolvePanel(
+    const double* ld, size_t n, size_t stride, double* panel,
+    size_t pstride) {
+  size_t i = 0;
+  for (; i + kR <= n; i += kR) {
+    SolvePanelRows<V, kR>(ld, stride, panel, pstride, i);
+  }
+  for (; i < n; ++i) SolvePanelRows<V, 1>(ld, stride, panel, pstride, i);
+}
+
+/// Shared-prefix bulk for kR panel rows: acc[r * 8 + c] -= l[r][k] *
+/// pt[k * 8 + c] over k < j0, where `pt` is the panel's transposed prefix
+/// buffer.
+template <typename V, size_t kR>
+__attribute__((always_inline)) inline void PanelBulk(const double* pt,
+                                                     size_t j0,
+                                                     const double* const* l,
+                                                     double* acc) {
+  constexpr size_t kA = kPanel / kWidth<V>;
+  V p[kR][kA] = {};
+  ATUNE_UNROLL for (size_t r = 0; r < kR; ++r) {
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Load(&p[r][a], acc + r * kPanel + a * kWidth<V>);
+    }
+  }
+  SubtractPrefix(p, l, pt, kPanel, j0);
+  ATUNE_UNROLL for (size_t r = 0; r < kR; ++r) {
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Store(acc + r * kPanel + a * kWidth<V>, p[r][a]);
+    }
+  }
 }
 
 /// In-block tail of four rows below a full panel, lane r carrying row r:
 /// for c = 0..7, L(r, j0 + c) = (acc[r * 8 + c] - sum_{k<c} L(r, j0 + k) *
 /// blk[c * 8 + k]) / blk[c * 8 + c], subtractions in ascending k, exactly
 /// the scalar tail's chain per row. `blk` is the panel's diagonal block
-/// (row c, column k <= c) and l[r] is row r. Rows 0 and 1 share one
-/// register, rows 2 and 3 the other.
-void PanelTail4Sse2(const double* blk, const double* acc, double* const* l,
-                    size_t j0) {
-  __m128d p[8], q[8];
-  for (size_t c = 0; c < 8; c += 2) {
-    const __m128d a0 = _mm_loadu_pd(acc + 0 + c);
-    const __m128d a1 = _mm_loadu_pd(acc + 8 + c);
-    const __m128d a2 = _mm_loadu_pd(acc + 16 + c);
-    const __m128d a3 = _mm_loadu_pd(acc + 24 + c);
-    p[c] = _mm_unpacklo_pd(a0, a1);
-    p[c + 1] = _mm_unpackhi_pd(a0, a1);
-    q[c] = _mm_unpacklo_pd(a2, a3);
-    q[c + 1] = _mm_unpackhi_pd(a2, a3);
-  }
-#pragma GCC unroll 8
-  for (size_t c = 0; c < 8; ++c) {
-    const double* bc = blk + c * 8;
-#pragma GCC unroll 8
-    for (size_t k = 0; k < c; ++k) {
-      const __m128d b = _mm_set1_pd(bc[k]);
-      p[c] = _mm_sub_pd(p[c], _mm_mul_pd(p[k], b));
-      q[c] = _mm_sub_pd(q[c], _mm_mul_pd(q[k], b));
+/// (row c, column k <= c) and l[r] is row r.
+template <typename V>
+__attribute__((always_inline)) inline void PanelTail4(const double* blk,
+                                                      const double* acc,
+                                                      double* const* l,
+                                                      size_t j0) {
+  constexpr size_t kA = 4 / kWidth<V>;
+  V col[kPanel][kA] = {};
+  const double* d[kPanel] = {};
+  ATUNE_UNROLL for (size_t c = 0; c < kPanel; ++c) {
+    const double t[4] = {acc[c], acc[kPanel + c], acc[2 * kPanel + c],
+                         acc[3 * kPanel + c]};
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Load(&col[c][a], t + a * kWidth<V>);
     }
-    const __m128d d = _mm_set1_pd(bc[c]);
-    p[c] = _mm_div_pd(p[c], d);
-    q[c] = _mm_div_pd(q[c], d);
+    d[c] = blk + c * kPanel;
   }
-  for (size_t c = 0; c < 8; c += 2) {
-    _mm_storeu_pd(l[0] + j0 + c, _mm_unpacklo_pd(p[c], p[c + 1]));
-    _mm_storeu_pd(l[1] + j0 + c, _mm_unpackhi_pd(p[c], p[c + 1]));
-    _mm_storeu_pd(l[2] + j0 + c, _mm_unpacklo_pd(q[c], q[c + 1]));
-    _mm_storeu_pd(l[3] + j0 + c, _mm_unpackhi_pd(q[c], q[c + 1]));
-  }
-}
-
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-/// AVX builds of the two bulk helpers: same per-lane chains, half the
-/// instructions (no FMA — fusing would change bits). Picked at runtime.
-__attribute__((target("avx"))) void PanelBulkRowAvx(const double* pt,
-                                                    size_t j0,
-                                                    const double* li,
-                                                    double* acc) {
-  __m256d p0 = _mm256_loadu_pd(acc + 0), p1 = _mm256_loadu_pd(acc + 4);
-  for (size_t k = 0; k < j0; ++k) {
-    const __m256d lik = _mm256_broadcast_sd(li + k);
-    const double* ptk = pt + k * 8;
-    p0 = _mm256_sub_pd(p0, _mm256_mul_pd(lik, _mm256_loadu_pd(ptk + 0)));
-    p1 = _mm256_sub_pd(p1, _mm256_mul_pd(lik, _mm256_loadu_pd(ptk + 4)));
-  }
-  _mm256_storeu_pd(acc + 0, p0);
-  _mm256_storeu_pd(acc + 4, p1);
-}
-
-__attribute__((target("avx"))) void PanelBulkPairAvx(
-    const double* pt, size_t j0, const double* li, const double* mi,
-    double* accp, double* accq) {
-  __m256d p0 = _mm256_loadu_pd(accp + 0), p1 = _mm256_loadu_pd(accp + 4);
-  __m256d q0 = _mm256_loadu_pd(accq + 0), q1 = _mm256_loadu_pd(accq + 4);
-  for (size_t k = 0; k < j0; ++k) {
-    const __m256d lik = _mm256_broadcast_sd(li + k);
-    const __m256d mik = _mm256_broadcast_sd(mi + k);
-    const double* ptk = pt + k * 8;
-    const __m256d c0 = _mm256_loadu_pd(ptk + 0);
-    const __m256d c1 = _mm256_loadu_pd(ptk + 4);
-    p0 = _mm256_sub_pd(p0, _mm256_mul_pd(lik, c0));
-    p1 = _mm256_sub_pd(p1, _mm256_mul_pd(lik, c1));
-    q0 = _mm256_sub_pd(q0, _mm256_mul_pd(mik, c0));
-    q1 = _mm256_sub_pd(q1, _mm256_mul_pd(mik, c1));
-  }
-  _mm256_storeu_pd(accp + 0, p0);
-  _mm256_storeu_pd(accp + 4, p1);
-  _mm256_storeu_pd(accq + 0, q0);
-  _mm256_storeu_pd(accq + 4, q1);
-}
-
-/// 4 x 4 transpose of the rows a0..a3; it is its own inverse.
-__attribute__((target("avx"), always_inline)) inline void Transpose4Avx(
-    __m256d& a0, __m256d& a1, __m256d& a2, __m256d& a3) {
-  const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
-  const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
-  const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
-  const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
-  a0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  a1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  a2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  a3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/// AVX build of PanelTail4Sse2: the four rows' chains in one register.
-__attribute__((target("avx"))) void PanelTail4Avx(const double* blk,
-                                                  const double* acc,
-                                                  double* const* l,
-                                                  size_t j0) {
-  __m256d col[8];
-  for (size_t h = 0; h < 8; h += 4) {
-    col[h + 0] = _mm256_loadu_pd(acc + 0 + h);
-    col[h + 1] = _mm256_loadu_pd(acc + 8 + h);
-    col[h + 2] = _mm256_loadu_pd(acc + 16 + h);
-    col[h + 3] = _mm256_loadu_pd(acc + 24 + h);
-    Transpose4Avx(col[h + 0], col[h + 1], col[h + 2], col[h + 3]);
-  }
-#pragma GCC unroll 8
-  for (size_t c = 0; c < 8; ++c) {
-    const double* bc = blk + c * 8;
-#pragma GCC unroll 8
-    for (size_t k = 0; k < c; ++k) {
-      col[c] = _mm256_sub_pd(
-          col[c], _mm256_mul_pd(col[k], _mm256_broadcast_sd(bc + k)));
+  SolveInBlock(col, d);
+  ATUNE_UNROLL for (size_t c = 0; c < kPanel; ++c) {
+    double t[4] = {};
+    ATUNE_UNROLL for (size_t a = 0; a < kA; ++a) {
+      Store(t + a * kWidth<V>, col[c][a]);
     }
-    col[c] = _mm256_div_pd(col[c], _mm256_broadcast_sd(bc + c));
-  }
-  for (size_t h = 0; h < 8; h += 4) {
-    Transpose4Avx(col[h + 0], col[h + 1], col[h + 2], col[h + 3]);
-    _mm256_storeu_pd(l[0] + j0 + h, col[h + 0]);
-    _mm256_storeu_pd(l[1] + j0 + h, col[h + 1]);
-    _mm256_storeu_pd(l[2] + j0 + h, col[h + 2]);
-    _mm256_storeu_pd(l[3] + j0 + h, col[h + 3]);
+    ATUNE_UNROLL for (size_t r = 0; r < 4; ++r) l[r][j0 + c] = t[r];
   }
 }
-#endif  // ATUNE_HAVE_AVX_DISPATCH
 
+/// Scalar in-block tail of row `li` in the panel from j0: L(i, j) for j in
+/// [j0, j0 + count), each continuing its bulk chain acc[j - j0] over k in
+/// [j0, j), ascending, before its divide.
 template <typename Rows>
-bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
-                    double* pt) {
+__attribute__((always_inline)) inline void RowTail(const double* ld,
+                                                   Rows rows, size_t j0,
+                                                   size_t count,
+                                                   const double* acc,
+                                                   double* li) {
+  for (size_t c = 0; c < count; ++c) {
+    const size_t j = j0 + c;
+    const double* rj = ld + rows(j);
+    double sum = acc[c];
+    for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
+    li[j] = sum / rj[j];
+  }
+}
+
+template <typename V, typename Rows>
+__attribute__((always_inline)) inline bool PanelCholesky8(const double* a,
+                                                          double* ld,
+                                                          size_t n, Rows rows,
+                                                          double* pt) {
   // Left-looking, eight columns at a time. For each column panel
   // [j0, j0+8) the prefixes of its eight factor rows (columns < j0, all
   // final by now) are copied once into a small transposed buffer
   // (pt[k*8 + c] = L(j0+c, k), at most 8*n doubles, cache-resident), so the
-  // dominant shared-prefix subtraction reads eight contiguous lanes per k;
-  // explicit SSE2 two-lane ops process them. Rows below the panel go four
-  // at a time: two bulk pairs share the column loads, and then the four
-  // rows' in-block tails k in [j0, j), each a chain of dependent divides,
-  // run abreast in SIMD lanes, lane r carrying row r. A leftover pair and
-  // single row keep the scalar tail. Every SIMD lane is an independent
-  // per-element chain whose subtractions land in the same ascending-k order
-  // as reference::Cholesky — bulk prefix k < j0 through the buffer, then
-  // the in-block tail — so the factor is bit-identical; the panelization
-  // and lanes only buy SIMD width and instruction-level parallelism (the
-  // naive loop is one serial multiply-subtract chain per element).
-  // Hand-written intrinsics because GCC's auto-vectorizer
-  // turns the same loop into a shuffle storm that is slower than scalar.
-  // `pt` is caller storage of kPanel * n doubles. Like BlockedCholesky4,
-  // a == ld factors in place: each lower-triangle entry of A is read before
-  // its factor entry is written. A diagonal-block row also reads the w
-  // entries from column j0 on, past its own diagonal: dense, those are the
-  // upper triangle; packed, the start of the next rows. Either way they
-  // lie inside the buffer (column j0 + w - 1 <= n - 1 of a row i <= n - 1
-  // ends at or before the last row's diagonal) and only fill accumulator
-  // lanes that are never used.
-  constexpr size_t kPanel = 8;
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-  const bool use_avx = AvxAvailable();
-#else
-  const bool use_avx = false;
-#endif
+  // dominant shared-prefix subtraction reads eight contiguous lanes per k.
+  // Rows below the panel go four at a time: two bulk pairs share the column
+  // loads, and then the four rows' in-block tails k in [j0, j), each a
+  // chain of dependent divides, run abreast in SIMD lanes, lane r carrying
+  // row r. A leftover pair and single row keep the scalar tail. Every SIMD
+  // lane is an independent per-element chain whose subtractions land in
+  // the same ascending-k order as reference::Cholesky — bulk prefix k < j0
+  // through the buffer, then the in-block tail — so the factor is
+  // bit-identical; the panelization and lanes only buy SIMD width and
+  // instruction-level parallelism (the naive loop is one serial
+  // multiply-subtract chain per element). A partial last panel (w < 8)
+  // has no rows below it, so n < 8 is one partial panel of scalar tails.
+  // `pt` is caller storage of kPanel * n doubles. a == ld factors in
+  // place: each lower-triangle entry of A is read before its factor entry
+  // is written. A diagonal-block row also reads the w entries from column
+  // j0 on, past its own diagonal: dense, those are the upper triangle;
+  // packed, the start of the next rows. Either way they lie inside the
+  // buffer (column j0 + w - 1 <= n - 1 of a row i <= n - 1 ends at or
+  // before the last row's diagonal) and only fill accumulator lanes that
+  // are never used.
   for (size_t j0 = 0; j0 < n; j0 += kPanel) {
     const size_t w = std::min(kPanel, n - j0);
     for (size_t k = 0; k < j0; ++k) {
@@ -517,21 +306,8 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
       double* li = ld + rows(i);
       double acc[kPanel] = {};
       for (size_t c = 0; c < w; ++c) acc[c] = ai[j0 + c];
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-      if (use_avx) {
-        PanelBulkRowAvx(pt, j0, li, acc);
-      } else {
-        PanelBulkRowSse2(pt, j0, li, acc);
-      }
-#else
-      PanelBulkRowSse2(pt, j0, li, acc);
-#endif
-      for (size_t j = j0; j < i; ++j) {
-        const double* rj = ld + rows(j);
-        double sum = acc[j - j0];
-        for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
-        li[j] = sum / rj[j];
-      }
+      PanelBulk<V, 1>(pt, j0, &li, acc);
+      RowTail(ld, rows, j0, i - j0, acc, li);
       double sum = acc[i - j0];
       for (size_t k = j0; k < i; ++k) sum -= li[k] * li[k];
       if (sum <= 0.0) return false;
@@ -540,92 +316,80 @@ bool PanelCholesky8(const double* a, double* ld, size_t n, Rows rows,
     // Rows below the panel (only a full panel has any): four at a time,
     // two bulk pairs and then one four-lane tail over the diagonal block.
     size_t i = j0 + w;
-    double blk[kPanel * kPanel] = {};
+    double acc[4 * kPanel] = {};
     if (i + 4 <= n) {
+      double blk[kPanel * kPanel] = {};
       for (size_t c = 0; c < kPanel; ++c) {
         const double* rj = ld + rows(j0 + c) + j0;
         for (size_t k = 0; k <= c; ++k) blk[c * kPanel + k] = rj[k];
       }
+      for (; i + 4 <= n; i += 4) {
+        double* const l[4] = {ld + rows(i), ld + rows(i + 1),
+                              ld + rows(i + 2), ld + rows(i + 3)};
+        for (size_t r = 0; r < 4; ++r) {
+          const double* ar = a + rows(i + r) + j0;
+          for (size_t c = 0; c < kPanel; ++c) acc[r * kPanel + c] = ar[c];
+        }
+        PanelBulk<V, 2>(pt, j0, l, acc);
+        PanelBulk<V, 2>(pt, j0, l + 2, acc + 2 * kPanel);
+        PanelTail4<V>(blk, acc, l, j0);
+      }
     }
-    for (; i + 4 <= n; i += 4) {
-      double* const l[4] = {ld + rows(i), ld + rows(i + 1), ld + rows(i + 2),
-                            ld + rows(i + 3)};
-      double acc[4 * kPanel];
-      for (size_t r = 0; r < 4; ++r) {
+    // Leftover rows: a pair sharing the column loads, then a single row.
+    while (i < n) {
+      const size_t count = n - i >= 2 ? 2 : 1;
+      double* const l[2] = {ld + rows(i), ld + rows(i + count - 1)};
+      for (size_t r = 0; r < count; ++r) {
         const double* ar = a + rows(i + r) + j0;
         for (size_t c = 0; c < kPanel; ++c) acc[r * kPanel + c] = ar[c];
       }
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-      if (use_avx) {
-        PanelBulkPairAvx(pt, j0, l[0], l[1], acc, acc + 8);
-        PanelBulkPairAvx(pt, j0, l[2], l[3], acc + 16, acc + 24);
-        PanelTail4Avx(blk, acc, l, j0);
-        continue;
-      }
-#endif
-      PanelBulkPairSse2(pt, j0, l[0], l[1], acc, acc + 8);
-      PanelBulkPairSse2(pt, j0, l[2], l[3], acc + 16, acc + 24);
-      PanelTail4Sse2(blk, acc, l, j0);
-    }
-    // Leftover rows: a pair sharing the column loads, then a single row.
-    for (; i + 2 <= n; i += 2) {
-      const double* ai = a + rows(i);
-      const double* bi = a + rows(i + 1);
-      double* li = ld + rows(i);
-      double* mi = ld + rows(i + 1);
-      double accp[kPanel], accq[kPanel];
-      for (size_t c = 0; c < kPanel; ++c) accp[c] = ai[j0 + c];
-      for (size_t c = 0; c < kPanel; ++c) accq[c] = bi[j0 + c];
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-      if (use_avx) {
-        PanelBulkPairAvx(pt, j0, li, mi, accp, accq);
+      if (count == 2) {
+        PanelBulk<V, 2>(pt, j0, l, acc);
       } else {
-        PanelBulkPairSse2(pt, j0, li, mi, accp, accq);
+        PanelBulk<V, 1>(pt, j0, l, acc);
       }
-#else
-      PanelBulkPairSse2(pt, j0, li, mi, accp, accq);
-#endif
-      for (size_t c = 0; c < w; ++c) {
-        const size_t j = j0 + c;
-        const double* rj = ld + rows(j);
-        double sum = accp[c];
-        for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
-        li[j] = sum / rj[j];
+      for (size_t r = 0; r < count; ++r) {
+        RowTail(ld, rows, j0, kPanel, acc + r * kPanel, l[r]);
       }
-      for (size_t c = 0; c < w; ++c) {
-        const size_t j = j0 + c;
-        const double* rj = ld + rows(j);
-        double sum = accq[c];
-        for (size_t k = j0; k < j; ++k) sum -= mi[k] * rj[k];
-        mi[j] = sum / rj[j];
-      }
-    }
-    for (; i < n; ++i) {
-      const double* ai = a + rows(i);
-      double* li = ld + rows(i);
-      double accp[kPanel];
-      for (size_t c = 0; c < kPanel; ++c) accp[c] = ai[j0 + c];
-#if defined(ATUNE_HAVE_AVX_DISPATCH)
-      if (use_avx) {
-        PanelBulkRowAvx(pt, j0, li, accp);
-      } else {
-        PanelBulkRowSse2(pt, j0, li, accp);
-      }
-#else
-      PanelBulkRowSse2(pt, j0, li, accp);
-#endif
-      for (size_t c = 0; c < w; ++c) {
-        const size_t j = j0 + c;
-        const double* rj = ld + rows(j);
-        double sum = accp[c];
-        for (size_t k = j0; k < j; ++k) sum -= li[k] * rj[k];
-        li[j] = sum / rj[j];
-      }
+      i += count;
     }
   }
   return true;
 }
-#endif  // ATUNE_HAVE_SSE2
+
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+// The AVX entries, one per dispatched kernel: the same bodies at four lanes
+// (vmulpd/vsubpd/vdivpd, never FMA: -ffp-contract=off keeps every multiply
+// rounded on its own).
+__attribute__((target("avx"))) void SolvePanelAvx(const double* ld, size_t n,
+                                                  size_t stride,
+                                                  double* panel,
+                                                  size_t pstride) {
+  SolvePanel<V4, 2>(ld, n, stride, panel, pstride);
+}
+
+template <typename Rows>
+__attribute__((target("avx"))) bool PanelCholeskyAvx(const double* a,
+                                                     double* ld, size_t n,
+                                                     Rows rows, double* pt) {
+  return PanelCholesky8<V4>(a, ld, n, rows, pt);
+}
+
+bool AvxAvailable() {
+  static const bool ok = __builtin_cpu_supports("avx");
+  return ok && !g_sse2_kernels.load(std::memory_order_relaxed);
+}
+#endif  // ATUNE_HAVE_AVX_DISPATCH
+
+/// PanelCholesky8 at the widest lanes the host runs.
+template <typename Rows>
+bool PanelCholesky(const double* a, double* ld, size_t n, Rows rows,
+                   double* pt) {
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+  if (AvxAvailable()) return PanelCholeskyAvx(a, ld, n, rows, pt);
+#endif
+  return PanelCholesky8<V2>(a, ld, n, rows, pt);
+}
 
 }  // namespace
 
@@ -648,15 +412,11 @@ void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride) {
   const size_t n = l.rows();
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
   if (AvxAvailable()) {
-    SolvePanel16Avx(ld, n, l.cols(), panel, panel_stride);
+    SolvePanelAvx(ld, n, l.cols(), panel, panel_stride);
     return;
   }
 #endif
-#if defined(ATUNE_HAVE_SSE2)
-  SolvePanel16Sse2(ld, n, l.cols(), panel, panel_stride);
-#else
-  SolvePanelFixed<kPanelLanes>(ld, n, l.cols(), panel, panel_stride);
-#endif
+  SolvePanel<V2, 1>(ld, n, l.cols(), panel, panel_stride);
 }
 
 }  // namespace internal
@@ -719,21 +479,9 @@ Result<Matrix> Matrix::Cholesky() const {
   if (ScalarKernelsForTesting()) return reference::Cholesky(*this);
   size_t n = rows_;
   Matrix l(n, n);
-  const double* a = data_.data();
-  double* ld = l.data_.data();
-  bool pd;
-#if defined(ATUNE_HAVE_SSE2)
-  std::vector<double> pt;
-  if (n >= kPanelCholeskyFrom) {
-    pt.resize(8 * n);
-    pd = PanelCholesky8(a, ld, n, DenseRows{n}, pt.data());
-  } else {
-    pd = BlockedCholesky4(a, ld, n, DenseRows{n});
-  }
-#else
-  pd = BlockedCholesky4(a, ld, n, DenseRows{n});
-#endif
-  if (!pd) {
+  std::vector<double> pt(kPanel * n);
+  if (!PanelCholesky(data_.data(), l.data_.data(), n, DenseRows{n},
+                     pt.data())) {
     return Status::FailedPrecondition(
         "matrix is not positive definite (Cholesky pivot <= 0)");
   }
@@ -742,14 +490,7 @@ Result<Matrix> Matrix::Cholesky() const {
 
 template <typename Rows>
 bool CholeskyInPlace(double* a, size_t n, Rows rows, double* panel) {
-#if defined(ATUNE_HAVE_SSE2)
-  // The same kernel choice as Cholesky(), so the factors are bit-identical.
-  return n >= kPanelCholeskyFrom ? PanelCholesky8(a, a, n, rows, panel)
-                                 : BlockedCholesky4(a, a, n, rows);
-#else
-  (void)panel;
-  return BlockedCholesky4(a, a, n, rows);
-#endif
+  return PanelCholesky(a, a, n, rows, panel);
 }
 template bool CholeskyInPlace<DenseRows>(double*, size_t, DenseRows, double*);
 template bool CholeskyInPlace<PackedRows>(double*, size_t, PackedRows,
@@ -761,22 +502,13 @@ void ForwardSolveInto(const double* l, size_t n, const double* b, double* y) {
   BlockedForwardSubstitute(l, n, PackedRows{}, b, y);
 }
 
-// BackwardSolveTransposeInto's loop with L(k, ii) read from packed row k.
 void BackwardSolveTransposeInto(const double* l, size_t n, const double* y,
                                 double* x) {
-  const PackedRows rows;
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l[rows(k) + ii] * x[k];
-    x[ii] = sum / l[rows(ii) + ii];
-  }
+  BackwardSubstituteTranspose(l, n, PackedRows{}, y, x);
 }
 
 double LogDetFromCholesky(const double* l, size_t n) {
-  const PackedRows rows;
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += std::log(l[rows(i) + i]);
-  return 2.0 * acc;
+  return LogDetOfFactor(l, n, PackedRows{});
 }
 
 }  // namespace packed
@@ -858,31 +590,18 @@ void Matrix::ForwardSolveInto(const Matrix& l, const double* b, double* y) {
   BlockedForwardSubstitute(l.data_.data(), n, DenseRows{l.cols_}, b, y);
 }
 
-// Stays naive by design: the k-th subtraction of element ii reads x[k]
-// for k > ii, i.e. in-block elements that a descending block would finalize
-// *after* the bulk phase — there is no blocking that preserves each
-// element's subtraction order. It runs once per GP refit (not per
-// candidate), so it is off the hot path. See matrix.h.
+// Naive by design: see BackwardSubstituteTranspose and matrix.h.
 Vec Matrix::BackwardSolveTranspose(const Matrix& l, const Vec& y) {
-  size_t n = l.rows();
-  assert(y.size() == n);
-  Vec x(n, 0.0);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l.At(k, ii) * x[k];
-    x[ii] = sum / l.At(ii, ii);
-  }
+  assert(y.size() == l.rows());
+  Vec x(l.rows(), 0.0);
+  BackwardSolveTransposeInto(l, y.data(), x.data());
   return x;
 }
 
 void Matrix::BackwardSolveTransposeInto(const Matrix& l, const double* y,
                                         double* x) {
-  size_t n = l.rows();
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= l.At(k, ii) * x[k];
-    x[ii] = sum / l.At(ii, ii);
-  }
+  BackwardSubstituteTranspose(l.data_.data(), l.rows(), DenseRows{l.cols_},
+                              y, x);
 }
 
 Result<Vec> Matrix::SolveSpd(const Vec& b) const {
@@ -892,9 +611,7 @@ Result<Vec> Matrix::SolveSpd(const Vec& b) const {
 }
 
 double Matrix::LogDetFromCholesky(const Matrix& l) {
-  double acc = 0.0;
-  for (size_t i = 0; i < l.rows(); ++i) acc += std::log(l.At(i, i));
-  return 2.0 * acc;
+  return LogDetOfFactor(l.data_.data(), l.rows(), DenseRows{l.cols_});
 }
 
 Result<Vec> Matrix::LeastSquares(const Matrix& a, const Vec& b,

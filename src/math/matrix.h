@@ -2,6 +2,7 @@
 #define ATUNE_MATH_MATRIX_H_
 
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "common/status.h"
@@ -20,10 +21,12 @@ using Vec = std::vector<double>;
 /// written as blocked loops over contiguous row spans: observation stores
 /// now reach hundreds of rows and the GP hot path runs them once per
 /// candidate batch, so they are tuned for instruction-level parallelism and
-/// vectorization: hand-written SSE2 lanes on x86-64
-/// (GCC's auto-vectorizer shuffles the same loops into slower code), with
-/// AVX bodies selected at runtime via __builtin_cpu_supports so the
-/// default build carries no extra ISA requirement (DESIGN.md §11).
+/// vectorization. The SIMD kernels are written once each over GCC vector
+/// types (internal::V2 below; GCC's auto-vectorizer shuffles the same scalar
+/// loops into slower code) and instantiated twice: two lanes for the
+/// default target, four inside target("avx") entries picked at runtime via
+/// __builtin_cpu_supports, so the default build carries no extra ISA
+/// requirement (DESIGN.md §11).
 /// Kernel contracts:
 ///
 ///   * Layout: row-major, contiguous — element (r, c) lives at
@@ -141,16 +144,16 @@ inline size_t PackedSize(size_t n) { return PackedRows()(n); }
 /// In-place Cholesky for a caller-owned buffer: `a` holds the lower
 /// triangle (diagonal included) of an n x n SPD matrix A, addressed by
 /// `rows` (DenseRows or PackedRows), and that triangle is overwritten with
-/// the factor L of A = L Lᵀ. It runs Matrix::Cholesky()'s kernels
-/// (PanelCholesky8 from n = 16, BlockedCholesky4 below) on the same
-/// arithmetic, so every entry of L is bit-identical to Cholesky()'s. The
-/// strict upper triangle of a dense buffer is never written: one that
-/// starts zeroed ends byte-equal to Cholesky()'s factor. `panel` is caller
-/// storage of at least 8 * n doubles for the panel kernel, so the call
-/// allocates nothing and may run on a pool worker. Returns false, with a
-/// partial factor in the triangle, when A is not positive definite. Fast
-/// kernels only: SetScalarKernelsForTesting does not reroute it, so the
-/// scalar half of an A/B keeps calling Cholesky().
+/// the factor L of A = L Lᵀ. It runs Matrix::Cholesky()'s kernel
+/// (PanelCholesky8, at every n) on the same arithmetic, so every entry of L
+/// is bit-identical to Cholesky()'s. The strict upper triangle of a dense
+/// buffer is never written: one that starts zeroed ends byte-equal to
+/// Cholesky()'s factor. `panel` is caller storage of at least 8 * n doubles
+/// for the panel kernel, so the call allocates nothing and may run on a
+/// pool worker. Returns false, with a partial factor in the triangle, when
+/// A is not positive definite. Fast kernels only: SetScalarKernelsForTesting
+/// does not reroute it, so the scalar half of an A/B keeps calling
+/// Cholesky().
 template <typename Rows>
 bool CholeskyInPlace(double* a, size_t n, Rows rows, double* panel);
 
@@ -174,7 +177,32 @@ inline constexpr size_t kPanelLanes = 16;
 /// so the lanes share the factor's memory traffic. The solve behind
 /// GaussianProcess::PredictBatch.
 void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
+
+/// Two doubles as a GCC vector type. Its +, -, * and / are per-lane IEEE
+/// operations on every target, as the scalar ones are, so a loop over V2
+/// lanes keeps each element's operations and their order, and with them
+/// its bits. The SIMD kernels here and in GaussianProcess are written over
+/// such types (DESIGN.md §11).
+typedef double V2 __attribute__((vector_size(16)));
+
+/// Unaligned copies between doubles and one lane vector. They go through
+/// memory and by pointer or reference, never by value, so the 32-byte
+/// instances in matrix.cc compile inside target("avx") bodies without an
+/// ABI change (-Wpsabi).
+template <typename V>
+__attribute__((always_inline)) inline void Load(V* v, const double* p) {
+  std::memcpy(v, p, sizeof(V));
+}
+template <typename V>
+__attribute__((always_inline)) inline void Store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
 }  // namespace internal
+
+/// Unrolls a loop over lanes, vectors or block rows completely, so a
+/// kernel's vector arrays stay in registers: GCC leaves some of these
+/// constant-count loops rolled, and the bodies then run about 2× slower.
+#define ATUNE_UNROLL _Pragma("GCC unroll 16")
 
 /// Routes the Matrix hot kernels (and GaussianProcess::PredictBatch) through
 /// the naive scalar implementations in math/reference_kernels.h instead of
@@ -185,10 +213,10 @@ void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
 void SetScalarKernelsForTesting(bool scalar);
 bool ScalarKernelsForTesting();
 
-/// Routes the AVX-dispatched kernels (PanelCholesky8's bulk and tail
-/// helpers, the sixteen-lane panel solve) to their SSE2 bodies, so hosts
-/// with AVX run those too; results are bit-identical either way. Testing
-/// only, process-wide; a no-op on builds without the AVX dispatch.
+/// Routes the AVX-dispatched kernels (PanelCholesky8 and the sixteen-lane
+/// panel solve) to their two-lane instances, so hosts with AVX run those
+/// too; results are bit-identical either way. Testing only, process-wide;
+/// a no-op on builds without the AVX dispatch.
 void SetSse2KernelsForTesting(bool sse2);
 
 /// Dot product; sizes must match (asserted).

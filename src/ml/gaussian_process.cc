@@ -13,9 +13,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#if defined(__SSE2__) || defined(_M_X64)
+#if defined(__SSE2__)
 #include <emmintrin.h>
-#define ATUNE_HAVE_SSE2 1
 #endif
 
 namespace atune {
@@ -47,40 +46,43 @@ constexpr size_t kPredictLanes = internal::kPanelLanes;
 /// dense n x n buffers did.
 constexpr size_t kMaxProbeThreads = 6;
 
+using internal::Load;
+using internal::Store;
+using internal::V2;
+
+/// Per-lane square root. GCC's vector extensions have no sqrt, and a
+/// per-lane std::sqrt compiles to two sqrtsd with errno fallback calls;
+/// sqrtpd is correctly rounded per lane, as std::sqrt is.
+V2 SqrtV2(V2 v) {
+#if defined(__SSE2__)
+  return _mm_sqrt_pd(v);
+#else
+  return V2{std::sqrt(v[0]), std::sqrt(v[1])};
+#endif
+}
+
 /// KernelValue's tail over m squared scaled distances, in place: out[i]
 /// becomes k(r) for r = sqrt(out[i]). sqrt and the Matérn polynomial's
-/// s * s / 3.0 run two SSE2 lanes abreast and exp stays libm, one entry at
-/// a time; every entry takes KernelValue's operations in its order, so the
+/// s * s / 3.0 run two lanes abreast and exp stays libm, one entry at a
+/// time; every entry takes KernelValue's operations in its order, so the
 /// bits are KernelValue's.
 void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
   size_t i = 0;
-#if defined(ATUNE_HAVE_SSE2)
-  double lane[2];
-  if (se) {
-    const __m128d neg_half = _mm_set1_pd(-0.5);
-    for (; i + 2 <= m; i += 2) {
-      const __m128d r = _mm_sqrt_pd(_mm_loadu_pd(out + i));
-      _mm_storeu_pd(lane, _mm_mul_pd(_mm_mul_pd(neg_half, r), r));
-      out[i] = sv * std::exp(lane[0]);
-      out[i + 1] = sv * std::exp(lane[1]);
-    }
-  } else {
-    const __m128d root5 = _mm_set1_pd(std::sqrt(5.0));
-    const __m128d one = _mm_set1_pd(1.0);
-    const __m128d three = _mm_set1_pd(3.0);
-    const __m128d scale = _mm_set1_pd(sv);
-    double poly[2];
-    for (; i + 2 <= m; i += 2) {
-      const __m128d s = _mm_mul_pd(root5, _mm_sqrt_pd(_mm_loadu_pd(out + i)));
-      const __m128d p = _mm_add_pd(_mm_add_pd(one, s),
-                                   _mm_div_pd(_mm_mul_pd(s, s), three));
-      _mm_storeu_pd(poly, _mm_mul_pd(scale, p));
-      _mm_storeu_pd(lane, s);
-      out[i] = poly[0] * std::exp(-lane[0]);
-      out[i + 1] = poly[1] * std::exp(-lane[1]);
+  for (; i + 2 <= m; i += 2) {
+    V2 sq = {};
+    Load(&sq, out + i);
+    if (se) {
+      const V2 r = SqrtV2(sq);
+      const V2 e = -0.5 * r * r;
+      out[i] = sv * std::exp(e[0]);
+      out[i + 1] = sv * std::exp(e[1]);
+    } else {
+      const V2 s = std::sqrt(5.0) * SqrtV2(sq);
+      const V2 poly = sv * (1.0 + s + s * s / 3.0);
+      out[i] = poly[0] * std::exp(-s[0]);
+      out[i + 1] = poly[1] * std::exp(-s[1]);
     }
   }
-#endif
   for (; i < m; ++i) {
     if (se) {
       double r = std::sqrt(out[i]);
@@ -98,34 +100,28 @@ void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
 /// the accumulation (x minus point, per dimension, ascending) and the
 /// sqrt→kernel round trip are exactly KernelValue's, so each output is
 /// bit-identical. Two passes: the squared distances of the whole range go
-/// into `out` first, four entries per step in SSE2 lanes so their divides
-/// overlap, then KernelTailInPlace runs over `out`.
+/// into `out` first, four entries per step in two-lane vectors so their
+/// divides overlap, then KernelTailInPlace runs over `out`.
 void KernelRowInto(const double* x, const double* pts, size_t begin,
                    size_t end, size_t d, const double* ls, bool se, double sv,
                    double* out) {
   const size_t m = end - begin;
   size_t i = 0;
-#if defined(ATUNE_HAVE_SSE2)
   for (; i + 4 <= m; i += 4) {
     const double* x0 = pts + (begin + i) * d;
     const double* x1 = x0 + d;
     const double* x2 = x1 + d;
     const double* x3 = x2 + d;
-    __m128d a01 = _mm_setzero_pd(), a23 = _mm_setzero_pd();
+    V2 a01 = {}, a23 = {};
     for (size_t j = 0; j < d; ++j) {
-      const __m128d xj = _mm_set1_pd(x[j]);
-      const __m128d lj = _mm_set1_pd(ls[j]);
-      const __m128d d01 =
-          _mm_div_pd(_mm_sub_pd(xj, _mm_set_pd(x1[j], x0[j])), lj);
-      const __m128d d23 =
-          _mm_div_pd(_mm_sub_pd(xj, _mm_set_pd(x3[j], x2[j])), lj);
-      a01 = _mm_add_pd(a01, _mm_mul_pd(d01, d01));
-      a23 = _mm_add_pd(a23, _mm_mul_pd(d23, d23));
+      const V2 d01 = (x[j] - V2{x0[j], x1[j]}) / ls[j];
+      const V2 d23 = (x[j] - V2{x2[j], x3[j]}) / ls[j];
+      a01 += d01 * d01;
+      a23 += d23 * d23;
     }
-    _mm_storeu_pd(out + i, a01);
-    _mm_storeu_pd(out + i + 2, a23);
+    Store(out + i, a01);
+    Store(out + i + 2, a23);
   }
-#endif
   for (; i < m; ++i) {
     const double* xi = pts + (begin + i) * d;
     double acc = 0.0;
@@ -136,6 +132,28 @@ void KernelRowInto(const double* x, const double* pts, size_t begin,
     out[i] = acc;
   }
   KernelTailInPlace(out, m, se, sv);
+}
+
+/// out[c] = the sum over i < count, ascending from 0.0, of term(rows[i *
+/// kPredictLanes + c], i), for each of the kPredictLanes lanes c: eight
+/// lanes per step in four two-lane vectors, each lane its own chain in the
+/// scalar loop's order. `term` maps a two-lane slice of row i to its terms.
+template <typename Term>
+void SumLanes(const double* rows, size_t count, const Term& term,
+              double* out) {
+  for (size_t h = 0; h < kPredictLanes; h += 8) {
+    V2 acc[4] = {};
+    for (size_t i = 0; i < count; ++i) {
+      ATUNE_UNROLL for (size_t q = 0; q < 4; ++q) {
+        V2 x = {};
+        Load(&x, rows + i * kPredictLanes + h + 2 * q);
+        acc[q] += term(x, i);
+      }
+    }
+    ATUNE_UNROLL for (size_t q = 0; q < 4; ++q) {
+      Store(out + h + 2 * q, acc[q]);
+    }
+  }
 }
 
 /// Builds the lower triangle of K + jitter I over the n x d row-major
@@ -706,99 +724,23 @@ void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
     for (size_t i = 0; i < n; ++i) {
       const double* xi = xs_flat_.data() + i * d;
       double* pi = panel + i * kLanes;
-#if defined(ATUNE_HAVE_SSE2)
-      // Hand-vectorized per-lane chains (GCC's auto-vectorizer interleaves
-      // the array-accumulator form into shuffle-bound code). Each lane's
-      // add/divide order is unchanged, so bits match the scalar loop.
-      for (size_t h = 0; h < kLanes; h += 8) {
-        __m128d a0 = _mm_setzero_pd(), a1 = _mm_setzero_pd();
-        __m128d a2 = _mm_setzero_pd(), a3 = _mm_setzero_pd();
-        for (size_t j = 0; j < d; ++j) {
-          const __m128d xij = _mm_set1_pd(xi[j]);
-          const __m128d lj = _mm_set1_pd(ls[j]);
-          const double* cj = ct + j * kLanes + h;
-          __m128d d0 = _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(cj + 0), xij), lj);
-          __m128d d1 = _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(cj + 2), xij), lj);
-          __m128d d2 = _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(cj + 4), xij), lj);
-          __m128d d3 = _mm_div_pd(_mm_sub_pd(_mm_loadu_pd(cj + 6), xij), lj);
-          a0 = _mm_add_pd(a0, _mm_mul_pd(d0, d0));
-          a1 = _mm_add_pd(a1, _mm_mul_pd(d1, d1));
-          a2 = _mm_add_pd(a2, _mm_mul_pd(d2, d2));
-          a3 = _mm_add_pd(a3, _mm_mul_pd(d3, d3));
-        }
-        _mm_storeu_pd(pi + h + 0, a0);
-        _mm_storeu_pd(pi + h + 2, a1);
-        _mm_storeu_pd(pi + h + 4, a2);
-        _mm_storeu_pd(pi + h + 6, a3);
-      }
-#else
-      double acc[kLanes] = {};
-      for (size_t j = 0; j < d; ++j) {
-        double xij = xi[j];
-        double lj = ls[j];
-        const double* cj = ct + j * kLanes;
-        for (size_t c = 0; c < kLanes; ++c) {
-          double diff = (cj[c] - xij) / lj;
-          acc[c] += diff * diff;
-        }
-      }
-      std::copy(acc, acc + kLanes, pi);
-#endif
+      SumLanes(
+          ct, d,
+          [&](V2 c, size_t j) {
+            const V2 diff = (c - xi[j]) / ls[j];
+            return diff * diff;
+          },
+          pi);
       KernelTailInPlace(pi, kLanes, se, sv);
     }
     // Means before the in-place solve consumes the panel (ascending i, the
     // same order as Dot(kstar, alpha_)).
     double mean_acc[kLanes] = {};
     double var_acc[kLanes] = {};
-#if defined(ATUNE_HAVE_SSE2)
-    for (size_t h = 0; h < kLanes; h += 8) {
-      __m128d m0 = _mm_setzero_pd(), m1 = _mm_setzero_pd();
-      __m128d m2 = _mm_setzero_pd(), m3 = _mm_setzero_pd();
-      for (size_t i = 0; i < n; ++i) {
-        const __m128d ai = _mm_set1_pd(alpha_[i]);
-        const double* pi = panel + i * kLanes + h;
-        m0 = _mm_add_pd(m0, _mm_mul_pd(_mm_loadu_pd(pi + 0), ai));
-        m1 = _mm_add_pd(m1, _mm_mul_pd(_mm_loadu_pd(pi + 2), ai));
-        m2 = _mm_add_pd(m2, _mm_mul_pd(_mm_loadu_pd(pi + 4), ai));
-        m3 = _mm_add_pd(m3, _mm_mul_pd(_mm_loadu_pd(pi + 6), ai));
-      }
-      _mm_storeu_pd(mean_acc + h + 0, m0);
-      _mm_storeu_pd(mean_acc + h + 2, m1);
-      _mm_storeu_pd(mean_acc + h + 4, m2);
-      _mm_storeu_pd(mean_acc + h + 6, m3);
-    }
+    SumLanes(panel, n, [&](V2 k, size_t i) { return k * alpha_[i]; },
+             mean_acc);
     internal::ForwardSolvePanel(chol_, panel, kLanes);
-    for (size_t h = 0; h < kLanes; h += 8) {
-      __m128d v0 = _mm_setzero_pd(), v1 = _mm_setzero_pd();
-      __m128d v2 = _mm_setzero_pd(), v3 = _mm_setzero_pd();
-      for (size_t i = 0; i < n; ++i) {
-        const double* pi = panel + i * kLanes + h;
-        const __m128d r0 = _mm_loadu_pd(pi + 0);
-        const __m128d r1 = _mm_loadu_pd(pi + 2);
-        const __m128d r2 = _mm_loadu_pd(pi + 4);
-        const __m128d r3 = _mm_loadu_pd(pi + 6);
-        v0 = _mm_add_pd(v0, _mm_mul_pd(r0, r0));
-        v1 = _mm_add_pd(v1, _mm_mul_pd(r1, r1));
-        v2 = _mm_add_pd(v2, _mm_mul_pd(r2, r2));
-        v3 = _mm_add_pd(v3, _mm_mul_pd(r3, r3));
-      }
-      _mm_storeu_pd(var_acc + h + 0, v0);
-      _mm_storeu_pd(var_acc + h + 2, v1);
-      _mm_storeu_pd(var_acc + h + 4, v2);
-      _mm_storeu_pd(var_acc + h + 6, v3);
-    }
-#else
-    for (size_t i = 0; i < n; ++i) {
-      double ai = alpha_[i];
-      const double* pi = panel + i * kLanes;
-      for (size_t c = 0; c < kLanes; ++c) mean_acc[c] += pi[c] * ai;
-    }
-    internal::ForwardSolvePanel(chol_, panel, kLanes);
-    for (size_t i = 0; i < n; ++i) {
-      const double* pi = panel + i * kLanes;
-      for (size_t c = 0; c < kLanes; ++c) var_acc[c] += pi[c] * pi[c];
-    }
-#endif
+    SumLanes(panel, n, [](V2 v, size_t) { return v * v; }, var_acc);
     for (size_t c = 0; c < w; ++c) {
       GpPrediction& p = out[c0 + c];
       p.mean = y_mean_ + mean_acc[c];

@@ -1,8 +1,8 @@
 // Property tests for the blocked fast-path kernels of math/matrix.cc against
 // the naive references in math/reference_kernels.h (DESIGN.md §11). The
 // contract is *bit-identity*: memcmp-level equality of the output doubles.
-// Kernels with an AVX body also run their SSE2 body here, through
-// SetSse2KernelsForTesting.
+// The AVX-dispatched kernels also run their two-lane instances here,
+// through SetSse2KernelsForTesting.
 
 #include <cmath>
 #include <cstring>
@@ -46,8 +46,9 @@ Vec RandomVec(size_t n, mt19937_64* gen) {
   return v;
 }
 
-/// Routes the AVX-dispatched kernels to their SSE2 bodies for one scope, so
-/// hosts with AVX test both; restores AVX even when an assertion returns.
+/// Routes the AVX-dispatched kernels to their two-lane instances for one
+/// scope, so hosts with AVX test both; restores AVX even when an assertion
+/// returns.
 class Sse2Kernels {
  public:
   explicit Sse2Kernels(bool sse2) { SetSse2KernelsForTesting(sse2); }
@@ -96,7 +97,7 @@ class Sse2Kernels {
 
 TEST(BlockedKernels, CholeskyBitIdenticalAcrossSizes) {
   // Sizes straddle every blocking boundary (n % 4 in {0,1,2,3}) including
-  // degenerate 0/1 and a "large" case, on the AVX and the SSE2 bodies.
+  // degenerate 0/1 and a "large" case, at four lanes and at two.
   for (bool sse2 : {false, true}) {
     Sse2Kernels guard(sse2);
     mt19937_64 gen(7);
@@ -112,16 +113,20 @@ TEST(BlockedKernels, CholeskyBitIdenticalAcrossSizes) {
 }
 
 TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
-  // Every size from 16 goes through PanelCholesky8; 33, 50, 67 and 100
-  // leave 1, 2, 3 and 0 rows below each panel after the groups of four.
-  mt19937_64 gen(11);
-  for (size_t n : {8, 33, 50, 67, 100}) {
-    Matrix a = RandomSpd(n, &gen, 1e-9);
-    auto fast = a.Cholesky();
-    auto ref = reference::Cholesky(a);
-    ASSERT_EQ(fast.ok(), ref.ok()) << "n=" << n;
-    if (fast.ok()) {
-      EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n;
+  // 8 is one full panel, 9, 12 and 15 a full one and a partial one; 33, 50,
+  // 67 and 100 leave 1, 2, 3 and 0 rows below each panel after the groups
+  // of four.
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels guard(sse2);
+    mt19937_64 gen(11);
+    for (size_t n : {8, 9, 12, 15, 33, 50, 67, 100}) {
+      Matrix a = RandomSpd(n, &gen, 1e-9);
+      auto fast = a.Cholesky();
+      auto ref = reference::Cholesky(a);
+      ASSERT_EQ(fast.ok(), ref.ok()) << "n=" << n << " sse2=" << sse2;
+      if (fast.ok()) {
+        EXPECT_TRUE(BitIdentical(*fast, *ref)) << "n=" << n << " sse2=" << sse2;
+      }
     }
   }
 }
@@ -149,10 +154,10 @@ TEST(BlockedKernels, CholeskyIllConditionedBitIdentical) {
 /// ones, at every n from 1 to 140.
 void ExpectInPlaceFactorsAndPackedSolvesMatchDense() {
   mt19937_64 gen(19);
-  // Every size through both kernels: BlockedCholesky4 below n = 16 and
-  // PanelCholesky8 from there, with all panel widths of the last block.
-  // The rows below a panel go in fours, then n % 4 of them are left over
-  // (none, a single row, a pair, or a pair and a single row).
+  // Every size through PanelCholesky8, with all panel widths of the last
+  // block (n < 8 is one partial panel). The rows below a panel go in fours,
+  // then n % 4 of them are left over (none, a single row, a pair, or a pair
+  // and a single row).
   for (size_t n = 1; n <= 140; ++n) {
     Matrix a = RandomSpd(n, &gen, 1.0 + static_cast<double>(n));
     auto want = a.Cholesky();
@@ -247,8 +252,8 @@ TEST(BlockedKernels, ForwardSolveIntoMatchesAndAllowsAliasing) {
 }
 
 // The panel solve behind GaussianProcess::PredictBatch: each of the sixteen
-// lanes must equal reference::ForwardSolve on its column bit for bit, on the
-// AVX body and on the SSE2 body alike.
+// lanes must equal reference::ForwardSolve on its column bit for bit, at
+// four lanes and at two alike.
 TEST(BlockedKernels, ForwardSolvePanelEachLaneBitIdentical) {
   constexpr size_t kLanes = internal::kPanelLanes;
   for (bool sse2 : {false, true}) {

@@ -1,7 +1,8 @@
 // Bit-identity tests for the batched GP paths of DESIGN.md §11:
 // PredictBatch vs per-point Predict, the batch acquisition wrappers vs their
 // scalar forms, and the fast-vs-scalar A/B switch over a full
-// Fit/AddObservation/Predict cycle.
+// Fit/AddObservation/Predict cycle. The AVX-dispatched kernels also run
+// their two-lane instances here, through SetSse2KernelsForTesting.
 
 #include <cstring>
 #include <random>
@@ -45,27 +46,38 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Routes the AVX-dispatched kernels to their two-lane instances for one
+/// scope; restores AVX even when an assertion returns.
+class Sse2Kernels {
+ public:
+  explicit Sse2Kernels(bool sse2) { SetSse2KernelsForTesting(sse2); }
+  ~Sse2Kernels() { SetSse2KernelsForTesting(false); }
+};
+
 TEST(GpBatch, PredictBatchBitIdenticalToPredict) {
-  mt19937_64 gen(3);
-  for (KernelType kernel :
-       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    for (size_t n : {1, 4, 17, 60}) {
-      for (size_t m : {1, 3, 7, 8, 9, 16, 33}) {
-        size_t d = 5;
-        GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
-        ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen))
-                        .ok());
-        Matrix cands = RandomCandidates(m, d, &gen);
-        GpScratch scratch;
-        std::vector<GpPrediction> batch;
-        gp.PredictBatch(cands, &scratch, &batch);
-        ASSERT_EQ(batch.size(), m);
-        for (size_t r = 0; r < m; ++r) {
-          GpPrediction p = gp.Predict(cands.Row(r));
-          EXPECT_TRUE(SameBits(batch[r].mean, p.mean))
-              << "n=" << n << " m=" << m << " r=" << r;
-          EXPECT_TRUE(SameBits(batch[r].variance, p.variance))
-              << "n=" << n << " m=" << m << " r=" << r;
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels guard(sse2);
+    mt19937_64 gen(3);
+    for (KernelType kernel :
+         {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+      for (size_t n : {1, 4, 17, 60}) {
+        for (size_t m : {1, 3, 7, 8, 9, 16, 33}) {
+          size_t d = 5;
+          GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
+          ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen))
+                          .ok());
+          Matrix cands = RandomCandidates(m, d, &gen);
+          GpScratch scratch;
+          std::vector<GpPrediction> batch;
+          gp.PredictBatch(cands, &scratch, &batch);
+          ASSERT_EQ(batch.size(), m);
+          for (size_t r = 0; r < m; ++r) {
+            GpPrediction p = gp.Predict(cands.Row(r));
+            EXPECT_TRUE(SameBits(batch[r].mean, p.mean))
+                << "n=" << n << " m=" << m << " r=" << r << " sse2=" << sse2;
+            EXPECT_TRUE(SameBits(batch[r].variance, p.variance))
+                << "n=" << n << " m=" << m << " r=" << r << " sse2=" << sse2;
+          }
         }
       }
     }
@@ -121,13 +133,18 @@ TEST(GpBatch, PredictBatchNullScratchFallsBack) {
 }
 
 TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {
-  // Fit + AddObservation + Predict under the fast kernels must equal the
-  // same cycle under the scalar (pre-speed-layer) kernels bit for bit.
-  auto run = [](bool scalar) {
+  // Fit + AddObservation, then Predict or PredictBatch, under the fast
+  // kernels at four lanes and at two, must equal the same cycle's Predict
+  // under the scalar (pre-speed-layer) kernels bit for bit, for both kernel
+  // types: the fast paths share the kernel-row tail, so only the scalar
+  // path can catch a change to it. Explicit lengthscales: the default 0.3
+  // divides exactly like a multiply by its reciprocal, and would hide one.
+  auto run = [](KernelType kernel, bool scalar, bool batch) {
     SetScalarKernelsForTesting(scalar);
     mt19937_64 gen(13);
     size_t d = 4;
-    GaussianProcess gp(GpHyperParams{KernelType::kMatern52, {}, 1.0, 1e-4});
+    GaussianProcess gp(
+        GpHyperParams{kernel, {0.7, 1.3, 0.45, 0.9}, 1.0, 1e-4});
     std::vector<Vec> xs = RandomPoints(20, d, &gen);
     Vec ys = RandomTargets(20, &gen);
     EXPECT_TRUE(gp.Fit(xs, ys).ok());
@@ -137,18 +154,34 @@ TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {
     }
     Matrix probes = RandomCandidates(11, d, &gen);
     std::vector<GpPrediction> preds(probes.rows());
-    for (size_t r = 0; r < probes.rows(); ++r) {
-      preds[r] = gp.Predict(probes.Row(r));
+    if (batch) {
+      GpScratch scratch;
+      gp.PredictBatch(probes, &scratch, &preds);
+    } else {
+      for (size_t r = 0; r < probes.rows(); ++r) {
+        preds[r] = gp.Predict(probes.Row(r));
+      }
     }
     SetScalarKernelsForTesting(false);
     return preds;
   };
-  std::vector<GpPrediction> fast = run(false);
-  std::vector<GpPrediction> scalar = run(true);
-  ASSERT_EQ(fast.size(), scalar.size());
-  for (size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_TRUE(SameBits(fast[i].mean, scalar[i].mean)) << i;
-    EXPECT_TRUE(SameBits(fast[i].variance, scalar[i].variance)) << i;
+  for (KernelType kernel :
+       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+    const std::vector<GpPrediction> scalar = run(kernel, true, false);
+    for (bool sse2 : {false, true}) {
+      Sse2Kernels guard(sse2);
+      for (bool batch : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kernel=" << static_cast<int>(kernel)
+                     << " sse2=" << sse2 << " batch=" << batch);
+        std::vector<GpPrediction> fast = run(kernel, false, batch);
+        ASSERT_EQ(fast.size(), scalar.size());
+        for (size_t i = 0; i < fast.size(); ++i) {
+          EXPECT_TRUE(SameBits(fast[i].mean, scalar[i].mean)) << i;
+          EXPECT_TRUE(SameBits(fast[i].variance, scalar[i].variance)) << i;
+        }
+      }
+    }
   }
 }
 

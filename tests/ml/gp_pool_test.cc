@@ -133,8 +133,8 @@ void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
 
 TEST(GpPool, HyperSearchIsBitIdenticalAcrossSlicesAndKernels) {
   mt19937_64 gen(5);
-  // n = 15 and 16 straddle the switch from BlockedCholesky4 to
-  // PanelCholesky8; budget 7 does not divide among the probe threads.
+  // n = 15 and 16 end on a partial and on a full panel of PanelCholesky8;
+  // budget 7 does not divide among the probe threads.
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
     for (size_t n : {40, 15, 16, 200}) {
@@ -153,8 +153,8 @@ TEST(GpPool, HyperSearchOverDuplicateDesignIsBitIdentical) {
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
     for (size_t distinct : {5, 14, 50}) {
-      // Every point three times: 15 rows on BlockedCholesky4, 42 and 150
-      // on PanelCholesky8.
+      // Every point three times: 15 rows (a partial last panel), 42 and
+      // 150.
       std::vector<Vec> base = RandomPoints(distinct, 3, &gen);
       std::vector<Vec> xs;
       for (int copy = 0; copy < 3; ++copy) {

@@ -11,7 +11,8 @@
 #                                   # --trace round trip + every bench binary
 #                                   # on a tiny budget (ATUNE_SMOKE=1):
 #                                   # catches harness rot without the
-#                                   # paper-scale cost
+#                                   # paper-scale cost; fails if
+#                                   # bench_service leaves a state dir behind
 #   tools/run_checks.sh --hostile   # default build + bench_supervisor under
 #                                   # ATUNE_SMOKE=1, gated on the pass flags
 #                                   # it records in BENCH_supervisor.json:
@@ -116,7 +117,11 @@
 #                                   # FMA. The build pins -ffp-contract=off,
 #                                   # so no multiply and add are fused into
 #                                   # one rounding and the fast kernels keep
-#                                   # the reference kernels' bits
+#                                   # the reference kernels' bits. Then runs
+#                                   # bench_hotpath (ATUNE_SMOKE=1) from
+#                                   # build-native/ and a default Release
+#                                   # build/ in a temp dir and fails unless
+#                                   # their fingerprint lines are equal
 #   tools/run_checks.sh --coverage  # instrumented Debug build + full ctest +
 #                                   # per-directory line-coverage summary for
 #                                   # src/. Uses gcovr if installed, else
@@ -263,6 +268,14 @@ if [ "${1:-}" = "--smoke" ]; then
     ATUNE_SMOKE=1 "$bench" > /dev/null
     echo "$name: ok"
   done
+  # bench_service runs its daemons on state dirs in the cwd and must remove
+  # them, knowledge shards included; a leftover one would seed the next run.
+  leftover="$(ls -d bench_service_*.state 2> /dev/null || true)"
+  if [ -n "$leftover" ]; then
+    echo "bench_service left its state behind:" >&2
+    echo "$leftover" >&2
+    exit 1
+  fi
   echo "smoke checks passed"
   exit 0
 fi
@@ -603,7 +616,31 @@ if [ "${1:-}" = "--native" ]; then
   cmake --build --preset release-native -j "$jobs"
   echo "=== [native] ctest ==="
   ctest --preset release-native -j "$jobs"
-  echo "native checks passed: full suite bit-identical on the host ISA"
+  echo "=== [native] whole sessions vs the default build (bench_hotpath) ==="
+  # The suite compares kernels with their references inside one build. This
+  # compares whole sessions across builds: every bench_hotpath fingerprint
+  # line (outcome checksum, journal bytes and trace tree per tuner and leg)
+  # of the -march=native binary must equal the default Release binary's.
+  # The benches run in a temp dir, so BENCH_hotpath.json here is untouched.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build -j "$jobs" --target bench_hotpath
+  root="$(pwd)"
+  fp_dir="$(mktemp -d /tmp/atune_native_fp.XXXXXX)"
+  for tree in build-native build; do
+    (cd "$fp_dir" && ATUNE_SMOKE=1 "$root/$tree/bench/bench_hotpath" \
+        > "$tree.out") || true
+    grep fingerprint "$fp_dir/$tree.out" > "$fp_dir/$tree.fp" || true
+  done
+  lines="$(wc -l < "$fp_dir/build.fp")"
+  if [ "$lines" -eq 0 ] ||
+      ! diff "$fp_dir/build.fp" "$fp_dir/build-native.fp"; then
+    echo "native: bench_hotpath fingerprints differ from the default build's" >&2
+    rm -rf "$fp_dir"
+    exit 1
+  fi
+  rm -rf "$fp_dir"
+  echo "native checks passed: full suite bit-identical on the host ISA, and"
+  echo "$lines fingerprint lines equal to the default build's"
   exit 0
 fi
 
