@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "tests/hex_util.h"
 
 namespace atune {
 namespace {
@@ -258,6 +259,31 @@ TEST(JournalTest, TrailingIncompleteBatchIsDropped) {
   EXPECT_FALSE(recovered->warnings.empty());
   ASSERT_NE(recovered->journal, nullptr);
   EXPECT_EQ(recovered->journal->next_seq(), 2u);
+}
+
+// Pins the on-disk bytes: the preamble (magic, version), the header frame
+// and one record frame. Recovery round trips cannot see a change made alike
+// to the writer and the reader.
+TEST(JournalTest, GoldenBytesOfAOneRecordJournal) {
+  std::string path = WriteJournal("journal_golden.wal", 1);
+  std::string bytes = Slurp(path);
+  EXPECT_EQ(testing_util::HexOf(bytes),
+            "4154554e4557414c01000000"  // magic, version
+            "ab0000000dcd32ee"  // header frame: length, CRC
+            "0a000000746573742d74756e65720b000000746573742d73797374656d020000"
+            "00776c040000006d6f636b00000000000000400200000007000000636c69656e"
+            "747300000000000040400d000000726561645f6672616374696f6e3333333333"
+            "33e33f2a00000000000000140000000000000000000000000024400200000000"
+            "000000000000000000e03f0000000000003e400000000000000c400500000000"
+            "0000000100000000000000"
+            "df000000ada703e5"  // record frame: length, CRC
+            "010000000000000000040000000800000063616368655f6f6e0201040000006d"
+            "6f646503040000006661737407000000776f726b657273000100000000000000"
+            "0100000078010000000000000000000000000000244000000000000000020000"
+            "000300000070393900000000000000000a0000007468726f7567687075740000"
+            "0000000059400000000000002440000000000000f03f00000000000000000001"
+            "0000000000000000000000000000000000000000000000010000000000000000"
+            "0000000000f03f000000000000000000000000000000000000000000000000");
 }
 
 TEST(JournalTest, HeaderMismatchIsDetectedByDiff) {

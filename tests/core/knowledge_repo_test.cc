@@ -30,6 +30,7 @@
 #include "common/file_util.h"
 #include "common/io_env.h"
 #include "core/knowledge_repo.h"
+#include "tests/hex_util.h"
 
 namespace atune {
 namespace {
@@ -77,6 +78,25 @@ TEST(KnowledgeRepoTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->fingerprint, rec.fingerprint);  // bitwise
   EXPECT_EQ(decoded->configs, rec.configs);
   EXPECT_EQ(decoded->objectives, rec.objectives);
+}
+
+// Pins the shard bytes and the shard file name: both live on disk, and a
+// daemon's `.meta` sidecars list pinned shards by name.
+TEST(KnowledgeRepoTest, GoldenBytesOfAShard) {
+  KnowledgeRecord rec = TestRecord("sess-golden", 0.5);
+  EXPECT_EQ(testing_util::HexOf(EncodeKnowledgeRecord(rec)),
+            "4154554e454b525301000000"  // magic, version
+            "fd0000009c31b4d5"  // frame: length, CRC
+            "0b000000736573732d676f6c64656e0800000074656e616e742d610b00000062"
+            "6179657369616e2d67700e00000073696d756c617465642d64626d7304000000"
+            "6f6c61700400000064626d73000000000000f03f2a0000000000000014000000"
+            "00000000030000000a0000007468726f7567687075740b0000006c6174656e63"
+            "795f703939080000006370755f7574696c030000000000000000205940000000"
+            "0000001640295c8fc2f528e03f0200000003000000000000000000d03f000000"
+            "000000e03f000000000000e83f030000009a9999999999b93fcdccccccccccec"
+            "3f333333333333d33f020000000000000000002a400000000000002d40");
+  EXPECT_EQ(KnowledgeRepository("unused").ShardName(rec.session_id),
+            "s1-sess-golden.krs");
 }
 
 TEST(KnowledgeRepoTest, DecodeRejectsEveryCorruption) {

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "tests/hex_util.h"
+
 namespace atune {
 namespace {
 
@@ -237,6 +239,49 @@ TEST(WireTest, ValidSessionIdRules) {
   EXPECT_FALSE(ValidSessionId("."));
   EXPECT_FALSE(ValidSessionId(".."));
   EXPECT_FALSE(ValidSessionId(std::string("null\0byte", 9)));
+}
+
+// Pins the wire bytes themselves. Round trips cannot see a change made
+// alike to an encoder and its parser, and these bytes cross processes.
+TEST(WireTest, GoldenBytesOfAFramedStartRequest) {
+  StartRequest req = SampleStart();
+  req.warm_start = true;
+  std::string frame;
+  AppendFrame(EncodeStartRequest(req), &frame);
+  EXPECT_EQ(testing_util::HexOf(frame),
+            "70000000" "9a2e9c54"  // frame: length 112, CRC
+            "03"                   // kStartReq
+            "13000000" "74656e616e742d612e73657373696f6e5f3031"  // session_id
+            "08000000" "74656e616e742d61"                        // tenant
+            "06000000" "6974756e6564"                            // tuner
+            "05000000" "737061726b"                              // system
+            "0c000000" "6974657261746976655f6d6c"                // workload
+            "555555555555d53f"  // scale, IEEE-754 bits
+            "4d00000000000000"  // budget
+            "0df0fecaefbeadde"  // seed
+            "983a000000000000"  // deadline_ms
+            "0300000000000000"  // contention
+            "01");              // warm_start
+}
+
+TEST(WireTest, GoldenBytesOfAnAttachResponse) {
+  AttachResponse resp;
+  resp.state = SessionState::kDone;
+  resp.result.status_code = 6;
+  resp.result.message = "ok";
+  resp.result.best_objective = 17.25;
+  resp.result.checksum = 0x8128108e3cc94f6eULL;
+  resp.result.trials = 40;
+  resp.result.replayed = 13;
+  EXPECT_EQ(testing_util::HexOf(EncodeAttachResponse(resp)),
+            "06"                // kAttachResp
+            "03"                // state kDone
+            "06"                // status_code
+            "02000000" "6f6b"   // message
+            "0000000000403140"  // best_objective, IEEE-754 bits
+            "6e4fc93c8e102881"  // checksum
+            "2800000000000000"  // trials
+            "0d00000000000000");  // replayed
 }
 
 }  // namespace
