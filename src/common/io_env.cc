@@ -204,21 +204,24 @@ class DefaultIoEnv : public IoEnv {
   }
 
   void Backoff(size_t attempt) override {
-    const IoRetryPolicy& policy = retry_policy();
-    if (policy.backoff_base_us == 0 || attempt == 0) return;
-    uint64_t shift = std::min<size_t>(attempt - 1, 16);
-    uint64_t us = std::min(policy.backoff_base_us << shift,
-                           policy.backoff_cap_us);
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(us / 1000000);
-    ts.tv_nsec = static_cast<long>((us % 1000000) * 1000);
-    ::nanosleep(&ts, nullptr);
+    SleepBackoff(retry_policy(), attempt);
   }
 };
 
 std::atomic<IoEnv*> g_current_env{nullptr};
 
 }  // namespace
+
+void SleepBackoff(const IoRetryPolicy& policy, size_t attempt) {
+  if (policy.backoff_base_us == 0 || attempt == 0) return;
+  uint64_t shift = std::min<size_t>(attempt - 1, 16);
+  uint64_t us = std::min(policy.backoff_base_us << shift,
+                         policy.backoff_cap_us);
+  struct timespec ts;
+  ts.tv_sec = static_cast<time_t>(us / 1000000);
+  ts.tv_nsec = static_cast<long>((us % 1000000) * 1000);
+  ::nanosleep(&ts, nullptr);
+}
 
 const char* IoFaultKindToString(IoFaultKind kind) {
   switch (kind) {

@@ -79,6 +79,12 @@ struct IoRetryPolicy {
   uint64_t backoff_cap_us = 10000;
 };
 
+/// The one real backoff sleep: before retry `attempt` (1-based) it sleeps
+/// backoff_base_us << (attempt - 1), capped at backoff_cap_us; attempt 0 or
+/// a zero base sleeps nothing. DefaultIoEnv::Backoff, FdTransport::Backoff
+/// and the client's reconnect and re-exchange loops all sleep through it.
+void SleepBackoff(const IoRetryPolicy& policy, size_t attempt);
+
 class MappedFile;  // common/file_util.h
 
 class IoEnv {

@@ -70,4 +70,15 @@ std::string DoubleToString(double v) {
   return s;
 }
 
+bool ValidSessionId(const std::string& id) {
+  if (id.empty() || id.size() > 128) return false;
+  for (char c : id) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  // "." / ".." would escape into directory semantics.
+  return id != "." && id != "..";
+}
+
 }  // namespace atune

@@ -25,6 +25,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// decimals) — used for configuration printing.
 std::string DoubleToString(double v);
 
+/// True iff `id` is a safe session id: nonempty, <= 128 bytes, only
+/// [A-Za-z0-9._-], and neither "." nor "..". Ids become file names (the
+/// daemon's journal/meta/result files, knowledge shards), so atuned
+/// admission and knowledge ingest both check them with this one rule.
+bool ValidSessionId(const std::string& id);
+
 }  // namespace atune
 
 #endif  // ATUNE_COMMON_STRING_UTIL_H_

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/file_util.h"
 #include "common/io_env.h"
 #include "common/string_util.h"
@@ -13,91 +14,11 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'T', 'U', 'N', 'E', 'W', 'A', 'L'};
 constexpr uint32_t kVersion = 1;
+/// Magic plus version: the header frame starts here.
+constexpr size_t kPreambleBytes = sizeof(kMagic) + 4;
 /// Sanity cap on one frame; a corrupt length field must not trigger a
 /// gigantic allocation during recovery.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
-
-// ---- byte-buffer primitives (little-endian) -------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked reader over a payload; any overrun marks it bad and all
-/// later Gets fail, so parse code can check ok() once at the end.
-class Reader {
- public:
-  Reader(const char* data, size_t n) : p_(data), end_(data + n) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return p_ == end_; }
-
-  uint8_t GetU8() {
-    if (!Require(1)) return 0;
-    return static_cast<uint8_t>(*p_++);
-  }
-  uint32_t GetU32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(*p_++)) << (8 * i);
-    }
-    return v;
-  }
-  uint64_t GetU64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(*p_++)) << (8 * i);
-    }
-    return v;
-  }
-  double GetDouble() {
-    uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string GetString() {
-    uint32_t n = GetU32();
-    if (!Require(n)) return std::string();
-    std::string s(p_, n);
-    p_ += n;
-    return s;
-  }
-
- private:
-  bool Require(size_t n) {
-    if (!ok_ || static_cast<size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
 
 // ---- domain-type serialization --------------------------------------------
 
@@ -109,7 +30,7 @@ void PutConfiguration(std::string* out, const Configuration& config) {
     if (const auto* i = std::get_if<int64_t>(&value)) {
       PutU64(out, static_cast<uint64_t>(*i));
     } else if (const auto* d = std::get_if<double>(&value)) {
-      PutDouble(out, *d);
+      PutF64(out, *d);
     } else if (const auto* b = std::get_if<bool>(&value)) {
       PutU8(out, *b ? 1 : 0);
     } else {
@@ -118,7 +39,7 @@ void PutConfiguration(std::string* out, const Configuration& config) {
   }
 }
 
-bool GetConfiguration(Reader* in, Configuration* config) {
+bool GetConfiguration(ByteReader* in, Configuration* config) {
   uint32_t n = in->GetU32();
   for (uint32_t i = 0; i < n && in->ok(); ++i) {
     std::string name = in->GetString();
@@ -128,7 +49,7 @@ bool GetConfiguration(Reader* in, Configuration* config) {
         config->SetInt(name, static_cast<int64_t>(in->GetU64()));
         break;
       case 1:
-        config->SetDouble(name, in->GetDouble());
+        config->SetDouble(name, in->GetF64());
         break;
       case 2:
         config->SetBool(name, in->GetU8() != 0);
@@ -144,7 +65,7 @@ bool GetConfiguration(Reader* in, Configuration* config) {
 }
 
 void PutExecutionResult(std::string* out, const ExecutionResult& result) {
-  PutDouble(out, result.runtime_seconds);
+  PutF64(out, result.runtime_seconds);
   PutU8(out, result.failed ? 1 : 0);
   PutU8(out, result.transient ? 1 : 0);
   PutU8(out, result.censored ? 1 : 0);
@@ -152,12 +73,12 @@ void PutExecutionResult(std::string* out, const ExecutionResult& result) {
   PutU32(out, static_cast<uint32_t>(result.metrics.size()));
   for (const auto& [key, value] : result.metrics) {
     PutString(out, key);
-    PutDouble(out, value);
+    PutF64(out, value);
   }
 }
 
-bool GetExecutionResult(Reader* in, ExecutionResult* result) {
-  result->runtime_seconds = in->GetDouble();
+bool GetExecutionResult(ByteReader* in, ExecutionResult* result) {
+  result->runtime_seconds = in->GetF64();
   result->failed = in->GetU8() != 0;
   result->transient = in->GetU8() != 0;
   result->censored = in->GetU8() != 0;
@@ -165,7 +86,7 @@ bool GetExecutionResult(Reader* in, ExecutionResult* result) {
   uint32_t n = in->GetU32();
   for (uint32_t i = 0; i < n && in->ok(); ++i) {
     std::string key = in->GetString();
-    result->metrics[key] = in->GetDouble();
+    result->metrics[key] = in->GetF64();
   }
   return in->ok();
 }
@@ -176,46 +97,46 @@ std::string SerializeHeader(const JournalHeader& header) {
   PutString(&out, header.system_name);
   PutString(&out, header.workload_name);
   PutString(&out, header.workload_kind);
-  PutDouble(&out, header.workload_scale);
+  PutF64(&out, header.workload_scale);
   PutU32(&out, static_cast<uint32_t>(header.workload_properties.size()));
   for (const auto& [key, value] : header.workload_properties) {
     PutString(&out, key);
-    PutDouble(&out, value);
+    PutF64(&out, value);
   }
   PutU64(&out, header.seed);
   PutU64(&out, header.max_evaluations);
-  PutDouble(&out, header.failure_penalty);
+  PutF64(&out, header.failure_penalty);
   PutU64(&out, header.max_retries);
-  PutDouble(&out, header.retry_cost_fraction);
-  PutDouble(&out, header.timeout_seconds);
-  PutDouble(&out, header.outlier_mad_threshold);
+  PutF64(&out, header.retry_cost_fraction);
+  PutF64(&out, header.timeout_seconds);
+  PutF64(&out, header.outlier_mad_threshold);
   PutU64(&out, header.outlier_min_history);
   PutU64(&out, header.remeasure_runs);
   return out;
 }
 
 bool ParseHeader(const char* payload, size_t len, JournalHeader* header) {
-  Reader in(payload, len);
+  ByteReader in(payload, len);
   header->tuner_name = in.GetString();
   header->system_name = in.GetString();
   header->workload_name = in.GetString();
   header->workload_kind = in.GetString();
-  header->workload_scale = in.GetDouble();
+  header->workload_scale = in.GetF64();
   uint32_t n = in.GetU32();
   for (uint32_t i = 0; i < n && in.ok(); ++i) {
     std::string key = in.GetString();
-    header->workload_properties[key] = in.GetDouble();
+    header->workload_properties[key] = in.GetF64();
   }
   header->seed = in.GetU64();
   header->max_evaluations = in.GetU64();
-  header->failure_penalty = in.GetDouble();
+  header->failure_penalty = in.GetF64();
   header->max_retries = in.GetU64();
-  header->retry_cost_fraction = in.GetDouble();
-  header->timeout_seconds = in.GetDouble();
-  header->outlier_mad_threshold = in.GetDouble();
+  header->retry_cost_fraction = in.GetF64();
+  header->timeout_seconds = in.GetF64();
+  header->outlier_mad_threshold = in.GetF64();
   header->outlier_min_history = in.GetU64();
   header->remeasure_runs = in.GetU64();
-  return in.ok() && in.AtEnd();
+  return in.Done();
 }
 
 void SerializeRecordInto(std::string* out, const JournalRecordRef& record) {
@@ -223,15 +144,15 @@ void SerializeRecordInto(std::string* out, const JournalRecordRef& record) {
   PutU64(out, record.seq);
   PutConfiguration(out, *record.config);
   PutExecutionResult(out, *record.result);
-  PutDouble(out, record.objective);
-  PutDouble(out, record.cost);
+  PutF64(out, record.objective);
+  PutF64(out, record.cost);
   PutU8(out, record.scaled ? 1 : 0);
   PutU64(out, record.round);
   PutU64(out, record.batch_size);
   PutU64(out, record.lane);
   PutU64(out, record.unit_index);
   PutU64(out, record.system_runs);
-  PutDouble(out, record.used);
+  PutF64(out, record.used);
   PutU64(out, record.retried_runs);
   PutU64(out, record.timed_out_runs);
   PutU64(out, record.remeasured_runs);
@@ -260,7 +181,7 @@ JournalRecordRef RefOf(const JournalRecord& record) {
 }
 
 bool ParseRecord(const char* payload, size_t len, JournalRecord* record) {
-  Reader in(payload, len);
+  ByteReader in(payload, len);
   uint8_t kind = in.GetU8();
   if (kind != static_cast<uint8_t>(JournalRecordKind::kTrial) &&
       kind != static_cast<uint8_t>(JournalRecordKind::kUnit)) {
@@ -270,47 +191,19 @@ bool ParseRecord(const char* payload, size_t len, JournalRecord* record) {
   record->seq = in.GetU64();
   if (!GetConfiguration(&in, &record->config)) return false;
   if (!GetExecutionResult(&in, &record->result)) return false;
-  record->objective = in.GetDouble();
-  record->cost = in.GetDouble();
+  record->objective = in.GetF64();
+  record->cost = in.GetF64();
   record->scaled = in.GetU8() != 0;
   record->round = in.GetU64();
   record->batch_size = in.GetU64();
   record->lane = in.GetU64();
   record->unit_index = in.GetU64();
   record->system_runs = in.GetU64();
-  record->used = in.GetDouble();
+  record->used = in.GetF64();
   record->retried_runs = in.GetU64();
   record->timed_out_runs = in.GetU64();
   record->remeasured_runs = in.GetU64();
-  return in.ok() && in.AtEnd();
-}
-
-std::string Frame(const std::string& payload) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32(0, payload.data(), payload.size()));
-  out.append(payload);
-  return out;
-}
-
-/// Reads one frame at `*offset` of the (data, size) span, advancing past it
-/// on success. The payload is returned as a view into the span — no copy —
-/// so recovery parses a memory-mapped journal in place. Returns false on a
-/// truncated, torn, oversized, or CRC-mismatched frame (*offset is left at
-/// the frame start: the recovery truncation point).
-bool ReadFrame(const char* data, size_t size, size_t* offset,
-               const char** payload, size_t* payload_len) {
-  size_t pos = *offset;
-  if (size - pos < 8) return false;
-  Reader head(data + pos, 8);
-  uint32_t len = head.GetU32();
-  uint32_t crc = head.GetU32();
-  if (len > kMaxFrameBytes || size - pos - 8 < len) return false;
-  if (Crc32(0, data + pos + 8, len) != crc) return false;
-  *payload = data + pos + 8;
-  *payload_len = len;
-  *offset = pos + 8 + len;
-  return true;
+  return in.Done();
 }
 
 std::atomic<JournalReplayMode> g_replay_mode{JournalReplayMode::kAuto};
@@ -375,7 +268,7 @@ Result<std::unique_ptr<TrialJournal>> TrialJournal::Create(
   if (!file.ok()) return file.status();
   std::string preamble(kMagic, sizeof(kMagic));
   PutU32(&preamble, kVersion);
-  preamble += Frame(SerializeHeader(header));
+  AppendFrame(SerializeHeader(header), &preamble);
   Status status = WriteFully(env, file->get(), preamble.data(),
                              preamble.size());
   if (status.ok()) status = (*file)->Sync();
@@ -389,10 +282,9 @@ Result<std::unique_ptr<TrialJournal>> TrialJournal::Create(
     (void)(*file)->Close();
     return status;
   }
-  size_t header_frame_start = sizeof(kMagic) + 4;
   return std::unique_ptr<TrialJournal>(
       new TrialJournal(path, env, std::move(*file), 0, preamble.size(),
-                       header_frame_start));
+                       kPreambleBytes));
 }
 
 Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
@@ -448,23 +340,19 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
 
   Recovered recovered;
   recovered.used_mmap = use_mmap;
-  size_t offset = 0;
   // Magic + version + header frame. Damage here leaves nothing to trust
   // (we cannot even verify the session fingerprint), so the whole file is
   // discarded and the caller starts a fresh journal.
-  bool preamble_ok = size >= sizeof(kMagic) + 4 &&
-                     std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
-  if (preamble_ok) {
-    Reader version_reader(data + sizeof(kMagic), 4);
-    preamble_ok = version_reader.GetU32() == kVersion;
-  }
+  size_t offset = kPreambleBytes;
   const char* payload = nullptr;
   size_t payload_len = 0;
-  if (preamble_ok) {
-    offset = sizeof(kMagic) + 4;
-    preamble_ok = ReadFrame(data, size, &offset, &payload, &payload_len) &&
-                  ParseHeader(payload, payload_len, &recovered.header);
-  }
+  bool preamble_ok =
+      size >= kPreambleBytes &&
+      std::memcmp(data, kMagic, sizeof(kMagic)) == 0 &&
+      ByteReader(data + sizeof(kMagic), 4).GetU32() == kVersion &&
+      ReadFrame(data, size, kMaxFrameBytes, &offset, &payload,
+                &payload_len) == FrameStatus::kOk &&
+      ParseHeader(payload, payload_len, &recovered.header);
   if (!preamble_ok) {
     recovered.header_valid = false;
     recovered.warnings.push_back(StrFormat(
@@ -474,13 +362,15 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
     return recovered;
   }
   recovered.header_valid = true;
+  const size_t header_end = offset;
 
   // Longest valid prefix: stop at the first bad frame or sequence break.
   std::vector<size_t> record_ends;  // byte offset after record i
   while (offset < size) {
     size_t frame_start = offset;
     JournalRecord record;
-    if (!ReadFrame(data, size, &offset, &payload, &payload_len) ||
+    if (ReadFrame(data, size, kMaxFrameBytes, &offset, &payload,
+                  &payload_len) != FrameStatus::kOk ||
         !ParseRecord(payload, payload_len, &record)) {
       recovered.warnings.push_back(StrFormat(
           "journal '%s': corrupt or torn frame at byte %zu; keeping the %zu "
@@ -524,19 +414,14 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
         path.c_str(), dropped_lanes));
   }
 
-  size_t valid_end;
-  size_t last_frame_start;
-  size_t header_end = sizeof(kMagic) + 4;
-  ReadFrame(data, size, &header_end, &payload, &payload_len);
+  // No surviving records: keep just the preamble + header frame.
+  size_t valid_end = header_end;
+  size_t last_frame_start = kPreambleBytes;
   if (!record_ends.empty()) {
     valid_end = record_ends.back();
     last_frame_start = record_ends.size() >= 2
                            ? record_ends[record_ends.size() - 2]
                            : header_end;
-  } else {
-    // No surviving records: keep just the preamble + header frame.
-    valid_end = header_end;
-    last_frame_start = sizeof(kMagic) + 4;
   }
   size_t file_size = size;
   // Release the mapping before truncating: shrinking a file under a live
@@ -564,18 +449,12 @@ Status TrialJournal::AppendRef(const JournalRecordRef& record) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("journal is not open for appending");
   }
-  // Serialize after an 8-byte placeholder, then patch the frame header in
-  // place — the same bytes Frame(SerializeRecord(...)) produced, without the
-  // two temporary strings.
+  // Serialize after a reserved frame header, then seal it in place: the
+  // bytes AppendFrame would produce, without a second buffer.
   frame_buf_.clear();
-  frame_buf_.append(8, '\0');
+  frame_buf_.append(kFrameHeaderBytes, '\0');
   SerializeRecordInto(&frame_buf_, record);
-  uint32_t len = static_cast<uint32_t>(frame_buf_.size() - 8);
-  uint32_t crc = Crc32(0, frame_buf_.data() + 8, len);
-  for (int i = 0; i < 4; ++i) {
-    frame_buf_[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
-    frame_buf_[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
+  SealFrame(&frame_buf_, 0);
   uint64_t retries = 0;
   uint64_t shorts = 0;
   Status status = WriteFully(env_, file_.get(), frame_buf_.data(),
@@ -648,8 +527,8 @@ Status TrialJournal::ReverifyTail() {
   size_t offset = last_frame_start_;
   const char* payload = nullptr;
   size_t payload_len = 0;
-  if (!ReadFrame(contents.data(), contents.size(), &offset, &payload,
-                 &payload_len) ||
+  if (ReadFrame(contents.data(), contents.size(), kMaxFrameBytes, &offset,
+                &payload, &payload_len) != FrameStatus::kOk ||
       offset != append_offset_) {
     return Status::IoError(StrFormat(
         "journal '%s': tail frame failed CRC re-verification after an I/O "

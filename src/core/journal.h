@@ -154,7 +154,7 @@ JournalReplayMode JournalReplayModeForTesting();
 /// trailing incomplete wave anyway, so an fsync per lane would protect no
 /// record that recovery keeps.
 ///
-/// On-disk format (little-endian):
+/// On-disk format (little-endian, common/byte_codec.h):
 ///   magic "ATUNEWAL" | version u32 | frame(header) | frame(record)*
 ///   frame := payload_len u32 | crc32(payload) u32 | payload
 /// Recovery keeps the longest valid prefix: parsing stops at the first

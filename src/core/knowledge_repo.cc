@@ -4,16 +4,17 @@
 #include <sys/types.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <dirent.h>
 #include <set>
 
+#include "common/byte_codec.h"
 #include "common/file_util.h"
 #include "common/io_env.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "ml/kmeans.h"
 
 namespace atune {
@@ -21,111 +22,22 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'T', 'U', 'N', 'E', 'K', 'R', 'S'};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = 8 + 4 + 4 + 4;  // magic, version, len, crc
+/// Magic plus version: the shard's one frame starts here.
+constexpr size_t kPreambleBytes = sizeof(kMagic) + 4;
 
-// Little-endian payload writers. core cannot depend on net/wire, so the
-// shard format carries its own (tiny) codec.
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
+void PutVec(std::string* out, const Vec& v) {
+  PutU32(out, uint32_t(v.size()));
+  for (double x : v) PutF64(out, x);
 }
 
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(char((v >> (8 * i)) & 0xff));
-}
-
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, out);
-}
-
-void PutString(const std::string& s, std::string* out) {
-  PutU32(uint32_t(s.size()), out);
-  out->append(s);
-}
-
-void PutVec(const Vec& v, std::string* out) {
-  PutU32(uint32_t(v.size()), out);
-  for (double x : v) PutF64(x, out);
-}
-
-// Bounds-checked payload reader: any overrun poisons ok() and every
-// subsequent Get returns a zero value, so Decode fails closed.
-class PayloadReader {
- public:
-  PayloadReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ok() const { return ok_; }
-  bool Done() const { return ok_ && pos_ == size_; }
-
-  uint32_t GetU32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t(uint8_t(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  uint64_t GetU64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t(uint8_t(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  double GetF64() {
-    uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string GetString() {
-    uint32_t n = GetU32();
-    if (!Need(n)) return std::string();
-    std::string s(data_ + pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  Vec GetVec() {
-    uint32_t n = GetU32();
-    // Each element is 8 bytes; reject counts the remaining bytes can't hold
-    // before allocating.
-    if (!ok_ || size_ - pos_ < size_t(n) * 8) {
-      ok_ = false;
-      return Vec();
-    }
-    Vec v(n);
-    for (uint32_t i = 0; i < n; ++i) v[i] = GetF64();
-    return v;
-  }
-
- private:
-  bool Need(size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-bool ValidShardId(const std::string& id) {
-  if (id.empty() || id.size() > 128) return false;
-  for (char c : id) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '.' || c == '_' ||
-          c == '-')) {
-      return false;
-    }
-  }
-  return true;
+Vec GetVec(ByteReader* r) {
+  uint32_t n = r->GetU32();
+  // Each element is 8 bytes; reject counts the remaining bytes can't hold
+  // before allocating.
+  if (!r->Need(size_t(n) * 8)) return Vec();
+  Vec v(n);
+  for (double& x : v) x = r->GetF64();
+  return v;
 }
 
 // Per-metric values of the outcome's transferable trials, non-finite
@@ -184,54 +96,51 @@ KnowledgeRecord MakeKnowledgeRecord(
 }
 
 std::string EncodeKnowledgeRecord(const KnowledgeRecord& record) {
-  std::string payload;
-  PutString(record.session_id, &payload);
-  PutString(record.tenant, &payload);
-  PutString(record.tuner, &payload);
-  PutString(record.system, &payload);
-  PutString(record.workload, &payload);
-  PutString(record.workload_kind, &payload);
-  PutF64(record.scale, &payload);
-  PutU64(record.seed, &payload);
-  PutU64(record.budget, &payload);
-  PutU32(uint32_t(record.metric_names.size()), &payload);
-  for (const std::string& m : record.metric_names) PutString(m, &payload);
-  PutVec(record.fingerprint, &payload);
-  PutU32(uint32_t(record.configs.size()), &payload);
-  for (const Vec& c : record.configs) PutVec(c, &payload);
-  PutVec(record.objectives, &payload);
-
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(kVersion, &out);
-  PutU32(uint32_t(payload.size()), &out);
-  PutU32(Crc32(0, payload.data(), payload.size()), &out);
-  out.append(payload);
+  std::string out(kMagic, sizeof(kMagic));
+  PutU32(&out, kVersion);
+  out.append(kFrameHeaderBytes, '\0');
+  PutString(&out, record.session_id);
+  PutString(&out, record.tenant);
+  PutString(&out, record.tuner);
+  PutString(&out, record.system);
+  PutString(&out, record.workload);
+  PutString(&out, record.workload_kind);
+  PutF64(&out, record.scale);
+  PutU64(&out, record.seed);
+  PutU64(&out, record.budget);
+  PutU32(&out, uint32_t(record.metric_names.size()));
+  for (const std::string& m : record.metric_names) PutString(&out, m);
+  PutVec(&out, record.fingerprint);
+  PutU32(&out, uint32_t(record.configs.size()));
+  for (const Vec& c : record.configs) PutVec(&out, c);
+  PutVec(&out, record.objectives);
+  SealFrame(&out, kPreambleBytes);
   return out;
 }
 
 Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes) {
-  if (bytes.size() < kHeaderSize ||
+  if (bytes.size() < kPreambleBytes + kFrameHeaderBytes ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::IoError("knowledge shard: bad magic or truncated header");
   }
-  PayloadReader header(bytes.data() + sizeof(kMagic), kHeaderSize - sizeof(kMagic));
-  uint32_t version = header.GetU32();
-  uint32_t len = header.GetU32();
-  uint32_t crc = header.GetU32();
-  if (version != kVersion) {
+  if (ByteReader(bytes.data() + sizeof(kMagic), 4).GetU32() != kVersion) {
     return Status::IoError("knowledge shard: unsupported version");
   }
-  if (bytes.size() != kHeaderSize + size_t(len)) {
+  size_t offset = kPreambleBytes;
+  const char* payload = nullptr;
+  size_t len = 0;
+  FrameStatus frame = ReadFrame(bytes.data(), bytes.size(), bytes.size(),
+                                &offset, &payload, &len);
+  // A shard is exactly one frame: its declared length must end the file,
+  // whatever the CRC says.
+  if (kPreambleBytes + kFrameHeaderBytes + len != bytes.size()) {
     return Status::IoError("knowledge shard: length mismatch");
   }
-  const char* payload = bytes.data() + kHeaderSize;
-  if (Crc32(0, payload, len) != crc) {
+  if (frame != FrameStatus::kOk) {
     return Status::IoError("knowledge shard: CRC mismatch");
   }
 
-  PayloadReader r(payload, len);
+  ByteReader r(payload, len);
   KnowledgeRecord rec;
   rec.session_id = r.GetString();
   rec.tenant = r.GetString();
@@ -246,12 +155,12 @@ Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes) {
   for (uint32_t i = 0; i < n_metrics && r.ok(); ++i) {
     rec.metric_names.push_back(r.GetString());
   }
-  rec.fingerprint = r.GetVec();
+  rec.fingerprint = GetVec(&r);
   uint32_t n_configs = r.GetU32();
   for (uint32_t i = 0; i < n_configs && r.ok(); ++i) {
-    rec.configs.push_back(r.GetVec());
+    rec.configs.push_back(GetVec(&r));
   }
-  rec.objectives = r.GetVec();
+  rec.objectives = GetVec(&r);
   if (!r.Done()) {
     return Status::IoError("knowledge shard: malformed payload");
   }
@@ -268,12 +177,11 @@ KnowledgeRepository::KnowledgeRepository(std::string dir)
 std::string KnowledgeRepository::ShardName(const std::string& session_id) const {
   constexpr size_t kShardBuckets = 16;
   uint32_t h = Crc32(0, session_id.data(), session_id.size());
-  return "s" + std::to_string(size_t(h) % kShardBuckets) + "-" + session_id +
-         ".krs";
+  return StrFormat("s%zu-", size_t(h) % kShardBuckets) + session_id + ".krs";
 }
 
 Status KnowledgeRepository::Ingest(const KnowledgeRecord& record) {
-  if (!ValidShardId(record.session_id)) {
+  if (!ValidSessionId(record.session_id)) {
     return Status::InvalidArgument("knowledge ingest: bad session id '" +
                                    record.session_id + "'");
   }

@@ -18,8 +18,8 @@ namespace atune {
 /// repository (DESIGN.md §14): enough to fingerprint the workload it ran
 /// against and to replay its best configurations into a new session.
 struct KnowledgeRecord {
-  /// Also the shard filename stem — must satisfy the wire protocol's
-  /// session-id charset ([A-Za-z0-9._-], <= 128 chars).
+  /// Also the shard filename stem — must satisfy ValidSessionId
+  /// (common/string_util.h), the rule atuned admission checks too.
   std::string session_id;
   std::string tenant;
   std::string tuner;
@@ -56,9 +56,9 @@ KnowledgeRecord MakeKnowledgeRecord(const std::string& session_id,
                                     const TuningOutcome& outcome);
 
 /// Self-describing single-record shard encoding: magic "ATUNEKRS", a
-/// version, and a length+CRC32-framed little-endian payload. Decode
-/// rejects any truncation, bit-flip, or foreign file with a non-OK status
-/// (never a partially-filled record).
+/// version, and one CRC frame of little-endian payload, written and read
+/// with common/byte_codec.h. Decode rejects any truncation, bit-flip, or
+/// foreign file with a non-OK status (never a partially-filled record).
 std::string EncodeKnowledgeRecord(const KnowledgeRecord& record);
 Result<KnowledgeRecord> DecodeKnowledgeRecord(const std::string& bytes);
 

@@ -3,33 +3,11 @@
 #include <time.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 
 namespace atune {
 namespace {
-
-/// Little-endian u32 at `p` (the frame length prefix).
-uint32_t LoadU32(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(u[0]) | static_cast<uint32_t>(u[1]) << 8 |
-         static_cast<uint32_t>(u[2]) << 16 | static_cast<uint32_t>(u[3]) << 24;
-}
-
-/// Bounded exponential sleep with the shared IoRetryPolicy shape
-/// (base << (attempt-1), capped) — the reconnect-level sibling of
-/// DefaultIoEnv::Backoff and FdTransport::Backoff.
-void SleepBackoff(const IoRetryPolicy& policy, size_t attempt) {
-  if (attempt == 0) attempt = 1;
-  uint64_t us = policy.backoff_base_us;
-  for (size_t i = 1; i < attempt && us < policy.backoff_cap_us; ++i) us <<= 1;
-  us = std::min(us, policy.backoff_cap_us);
-  struct timespec ts;
-  ts.tv_sec = static_cast<time_t>(us / 1000000);
-  ts.tv_nsec = static_cast<long>((us % 1000000) * 1000);
-  ::nanosleep(&ts, nullptr);
-}
 
 void SleepMs(uint64_t ms) {
   struct timespec ts;
@@ -95,7 +73,7 @@ Result<std::string> TuningClient::Exchange(const std::string& payload) {
   char header[kFrameHeaderBytes];
   ATUNE_RETURN_IF_ERROR(
       ReadFully(transport_.get(), header, sizeof(header), options_.retry));
-  uint32_t len = LoadU32(header);
+  uint32_t len = ByteReader(header, sizeof(header)).GetU32();
   if (len == 0 || len > kMaxFramePayload) {
     return Status::InvalidArgument("bad response frame length " +
                                    std::to_string(len));

@@ -20,6 +20,7 @@
 
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "core/journal.h"
 #include "core/knowledge_repo.h"
 #include "core/outcome_checksum.h"

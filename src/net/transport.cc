@@ -9,7 +9,6 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -115,17 +114,8 @@ Status FdTransport::Write(const void* buf, size_t n, size_t* written,
 }
 
 void FdTransport::Backoff(size_t attempt) {
-  // Same bounded exponential shape as DefaultIoEnv::Backoff, in the same
-  // units, driven by the same IoRetryPolicy defaults.
-  IoRetryPolicy policy;
-  if (policy.backoff_base_us == 0 || attempt == 0) return;
-  uint64_t shift = std::min<size_t>(attempt - 1, 16);
-  uint64_t us = std::min(policy.backoff_base_us << shift,
-                         policy.backoff_cap_us);
-  struct timespec ts;
-  ts.tv_sec = static_cast<time_t>(us / 1000000);
-  ts.tv_nsec = static_cast<long>((us % 1000000) * 1000);
-  ::nanosleep(&ts, nullptr);
+  // DefaultIoEnv::Backoff's sleep, at the IoRetryPolicy defaults.
+  SleepBackoff(IoRetryPolicy(), attempt);
 }
 
 Status FdTransport::Close() {

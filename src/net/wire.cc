@@ -1,109 +1,9 @@
 #include "net/wire.h"
 
-#include <cstring>
-
-#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace atune {
 namespace {
-
-// ---- primitive writers (little-endian, journal idiom) ----------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(buf, 8);
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// ---- bounds-checked reader --------------------------------------------------
-
-/// Cursor over a payload. Every Get sets `ok_ = false` on underflow instead
-/// of reading past the end; parsers check Done() (consumed exactly the whole
-/// payload, no trailing garbage) at the end.
-class Reader {
- public:
-  explicit Reader(const std::string& payload) : data_(payload) {}
-
-  uint8_t GetU8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-
-  uint32_t GetU32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  uint64_t GetU64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  double GetF64() {
-    uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string GetString() {
-    uint32_t len = GetU32();
-    if (!Need(len)) return std::string();
-    std::string s = data_.substr(pos_, len);
-    pos_ += len;
-    return s;
-  }
-
-  bool Done() const { return ok_ && pos_ == data_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool Need(size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const std::string& data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(StrFormat("malformed %s payload", what));
@@ -148,38 +48,25 @@ bool SessionStateTerminal(SessionState state) {
   }
 }
 
-void AppendFrame(const std::string& payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(0, payload.data(), payload.size()));
-  out->append(payload);
-}
-
 Status ExtractFrame(const char* data, size_t n, std::string* payload,
                     size_t* consumed) {
   *consumed = 0;
-  if (n < kFrameHeaderBytes) return Status::OK();  // need more bytes
-  auto read_u32 = [data](size_t at) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  uint32_t len = read_u32(0);
-  if (len > kMaxFramePayload) {
-    return Status::InvalidArgument(
-        StrFormat("frame payload length %u exceeds limit %u", len,
-                  kMaxFramePayload));
+  const char* body = nullptr;
+  size_t len = 0;
+  switch (ReadFrame(data, n, kMaxFramePayload, consumed, &body, &len)) {
+    case FrameStatus::kOk:
+      payload->assign(body, len);
+      return Status::OK();
+    case FrameStatus::kIncomplete:
+      return Status::OK();  // need more bytes
+    case FrameStatus::kTooLong:
+      return Status::InvalidArgument(
+          StrFormat("frame payload length %zu exceeds limit %u", len,
+                    kMaxFramePayload));
+    case FrameStatus::kBadCrc:
+      break;
   }
-  if (n < kFrameHeaderBytes + len) return Status::OK();  // incomplete frame
-  uint32_t crc = read_u32(4);
-  if (Crc32(0, data + kFrameHeaderBytes, len) != crc) {
-    return Status::InvalidArgument("frame CRC mismatch");
-  }
-  payload->assign(data + kFrameHeaderBytes, len);
-  *consumed = kFrameHeaderBytes + len;
-  return Status::OK();
+  return Status::InvalidArgument("frame CRC mismatch");
 }
 
 std::string EncodePing() {
@@ -299,7 +186,7 @@ Result<MsgType> PeekType(const std::string& payload) {
 }
 
 Result<StartRequest> ParseStartRequest(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kStartReq)) {
     return Malformed("StartRequest");
   }
@@ -320,7 +207,7 @@ Result<StartRequest> ParseStartRequest(const std::string& payload) {
 }
 
 Result<StartResponse> ParseStartResponse(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kStartResp)) {
     return Malformed("StartResponse");
   }
@@ -341,7 +228,7 @@ Result<StartResponse> ParseStartResponse(const std::string& payload) {
 }
 
 Result<AttachRequest> ParseAttachRequest(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kAttachReq)) {
     return Malformed("AttachRequest");
   }
@@ -353,7 +240,7 @@ Result<AttachRequest> ParseAttachRequest(const std::string& payload) {
 }
 
 Result<AttachResponse> ParseAttachResponse(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kAttachResp)) {
     return Malformed("AttachResponse");
   }
@@ -374,7 +261,7 @@ Result<AttachResponse> ParseAttachResponse(const std::string& payload) {
 }
 
 Result<CancelRequest> ParseCancelRequest(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kCancelReq)) {
     return Malformed("CancelRequest");
   }
@@ -385,7 +272,7 @@ Result<CancelRequest> ParseCancelRequest(const std::string& payload) {
 }
 
 Result<CancelResponse> ParseCancelResponse(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kCancelResp)) {
     return Malformed("CancelResponse");
   }
@@ -396,7 +283,7 @@ Result<CancelResponse> ParseCancelResponse(const std::string& payload) {
 }
 
 Result<StatsResponse> ParseStatsResponse(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kStatsResp)) {
     return Malformed("StatsResponse");
   }
@@ -419,7 +306,7 @@ Result<StatsResponse> ParseStatsResponse(const std::string& payload) {
 }
 
 Result<ErrorResponse> ParseErrorResponse(const std::string& payload) {
-  Reader r(payload);
+  ByteReader r(payload);
   if (r.GetU8() != static_cast<uint8_t>(MsgType::kErrorResp)) {
     return Malformed("ErrorResponse");
   }
@@ -428,17 +315,6 @@ Result<ErrorResponse> ParseErrorResponse(const std::string& payload) {
   resp.message = r.GetString();
   if (!r.Done()) return Malformed("ErrorResponse");
   return resp;
-}
-
-bool ValidSessionId(const std::string& id) {
-  if (id.empty() || id.size() > 128) return false;
-  for (char c : id) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  // "." / ".." would escape into directory semantics.
-  return id != "." && id != "..";
 }
 
 }  // namespace atune

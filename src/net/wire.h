@@ -5,13 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.h"  // AppendFrame, kFrameHeaderBytes
 #include "common/status.h"
 
 namespace atune {
 
 /// The atuned wire protocol (DESIGN.md §13): length-prefixed, CRC-framed
-/// binary messages — the same framing idiom as the trial journal, so a torn
-/// or corrupted frame is detected, never parsed.
+/// binary messages, written and read with the same byte codec and frame
+/// reader as the trial journal (common/byte_codec.h), so a torn or
+/// corrupted frame is detected, never parsed.
 ///
 ///   frame := payload_len u32 | crc32(payload) u32 | payload
 ///   payload := msg_type u8 | body (message-specific fields)
@@ -31,9 +33,6 @@ namespace atune {
 /// Upper bound on a frame payload. Requests and responses are all small
 /// (strings plus a few scalars); anything larger is garbage or an attack.
 inline constexpr uint32_t kMaxFramePayload = 1u << 20;
-
-/// Bytes of frame overhead preceding every payload (length + CRC).
-inline constexpr size_t kFrameHeaderBytes = 8;
 
 enum class MsgType : uint8_t {
   kPingReq = 1,
@@ -80,7 +79,7 @@ bool SessionStateTerminal(SessionState state);
 /// the idempotency key: re-submitting the same id (after a disconnect, a
 /// retry, a crashed client) reattaches to the existing session instead of
 /// double-starting it. Ids become journal file names, so they are
-/// restricted to [A-Za-z0-9._-] (validated at admission).
+/// restricted to [A-Za-z0-9._-] (ValidSessionId, checked at admission).
 struct StartRequest {
   std::string session_id;
   std::string tenant;
@@ -168,14 +167,13 @@ struct ErrorResponse {
 
 // ---- serialization ---------------------------------------------------------
 
-/// Appends one framed message (header + CRC + payload) to `*out`.
-void AppendFrame(const std::string& payload, std::string* out);
-
-/// Incremental frame extraction: if `data[0, n)` starts with one complete,
-/// CRC-valid frame, stores its payload in `*payload`, sets `*consumed` to
-/// the frame's total size, and returns OK. Returns OK with *consumed == 0
-/// when more bytes are needed. Returns kInvalidArgument when the stream is
-/// unrecoverable (oversized length or CRC mismatch) — drop the connection.
+/// Incremental frame extraction (ReadFrame capped at kMaxFramePayload): if
+/// `data[0, n)` starts with one complete, CRC-valid frame, stores its
+/// payload in `*payload`, sets `*consumed` to the frame's total size, and
+/// returns OK. Returns OK with *consumed == 0 when more bytes are needed.
+/// Returns kInvalidArgument when the stream is unrecoverable (oversized
+/// length, rejected from the header alone, or CRC mismatch) — drop the
+/// connection.
 Status ExtractFrame(const char* data, size_t n, std::string* payload,
                     size_t* consumed);
 
@@ -205,10 +203,6 @@ Result<CancelRequest> ParseCancelRequest(const std::string& payload);
 Result<CancelResponse> ParseCancelResponse(const std::string& payload);
 Result<StatsResponse> ParseStatsResponse(const std::string& payload);
 Result<ErrorResponse> ParseErrorResponse(const std::string& payload);
-
-/// True iff `id` is a safe session id: nonempty, <= 128 bytes, and only
-/// [A-Za-z0-9._-] (ids become journal/meta/result file names).
-bool ValidSessionId(const std::string& id);
 
 }  // namespace atune
 

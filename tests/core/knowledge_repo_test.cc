@@ -29,6 +29,7 @@
 
 #include "common/file_util.h"
 #include "common/io_env.h"
+#include "common/string_util.h"
 #include "core/knowledge_repo.h"
 #include "tests/hex_util.h"
 
@@ -158,6 +159,11 @@ TEST(KnowledgeRepoTest, InvalidSessionIdIsRejected) {
   EXPECT_EQ(repo.Ingest(rec).code(), StatusCode::kInvalidArgument);
   rec.session_id = std::string(200, 'a');
   EXPECT_EQ(repo.Ingest(rec).code(), StatusCode::kInvalidArgument);
+  // Admission's rule: "." and ".." name directories, not shards.
+  rec.session_id = ".";
+  EXPECT_EQ(repo.Ingest(rec).code(), StatusCode::kInvalidArgument);
+  rec.session_id = "..";
+  EXPECT_EQ(repo.Ingest(rec).code(), StatusCode::kInvalidArgument);
 }
 
 // The multi-writer contract: distinct session ids never contend (distinct
@@ -175,8 +181,7 @@ TEST(KnowledgeRepoTest, ConcurrentIngestStormNeverTearsShards) {
     writers.emplace_back([&repo, &failures, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         KnowledgeRecord rec =
-            TestRecord("t" + std::to_string(t) + "-s" + std::to_string(i),
-                       double(t * 100 + i));
+            TestRecord(StrFormat("t%zu-s%zu", t, i), double(t * 100 + i));
         if (!repo.Ingest(rec).ok()) failures.fetch_add(1);
       }
     });

@@ -63,7 +63,11 @@ TEST(GpBatch, PredictBatchBitIdenticalToPredict) {
       for (size_t n : {1, 4, 17, 60}) {
         for (size_t m : {1, 3, 7, 8, 9, 16, 33}) {
           size_t d = 5;
-          GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
+          // Non-dyadic lengthscales: at the default one, y / l == y * (1 / l)
+          // for every sampled y, which would hide a divide turned into a
+          // reciprocal multiply.
+          GaussianProcess gp(
+              GpHyperParams{kernel, {0.7, 1.3, 0.45, 0.9, 0.6}, 1.0, 1e-4});
           ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen))
                           .ok());
           Matrix cands = RandomCandidates(m, d, &gen);

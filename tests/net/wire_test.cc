@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "common/string_util.h"
 #include "tests/hex_util.h"
 
 namespace atune {

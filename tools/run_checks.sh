@@ -7,7 +7,8 @@
 #
 #   tools/run_checks.sh             # both sanitizers, full ctest
 #   tools/run_checks.sh tsan        # just one preset
-#   tools/run_checks.sh --smoke     # default build + obs test suite + a CLI
+#   tools/run_checks.sh --smoke     # default build with warnings as errors
+#                                   # + obs test suite + a CLI
 #                                   # --trace round trip + every bench binary
 #                                   # on a tiny budget (ATUNE_SMOKE=1):
 #                                   # catches harness rot without the
@@ -143,8 +144,11 @@ cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--smoke" ]; then
   jobs="$(nproc 2>/dev/null || echo 2)"
-  echo "=== [smoke] configure + build (default preset) ==="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+  echo "=== [smoke] configure + build (default preset, warnings as errors) ==="
+  # CMake's own switch (3.24+): the Release tree builds warning-free, and a
+  # new warning fails here instead of scrolling past.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build -j "$jobs"
   echo "=== [smoke] durability gate ==="
   # Unlike the paper-scale benches, durability is a correctness property:
