@@ -8,6 +8,11 @@
 //   * acquisition: a 1500-candidate EI scan over a 300-point GP, per-point
 //     Predict loop vs PredictBatch + ExpectedImprovementBatch; gate >= 3x,
 //     with every EI value and the argmax verified bitwise equal.
+//   * exact_quotient: the acquisition scan's distance pass (200 training
+//     rows against 2000 candidates in 16-lane chunks, d = 12), the
+//     exact-quotient FMA body vs the divide body on the same inputs; every
+//     output bitwise equal, and gate >= 1.5x where the host has AVX2 and
+//     FMA (elsewhere reported as skipped).
 //   * alloc: steady-state Evaluator commits (journal on, tracing/metrics
 //     off, default policy) must report last_commit_allocs() == 0. This
 //     binary links the counting operator-new override, so zero is meaningful.
@@ -216,6 +221,71 @@ AcquisitionTiming TimeAcquisitionScan() {
       batched_ei.size() == m && scalar_argmax == batched_argmax &&
       std::memcmp(scalar_ei.data(), batched_ei.data(), m * sizeof(double)) ==
           0;
+  return t;
+}
+
+// ---- section 2b: exact-quotient distance pass ----------------------------
+
+struct QuotientTiming {
+  size_t n = 0;
+  size_t m = 0;
+  size_t d = 0;
+  bool skipped = true;  // the host has no AVX2 and FMA
+  double divide_ns = 0.0;
+  double fma_ns = 0.0;
+  double speedup = 0.0;
+  bool bitwise_match = false;
+  bool pass() const { return bitwise_match && (skipped || speedup >= 1.5); }
+};
+
+/// The distance pass of one acquisition scan at gp-serial's largest sizes:
+/// each 16-candidate chunk (transposed, as PredictBatch lays it out)
+/// against every training row, once by the divide body and once by the
+/// exact-quotient body. Each body runs once before the timed reps, so lazy
+/// set-up and a cold host do not land on one side.
+QuotientTiming TimeExactQuotient() {
+  const size_t n = 200, d = 12, m = 2000, kLanes = 16;
+  const size_t chunks = m / kLanes;
+  QuotientTiming t;
+  t.n = n;
+  t.m = m;
+  t.d = d;
+  t.skipped = !internal::FmaAvailable();
+  Rng rng(kSeed + 29);
+  std::vector<double> xs(n * d), ct(chunks * d * kLanes), ls(d), inv(d);
+  for (double& v : xs) v = rng.Uniform();
+  for (double& v : ct) v = rng.Uniform();
+  for (size_t j = 0; j < d; ++j) {
+    ls[j] = std::exp(rng.Uniform(std::log(0.05), std::log(2.0)));
+    inv[j] = 1.0 / ls[j];
+  }
+  std::vector<double> out[2];
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  for (int rep = -1; rep < kTimingReps; ++rep) {
+    for (int exact = 0; exact < (t.skipped ? 1 : 2); ++exact) {
+      out[exact].assign(chunks * n * kLanes, 0.0);
+      uint64_t t0 = NowNs();
+      for (size_t c = 0; c < chunks; ++c) {
+        internal::SquaredDistances(xs.data(), n, ct.data() + c * d * kLanes,
+                                   kLanes, kLanes, d, ls.data(), inv.data(),
+                                   exact == 1,
+                                   out[exact].data() + c * n * kLanes);
+      }
+      const double dt = static_cast<double>(NowNs() - t0);
+      if (rep >= 0) best[exact] = std::min(best[exact], dt);
+      g_sink += out[exact].back();
+    }
+  }
+  t.divide_ns = best[0];
+  if (t.skipped) {
+    t.bitwise_match = true;
+    return t;
+  }
+  t.fma_ns = best[1];
+  t.speedup = best[0] / best[1];
+  t.bitwise_match = std::memcmp(out[0].data(), out[1].data(),
+                                out[0].size() * sizeof(double)) == 0;
   return t;
 }
 
@@ -534,6 +604,17 @@ int Main() {
               acq.scalar_ns, acq.batched_ns, acq.speedup, acq.bitwise_match);
   bool acquisition_pass = acq.speedup >= 3.0 && acq.bitwise_match;
 
+  std::printf("== exact_quotient: distance pass, FMA body vs divide body ==\n");
+  QuotientTiming quot = TimeExactQuotient();
+  if (quot.skipped) {
+    std::printf("  divide %.0f ns  fma skipped (no AVX2 and FMA)\n",
+                quot.divide_ns);
+  } else {
+    std::printf("  divide %.0f ns  fma %.0f ns  speedup %.2fx  bitwise=%d\n",
+                quot.divide_ns, quot.fma_ns, quot.speedup,
+                quot.bitwise_match);
+  }
+
   std::printf("== alloc: steady-state commit allocations ==\n");
   AllocCheck alloc = CheckCommitAllocs();
   std::printf("  hook_live=%d max_steady_allocs=%llu pass=%d\n",
@@ -558,8 +639,8 @@ int Main() {
   }
   identity_pass = identity_pass && applicable > 0;
 
-  bool all_pass = cholesky_pass && acquisition_pass && identity_pass &&
-                  alloc.pass && replay.pass;
+  bool all_pass = cholesky_pass && acquisition_pass && quot.pass() &&
+                  identity_pass && alloc.pass && replay.pass;
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"E17_hotpath\",\n";
@@ -580,6 +661,13 @@ int Main() {
       "\"batched_ns\": %.0f, \"speedup\": %.3f, \"bitwise_match\": %s},\n",
       acq.n, acq.m, acq.scalar_ns, acq.batched_ns, acq.speedup,
       acq.bitwise_match ? "true" : "false");
+  json << StrFormat(
+      "  \"exact_quotient\": {\"n\": %zu, \"m\": %zu, \"d\": %zu, "
+      "\"skipped\": %s, \"divide_ns\": %.0f, \"fma_ns\": %.0f, "
+      "\"speedup\": %.3f, \"bitwise_match\": %s},\n",
+      quot.n, quot.m, quot.d, quot.skipped ? "true" : "false",
+      quot.divide_ns, quot.fma_ns, quot.speedup,
+      quot.bitwise_match ? "true" : "false");
   json << StrFormat(
       "  \"alloc\": {\"hook_live\": %s, \"max_steady_allocs\": %llu},\n",
       alloc.hook_live ? "true" : "false",
@@ -604,19 +692,20 @@ int Main() {
   }
   json << "  ],\n";
   json << StrFormat(
-      "  \"pass\": {\"cholesky\": %s, \"acquisition\": %s, \"identity\": %s, "
-      "\"alloc\": %s, \"replay\": %s}\n}\n",
+      "  \"pass\": {\"cholesky\": %s, \"acquisition\": %s, "
+      "\"exact_quotient\": %s, \"identity\": %s, \"alloc\": %s, "
+      "\"replay\": %s}\n}\n",
       cholesky_pass ? "true" : "false", acquisition_pass ? "true" : "false",
-      identity_pass ? "true" : "false", alloc.pass ? "true" : "false",
-      replay.pass ? "true" : "false");
+      quot.pass() ? "true" : "false", identity_pass ? "true" : "false",
+      alloc.pass ? "true" : "false", replay.pass ? "true" : "false");
   if (AtomicWriteFile("BENCH_hotpath.json", json.str()).ok()) {
     std::printf("wrote BENCH_hotpath.json\n");
   }
 
-  std::printf("hotpath gates: cholesky=%d acquisition=%d identity=%d "
-              "alloc=%d replay=%d\n",
-              cholesky_pass, acquisition_pass, identity_pass, alloc.pass,
-              replay.pass);
+  std::printf("hotpath gates: cholesky=%d acquisition=%d exact_quotient=%d "
+              "identity=%d alloc=%d replay=%d\n",
+              cholesky_pass, acquisition_pass, quot.pass(), identity_pass,
+              alloc.pass, replay.pass);
   if (g_sink == 12345.6789) std::printf("(sink)\n");
   return AcceptanceExit(all_pass);
 }

@@ -7,13 +7,6 @@
 #include <cstring>
 #include <vector>
 
-#if defined(__x86_64__)
-// The AVX instances compile per function through target attributes and are
-// picked at runtime with __builtin_cpu_supports, so the default build needs
-// no extra flags and still runs on plain SSE2 machines.
-#define ATUNE_HAVE_AVX_DISPATCH 1
-#endif
-
 #include "math/reference_kernels.h"
 
 namespace atune {
@@ -23,11 +16,7 @@ namespace {
 using internal::Load;
 using internal::Store;
 using internal::V2;
-
-/// Four lanes, the AVX instance. GCC passes a 32-byte vector in a register
-/// only where AVX is enabled, so V4 appears only inside the always-inline
-/// bodies that a target("avx") entry reaches.
-typedef double V4 __attribute__((vector_size(32)));
+using internal::V4;
 
 template <typename V>
 constexpr size_t kWidth = sizeof(V) / sizeof(double);
@@ -357,6 +346,76 @@ __attribute__((always_inline)) inline bool PanelCholesky8(const double* a,
   return true;
 }
 
+/// The distance pass's quotient ops: an IEEE divide per lane, or (in the
+/// FMA entry only) internal::ExactQuotient, which rounds the same.
+struct DivideQuotient {
+  template <typename V>
+  __attribute__((always_inline)) static void Apply(V* q, const V& a, double b,
+                                                   double) {
+    *q = a / b;
+  }
+};
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+struct FmaQuotient {
+  __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) static void
+  Apply(V4* q, const V4& a, double b, double y) {
+    internal::ExactQuotient(q, a, b, y);
+  }
+};
+#endif
+
+/// kV vectors of SquaredDistances' points from i on, against one row x:
+/// each lane is one point's chain, ascending j from 0.0, as the scalar
+/// loop's.
+template <typename V, typename Quotient, size_t kV>
+__attribute__((always_inline, optimize("fp-contract=off"))) inline void
+DistanceStep(const double* x, const double* pts, size_t stride, size_t i,
+             size_t d, const double* ls, const double* inv_ls, double* out) {
+  V acc[kV] = {};
+  for (size_t j = 0; j < d; ++j) {
+    ATUNE_UNROLL for (size_t h = 0; h < kV; ++h) {
+      V p = {};
+      Load(&p, pts + j * stride + i + h * kWidth<V>);
+      V q = {};
+      Quotient::Apply(&q, x[j] - p, ls[j], inv_ls[j]);
+      acc[h] += q * q;
+    }
+  }
+  ATUNE_UNROLL for (size_t h = 0; h < kV; ++h) {
+    Store(out + i + h * kWidth<V>, acc[h]);
+  }
+}
+
+/// internal::SquaredDistances' body: two vectors of points per step so
+/// their quotients overlap, then one, then single points by divide.
+template <typename V, typename Quotient>
+__attribute__((always_inline, optimize("fp-contract=off"))) inline void
+DistanceRows(const double* xs, size_t rows, const double* pts, size_t stride,
+             size_t m, size_t d, const double* ls, const double* inv_ls,
+             double* out) {
+  constexpr size_t kW = kWidth<V>;
+  for (size_t r = 0; r < rows; ++r) {
+    const double* x = xs + r * d;
+    double* o = out + r * m;
+    size_t i = 0;
+    for (; i + 2 * kW <= m; i += 2 * kW) {
+      DistanceStep<V, Quotient, 2>(x, pts, stride, i, d, ls, inv_ls, o);
+    }
+    if (i + kW <= m) {
+      DistanceStep<V, Quotient, 1>(x, pts, stride, i, d, ls, inv_ls, o);
+      i += kW;
+    }
+    for (; i < m; ++i) {
+      double acc = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double q = (x[j] - pts[j * stride + i]) / ls[j];
+        acc += q * q;
+      }
+      o[i] = acc;
+    }
+  }
+}
+
 #if defined(ATUNE_HAVE_AVX_DISPATCH)
 // The AVX entries, one per dispatched kernel: the same bodies at four lanes
 // (vmulpd/vsubpd/vdivpd, never FMA: -ffp-contract=off keeps every multiply
@@ -378,6 +437,17 @@ __attribute__((target("avx"))) bool PanelCholeskyAvx(const double* a,
 bool AvxAvailable() {
   static const bool ok = __builtin_cpu_supports("avx");
   return ok && !g_sse2_kernels.load(std::memory_order_relaxed);
+}
+
+// The FMA entry: the distance body at four lanes with the exact quotient.
+// flatten inlines FmaQuotient::Apply, which only a target("avx2,fma")
+// function may, and fp-contract=off keeps GCC from fusing the body's own
+// multiply-adds (acc + q * q) in builds without the top-level flag.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"), flatten)) void
+SquaredDistancesFma(const double* xs, size_t rows, const double* pts,
+                    size_t stride, size_t m, size_t d, const double* ls,
+                    const double* inv_ls, double* out) {
+  DistanceRows<V4, FmaQuotient>(xs, rows, pts, stride, m, d, ls, inv_ls, out);
 }
 #endif  // ATUNE_HAVE_AVX_DISPATCH
 
@@ -406,6 +476,46 @@ void SetSse2KernelsForTesting(bool sse2) {
 }
 
 namespace internal {
+
+bool FmaAvailable() {
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+  static const bool ok =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return ok && !g_sse2_kernels.load(std::memory_order_relaxed);
+#else
+  return false;
+#endif
+}
+
+bool ExactQuotientOperands(const double* v, size_t count) {
+  bool ok = true;
+  for (size_t i = 0; i < count; ++i) {
+    const double a = std::fabs(v[i]);
+    ok &= a == 0.0 || (a >= 0x1p-800 && a <= 0x1p500);
+  }
+  return ok;
+}
+
+bool ExactQuotientDivisors(const double* ls, size_t count) {
+  bool ok = true;
+  for (size_t i = 0; i < count; ++i) {
+    ok &= ls[i] >= 0x1p-40 && ls[i] <= 0x1p40;
+  }
+  return ok;
+}
+
+void SquaredDistances(const double* xs, size_t rows, const double* pts,
+                      size_t stride, size_t m, size_t d, const double* ls,
+                      const double* inv_ls, bool exact, double* out) {
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+  if (exact) {
+    SquaredDistancesFma(xs, rows, pts, stride, m, d, ls, inv_ls, out);
+    return;
+  }
+#endif
+  DistanceRows<V2, DivideQuotient>(xs, rows, pts, stride, m, d, ls, inv_ls,
+                                   out);
+}
 
 void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride) {
   const double* ld = l.data().data();

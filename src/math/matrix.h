@@ -7,6 +7,14 @@
 
 #include "common/status.h"
 
+#if defined(__x86_64__)
+// The AVX and FMA instances compile per function through target attributes
+// and are picked at runtime with __builtin_cpu_supports, so the default
+// build needs no extra flags and still runs on plain SSE2 machines.
+#define ATUNE_HAVE_AVX_DISPATCH 1
+#include <immintrin.h>
+#endif
+
 namespace atune {
 
 /// Numeric vector type used across math/ML code.
@@ -184,6 +192,10 @@ void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
 /// its bits. The SIMD kernels here and in GaussianProcess are written over
 /// such types (DESIGN.md §11).
 typedef double V2 __attribute__((vector_size(16)));
+/// Four lanes, the AVX instance. GCC passes a 32-byte vector in a register
+/// only where AVX is enabled, so V4 appears only inside the always-inline
+/// bodies that a target("avx") or target("avx2,fma") entry reaches.
+typedef double V4 __attribute__((vector_size(32)));
 
 /// Unaligned copies between doubles and one lane vector. They go through
 /// memory and by pointer or reference, never by value, so the 32-byte
@@ -197,6 +209,55 @@ template <typename V>
 __attribute__((always_inline)) inline void Store(double* p, const V& v) {
   std::memcpy(p, &v, sizeof(V));
 }
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+/// *q = a / b in every lane, bit for bit, from y = RN(1 / b), which the
+/// caller computes once per divisor with a real divide:
+///   q0 = a y,  r0 = fma(-b, q0, a),  q1 = fma(r0, y, q0),
+///   r1 = fma(-b, q1, a),  q = fma(r1, y, q1).
+/// q1 is within one ulp of a / b, so by Markstein's theorem q is the
+/// correctly rounded quotient, provided nothing underflows or overflows;
+/// ExactQuotientOperands and ExactQuotientDivisors guard that. A zero a
+/// may give a zero of the other sign, which no square tells apart. Only
+/// for entries with target("avx2,fma") and optimize("fp-contract=off"),
+/// where it inlines (DESIGN.md §11).
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline void
+ExactQuotient(V4* q, const V4& a, double b, double y) {
+  const __m256d vb = _mm256_set1_pd(b);
+  const __m256d vy = _mm256_set1_pd(y);
+  const __m256d q0 = _mm256_mul_pd(a, vy);
+  const __m256d r0 = _mm256_fnmadd_pd(vb, q0, a);
+  const __m256d q1 = _mm256_fmadd_pd(r0, vy, q0);
+  const __m256d r1 = _mm256_fnmadd_pd(vb, q1, a);
+  *q = _mm256_fmadd_pd(r1, vy, q1);
+}
+#endif
+
+/// True when the host runs AVX2 and FMA and SetSse2KernelsForTesting is
+/// off: the exact-quotient distance body may then run, on guarded inputs.
+bool FmaAvailable();
+
+/// The exact quotient's guard on the operands whose differences it
+/// divides: true when every v[i] is 0, or finite with 2^-800 <= |v[i]| <=
+/// 2^500. A difference of two such values is 0 or lies in [2^-852, 2^501].
+bool ExactQuotientOperands(const double* v, size_t count);
+
+/// The guard on the divisors: true when every ls[i] lies in [2^-40, 2^40].
+/// With the operand guard, every quotient lies in [2^-892, 2^541] and
+/// every residual is 0 or at least 2^-957, far from both subnormals and
+/// overflow.
+bool ExactQuotientDivisors(const double* ls, size_t count);
+
+/// Squared scaled distances: out[r * m + i] is the sum over j < d,
+/// ascending from 0.0, of q * q with q = (x_r[j] - p_i[j]) / ls[j], for the
+/// rows x_r, r < rows, of the row-major `xs` (stride d) and the points p_i,
+/// i < m, of the column-major `pts` (p_i[j] = pts[j * stride + i]).
+/// `inv_ls` holds RN(1 / ls[j]). With `exact` the quotients come from
+/// ExactQuotient four lanes abreast, which the caller may ask for only when
+/// FmaAvailable() and both guards hold for every x_r, p_i and ls[j];
+/// otherwise they are divides, two lanes abreast. The bits are the same.
+void SquaredDistances(const double* xs, size_t rows, const double* pts,
+                      size_t stride, size_t m, size_t d, const double* ls,
+                      const double* inv_ls, bool exact, double* out);
 }  // namespace internal
 
 /// Unrolls a loop over lanes, vectors or block rows completely, so a
@@ -213,10 +274,11 @@ __attribute__((always_inline)) inline void Store(double* p, const V& v) {
 void SetScalarKernelsForTesting(bool scalar);
 bool ScalarKernelsForTesting();
 
-/// Routes the AVX-dispatched kernels (PanelCholesky8 and the sixteen-lane
-/// panel solve) to their two-lane instances, so hosts with AVX run those
-/// too; results are bit-identical either way. Testing only, process-wide;
-/// a no-op on builds without the AVX dispatch.
+/// Routes the AVX-dispatched kernels (PanelCholesky8, the sixteen-lane
+/// panel solve and the exact-quotient distance pass) to their two-lane
+/// divide instances, so hosts with AVX run those too; results are
+/// bit-identical either way. Testing only, process-wide; a no-op on builds
+/// without the AVX dispatch.
 void SetSse2KernelsForTesting(bool sse2);
 
 /// Dot product; sizes must match (asserted).

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "ml/acquisition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -40,6 +41,11 @@ double ScaledDistance(const Vec& a, const Vec& b,
 /// Candidates per PredictBatch chunk: one panel of the forward solve, which
 /// streams the whole Cholesky factor once per chunk.
 constexpr size_t kPredictLanes = internal::kPanelLanes;
+
+/// Candidate groups of ArgmaxAcquisition's pruned scan: each prunes against
+/// its own best, so fewer groups solve fewer lanes, and the count is fixed,
+/// not the thread count, so the solved lanes are the same on every host.
+constexpr size_t kAcquisitionGroups = 4;
 
 /// Hyper-search probe threads: the calling thread plus up to five pool
 /// workers. Each owns one packed n(n+1)/2 buffer, so six cost what three
@@ -94,44 +100,41 @@ void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
   }
 }
 
-/// out[i - begin] = k(x, p_i) for the rows p_i, i in [begin, end), of the
-/// row-major point matrix `pts` (row stride d). `ls` holds the lengthscales
-/// with ScaledDistance's clamp baked in and the kernel switch is hoisted;
-/// the accumulation (x minus point, per dimension, ascending) and the
-/// sqrt→kernel round trip are exactly KernelValue's, so each output is
-/// bit-identical. Two passes: the squared distances of the whole range go
-/// into `out` first, four entries per step in two-lane vectors so their
-/// divides overlap, then KernelTailInPlace runs over `out`.
-void KernelRowInto(const double* x, const double* pts, size_t begin,
-                   size_t end, size_t d, const double* ls, bool se, double sv,
-                   double* out) {
-  const size_t m = end - begin;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* x0 = pts + (begin + i) * d;
-    const double* x1 = x0 + d;
-    const double* x2 = x1 + d;
-    const double* x3 = x2 + d;
-    V2 a01 = {}, a23 = {};
-    for (size_t j = 0; j < d; ++j) {
-      const V2 d01 = (x[j] - V2{x0[j], x1[j]}) / ls[j];
-      const V2 d23 = (x[j] - V2{x2[j], x3[j]}) / ls[j];
-      a01 += d01 * d01;
-      a23 += d23 * d23;
-    }
-    Store(out + i, a01);
-    Store(out + i + 2, a23);
+/// The row builders' view of one kernel over d dimensions: the lengthscales
+/// with ScaledDistance's clamp baked in, their reciprocals RN(1 / ls[j]),
+/// whether the exact-quotient distance body may run (the host and the
+/// training side pass its guards; a caller adds its own points' check), and
+/// the hoisted kernel switch and signal variance.
+struct KernelArgs {
+  size_t d;
+  const double* ls;
+  const double* inv_ls;
+  bool exact;
+  bool se;
+  double sv;
+};
+
+/// out[i] = k(x, p_i) for the m points p_i of the column-major point matrix
+/// `pts` (p_i[j] = pts[j * stride + i]). The accumulation (x minus point,
+/// per dimension, ascending) and the sqrt→kernel round trip are exactly
+/// KernelValue's, so each output is bit-identical. Two passes: the squared
+/// distances of the whole row go into `out` first (internal::
+/// SquaredDistances, several points abreast so their quotients overlap),
+/// then KernelTailInPlace runs over `out`.
+void KernelRowInto(const double* x, const double* pts, size_t stride,
+                   size_t m, const KernelArgs& k, double* out) {
+  internal::SquaredDistances(x, 1, pts, stride, m, k.d, k.ls, k.inv_ls,
+                             k.exact, out);
+  KernelTailInPlace(out, m, k.se, k.sv);
+}
+
+/// The d x n column-major copy of the n x d row-major `xs` that the row
+/// builders read points from: four points' coordinate j are contiguous.
+void TransposeInto(const double* xs, size_t n, size_t d, Vec* out) {
+  out->resize(n * d);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) (*out)[j * n + i] = xs[i * d + j];
   }
-  for (; i < m; ++i) {
-    const double* xi = pts + (begin + i) * d;
-    double acc = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      double diff = (x[j] - xi[j]) / ls[j];
-      acc += diff * diff;
-    }
-    out[i] = acc;
-  }
-  KernelTailInPlace(out, m, se, sv);
 }
 
 /// out[c] = the sum over i < count, ascending from 0.0, of term(rows[i *
@@ -157,24 +160,24 @@ void SumLanes(const double* rows, size_t count, const Term& term,
 }
 
 /// Builds the lower triangle of K + jitter I over the n x d row-major
-/// training matrix `xs` into `k`, whose rows `rows` addresses (dense for
-/// Fit's factor, packed for the hyper-search probes), and factors it in
-/// place, retrying with the jitter raised tenfold (at least 1e-10) up to
-/// six tries in all — Fit's escalation. Entry (i, j < i) is k(x_i, x_j):
-/// IEEE subtraction is sign-symmetric, so each squared difference, and with
-/// it the entry, equals the symmetric build's k(x_j, x_i). On success
-/// *jitter holds the jitter that factored. Allocates nothing: `panel` is
-/// CholeskyInPlace's.
+/// training matrix `xs` (and `xs_t`, its column-major copy) into `k`, whose
+/// rows `rows` addresses (dense for Fit's factor, packed for the
+/// hyper-search probes), and factors it in place, retrying with the jitter
+/// raised tenfold (at least 1e-10) up to six tries in all — Fit's
+/// escalation. Entry (i, j < i) is k(x_i, x_j): IEEE subtraction is
+/// sign-symmetric, so each squared difference, and with it the entry,
+/// equals the symmetric build's k(x_j, x_i). On success *jitter holds the
+/// jitter that factored. Allocates nothing: `panel` is CholeskyInPlace's.
 template <typename Rows>
-bool FactorKernelInPlace(const double* xs, size_t n, size_t d,
-                         const double* ls, bool se, double sv, double* jitter,
-                         double* k, Rows rows, double* panel) {
+bool FactorKernelInPlace(const double* xs, const double* xs_t, size_t n,
+                         const KernelArgs& kernel, double* jitter, double* k,
+                         Rows rows, double* panel) {
   for (int attempt = 0; attempt < 6; ++attempt) {
     if (attempt > 0) *jitter = std::max(*jitter * 10.0, 1e-10);
     for (size_t i = 0; i < n; ++i) {
       double* ki = k + rows(i);
-      KernelRowInto(xs + i * d, xs, 0, i, d, ls, se, sv, ki);
-      ki[i] = sv + *jitter;
+      KernelRowInto(xs + i * kernel.d, xs_t, n, i, kernel, ki);
+      ki[i] = kernel.sv + *jitter;
     }
     if (CholeskyInPlace(k, n, rows, panel)) return true;
   }
@@ -209,6 +212,7 @@ void RunSlices(size_t slices, ThreadPool* pool, const Fn& fn) {
 /// it a glibc arena of its own.
 struct ProbeBuffers {
   Vec ls;     // the probe's clamped lengthscales
+  Vec inv;    // their reciprocals, for the exact quotient
   Vec panel;  // CholeskyInPlace's 8n panel buffer
   Vec y1;     // L^{-1} (y - mean)
   Vec alpha;  // K^{-1} (y - mean)
@@ -248,6 +252,9 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
   for (size_t i = 0; i < n; ++i) {
     std::copy(xs[i].begin(), xs[i].end(), flat.begin() + i * d);
   }
+  Vec flat_t;
+  TransposeInto(flat.data(), n, d, &flat_t);
+  const bool exact_data = internal::ExactQuotientOperands(flat.data(), n * d);
   double mean = 0.0;
   for (double y : ys) mean += y;
   mean /= static_cast<double>(n);
@@ -258,6 +265,7 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
   std::vector<ProbeBuffers> work(threads);
   for (ProbeBuffers& w : work) {
     w.ls.resize(d);
+    w.inv.resize(d);
     w.panel.resize(8 * n);
     w.y1.resize(n);
     w.alpha.resize(n);
@@ -273,12 +281,19 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
       for (size_t j = 0; j < d; ++j) {
         double l = cand.lengthscales[j];
         w.ls[j] = l > 1e-12 ? l : 1e-12;
+        w.inv[j] = 1.0 / w.ls[j];
       }
+      const KernelArgs kernel{
+          d,
+          w.ls.data(),
+          w.inv.data(),
+          exact_data && internal::FmaAvailable() &&
+              internal::ExactQuotientDivisors(w.ls.data(), d),
+          cand.kernel == KernelType::kSquaredExponential,
+          cand.signal_variance};
       double jitter = cand.noise_variance;
-      if (!FactorKernelInPlace(flat.data(), n, d, w.ls.data(),
-                               cand.kernel == KernelType::kSquaredExponential,
-                               cand.signal_variance, &jitter, w.k.data(),
-                               PackedRows{}, w.panel.data())) {
+      if (!FactorKernelInPlace(flat.data(), flat_t.data(), n, kernel, &jitter,
+                               w.k.data(), PackedRows{}, w.panel.data())) {
         (*lml)[c] = std::numeric_limits<double>::quiet_NaN();
         continue;
       }
@@ -327,27 +342,42 @@ void GaussianProcess::RebuildFlatCache() {
     }
   }
   clamped_ls_.resize(d);
+  inv_ls_.resize(d);
   const std::vector<double>& ls = params_.lengthscales;
   for (size_t j = 0; j < d; ++j) {
     double l = j < ls.size() ? ls[j] : 1.0;
     clamped_ls_[j] = l > 1e-12 ? l : 1e-12;
+    inv_ls_[j] = 1.0 / clamped_ls_[j];
   }
   if (!flat_ok_) {
     xs_flat_.clear();
+    xs_t_.clear();
+    exact_inputs_ = false;
     return;
   }
   xs_flat_.resize(n * d);
   for (size_t i = 0; i < n; ++i) {
     std::copy(xs_[i].begin(), xs_[i].end(), xs_flat_.begin() + i * d);
   }
+  TransposeInto(xs_flat_.data(), n, d, &xs_t_);
+  exact_inputs_ =
+      internal::ExactQuotientOperands(xs_flat_.data(), n * d) &&
+      internal::ExactQuotientDivisors(clamped_ls_.data(), d);
 }
 
-void GaussianProcess::KernelRowRangeInto(const double* x, size_t begin,
-                                         size_t end, double* out) const {
-  KernelRowInto(x, xs_flat_.data(), begin, end, clamped_ls_.size(),
-                clamped_ls_.data(),
-                params_.kernel == KernelType::kSquaredExponential,
-                params_.signal_variance, out);
+bool GaussianProcess::ExactQuotientFor(const double* pts, size_t count) const {
+  return exact_inputs_ && internal::FmaAvailable() &&
+         internal::ExactQuotientOperands(pts, count);
+}
+
+void GaussianProcess::KernelRow(const double* x, double* out) const {
+  const size_t d = clamped_ls_.size();
+  KernelRowInto(x, xs_t_.data(), xs_.size(), xs_.size(),
+                KernelArgs{d, clamped_ls_.data(), inv_ls_.data(),
+                           ExactQuotientFor(x, d),
+                           params_.kernel == KernelType::kSquaredExponential,
+                           params_.signal_variance},
+                out);
 }
 
 Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
@@ -373,8 +403,11 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
     chol_ = Matrix(n, n);
     Vec panel(8 * n);
     factored = FactorKernelInPlace(
-        xs_flat_.data(), n, dims, clamped_ls_.data(),
-        params_.kernel == KernelType::kSquaredExponential, SelfKernel(),
+        xs_flat_.data(), xs_t_.data(), n,
+        KernelArgs{dims, clamped_ls_.data(), inv_ls_.data(),
+                   exact_inputs_ && internal::FmaAvailable(),
+                   params_.kernel == KernelType::kSquaredExponential,
+                   SelfKernel()},
         &jitter, chol_.RowPtr(0), DenseRows{n}, panel.data());
   } else {
     // Scalar A/B half and ragged fallback: the per-pair KernelValue loop
@@ -448,7 +481,7 @@ Status GaussianProcess::AddObservation(const Vec& x, double y) {
   static thread_local Vec row;
   row.resize(n + 1);
   if (flat_ok_ && !ScalarKernelsForTesting() && x.size() == clamped_ls_.size()) {
-    KernelRowRangeInto(x.data(), 0, n, row.data());
+    KernelRow(x.data(), row.data());
   } else {
     for (size_t i = 0; i < n; ++i) row[i] = KernelValue(x, xs_[i]);
   }
@@ -456,11 +489,7 @@ Status GaussianProcess::AddObservation(const Vec& x, double y) {
   Status appended = chol_.CholeskyAppendRow(row);
   xs_.push_back(x);
   ys_.push_back(y);
-  if (flat_ok_ && x.size() == clamped_ls_.size()) {
-    xs_flat_.insert(xs_flat_.end(), x.begin(), x.end());
-  } else {
-    RebuildFlatCache();
-  }
+  RebuildFlatCache();
   if (!appended.ok()) {
     // Degenerate append (duplicate/near-duplicate point): rebuild from
     // scratch, letting Fit escalate the jitter. Copy out first — Fit
@@ -659,7 +688,7 @@ GpPrediction GaussianProcess::Predict(const Vec& x) const {
   static thread_local Vec v;
   kstar.resize(n);
   v.resize(n);
-  KernelRowRangeInto(x.data(), 0, n, kstar.data());
+  KernelRow(x.data(), kstar.data());
   out.mean = y_mean_ + DotSpan(kstar.data(), alpha_.data(), n);
   Matrix::ForwardSolveInto(chol_, kstar.data(), v.data());
   double var = SelfKernel() - DotSpan(v.data(), v.data(), n);
@@ -698,54 +727,160 @@ void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
   });
 }
 
+std::optional<AcquisitionArgmax> GaussianProcess::ArgmaxAcquisition(
+    const Matrix& candidates, AcquisitionKind kind, double best,
+    GpScratch* scratch, ThreadPool* pool) const {
+  const size_t m = candidates.rows();
+  const size_t n = xs_.size();
+  const size_t d = clamped_ls_.size();
+  GroupArgmax groups[kAcquisitionGroups];
+  size_t group_count = 1;
+  if (!fitted_ || ScalarKernelsForTesting() || !flat_ok_ ||
+      candidates.cols() != d || scratch == nullptr) {
+    // Scalar A/B half (and the fallbacks): the full scan, one Predict per
+    // row.
+    for (size_t r = 0; r < m; ++r) {
+      groups[0].Offer(r, AcquisitionValue(kind, Predict(candidates.Row(r)),
+                                          best));
+    }
+    groups[0].solved = m;
+  } else if (m > 0) {
+    constexpr size_t kLanes = kPredictLanes;
+    const size_t chunks = (m + kLanes - 1) / kLanes;
+    group_count = std::min(kAcquisitionGroups, chunks);
+    const size_t threads = std::min(
+        group_count, 1 + (pool != nullptr ? pool->num_threads() : 0));
+    // Every thread's panels are carved here, before any worker starts.
+    ScratchArena& arena = scratch->arena_;
+    arena.Reset();
+    double* ct = arena.AllocateArray<double>(threads * d * kLanes);
+    double* panels = arena.AllocateArray<double>(threads * 2 * n * kLanes);
+    std::atomic<size_t> next{0};
+    RunSlices(threads, pool, [&](size_t t) {
+      for (size_t g = next++; g < group_count; g = next++) {
+        ScanGroup(candidates, chunks * g / group_count * kLanes,
+                  std::min(m, chunks * (g + 1) / group_count * kLanes), kind,
+                  best, ct + t * d * kLanes, panels + 2 * t * n * kLanes,
+                  &groups[g]);
+      }
+    });
+  }
+  // Groups in index order, strict >: the full scan's winner.
+  GroupArgmax all;
+  for (size_t g = 0; g < group_count; ++g) {
+    if (groups[g].winner) all.Offer(groups[g].winner->index,
+                                    groups[g].winner->value);
+    all.solved += groups[g].solved;
+  }
+  if (MetricsRegistry* metrics = CurrentMetrics()) {
+    metrics->GetCounter("gp.acquisition_candidates")->Increment(m);
+    metrics->GetCounter("gp.acquisition_solved")->Increment(all.solved);
+  }
+  return all.winner;
+}
+
+void GaussianProcess::ScanGroup(const Matrix& candidates, size_t begin,
+                                size_t end, AcquisitionKind kind, double best,
+                                double* ct, double* panels,
+                                GroupArgmax* group) const {
+  constexpr size_t kLanes = kPredictLanes;
+  const size_t n = xs_.size();
+  double* panel = panels;
+  double* pending = panels + n * kLanes;
+  double mean[kLanes];
+  double var[kLanes];
+  size_t pending_index[kLanes];
+  double pending_mean[kLanes];
+  size_t kept = 0;
+  // Solves the pending lanes, scores them exactly and raises the group's
+  // best; dead lanes are zeroed so the solve stays finite.
+  auto solve_pending = [&]() {
+    for (size_t i = 0; i < n; ++i) {
+      std::fill(pending + i * kLanes + kept, pending + (i + 1) * kLanes, 0.0);
+    }
+    PanelVariances(pending, var);
+    for (size_t l = 0; l < kept; ++l) {
+      group->Offer(pending_index[l],
+                   AcquisitionValue(
+                       kind, GpPrediction{pending_mean[l], var[l]}, best));
+    }
+    group->solved += kept;
+    kept = 0;
+  };
+  for (size_t c0 = begin; c0 < end; c0 += kLanes) {
+    const size_t w = std::min(kLanes, end - c0);
+    PanelMeans(candidates, c0, w, ct, panel, mean);
+    for (size_t c = 0; c < w; ++c) {
+      // A lane whose bound cannot reach the best so far cannot win, nor tie
+      // an earlier winner; every other lane is solved.
+      const double best_so_far = group->winner
+                                     ? group->winner->value
+                                     : -std::numeric_limits<double>::infinity();
+      if (!(AcquisitionBound(kind, mean[c], SelfKernel(), best) >=
+            best_so_far)) {
+        continue;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        pending[i * kLanes + kept] = panel[i * kLanes + c];
+      }
+      pending_index[kept] = c0 + c;
+      pending_mean[kept] = mean[c];
+      if (++kept == kLanes) solve_pending();
+    }
+  }
+  if (kept > 0) solve_pending();
+}
+
 void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
                                   size_t end, double* ct, double* panel,
                                   GpPrediction* out) const {
+  for (size_t c0 = begin; c0 < end; c0 += kPredictLanes) {
+    const size_t w = std::min(kPredictLanes, end - c0);
+    double mean[kPredictLanes];
+    double var[kPredictLanes];
+    PanelMeans(candidates, c0, w, ct, panel, mean);
+    PanelVariances(panel, var);
+    for (size_t c = 0; c < w; ++c) out[c0 + c] = GpPrediction{mean[c], var[c]};
+  }
+}
+
+void GaussianProcess::PanelMeans(const Matrix& candidates, size_t c0,
+                                 size_t w, double* ct, double* panel,
+                                 double* mean) const {
   constexpr size_t kLanes = kPredictLanes;
-  size_t n = xs_.size();
-  size_t d = clamped_ls_.size();
-  bool se = params_.kernel == KernelType::kSquaredExponential;
-  double sv = params_.signal_variance;
-  const double* ls = clamped_ls_.data();
-  for (size_t c0 = begin; c0 < end; c0 += kLanes) {
-    size_t w = std::min(kLanes, end - c0);
-    // Transpose the candidate chunk to d x kLanes so the per-dimension loop
-    // below is lane-contiguous; dead lanes repeat the last real candidate
-    // (finite arithmetic, results discarded).
-    for (size_t j = 0; j < d; ++j) {
-      double* cj = ct + j * kLanes;
-      for (size_t c = 0; c < kLanes; ++c) {
-        cj[c] = candidates.At(c0 + (c < w ? c : w - 1), j);
-      }
+  const size_t n = xs_.size();
+  const size_t d = clamped_ls_.size();
+  // Transpose the candidate chunk to d x kLanes so the distance pass loads
+  // lanes contiguously; dead lanes repeat the last real candidate (finite
+  // arithmetic, results discarded).
+  for (size_t j = 0; j < d; ++j) {
+    double* cj = ct + j * kLanes;
+    for (size_t c = 0; c < kLanes; ++c) {
+      cj[c] = candidates.At(c0 + (c < w ? c : w - 1), j);
     }
-    // Kernel-row panel: panel[i][c] = k(candidate c, x_i). Per (i, c) the
-    // accumulation order and the tail are exactly KernelRowRangeInto's, so
-    // each lane matches Predict bit for bit.
-    for (size_t i = 0; i < n; ++i) {
-      const double* xi = xs_flat_.data() + i * d;
-      double* pi = panel + i * kLanes;
-      SumLanes(
-          ct, d,
-          [&](V2 c, size_t j) {
-            const V2 diff = (c - xi[j]) / ls[j];
-            return diff * diff;
-          },
-          pi);
-      KernelTailInPlace(pi, kLanes, se, sv);
-    }
-    // Means before the in-place solve consumes the panel (ascending i, the
-    // same order as Dot(kstar, alpha_)).
-    double mean_acc[kLanes] = {};
-    double var_acc[kLanes] = {};
-    SumLanes(panel, n, [&](V2 k, size_t i) { return k * alpha_[i]; },
-             mean_acc);
-    internal::ForwardSolvePanel(chol_, panel, kLanes);
-    SumLanes(panel, n, [](V2 v, size_t) { return v * v; }, var_acc);
-    for (size_t c = 0; c < w; ++c) {
-      GpPrediction& p = out[c0 + c];
-      p.mean = y_mean_ + mean_acc[c];
-      p.variance = std::max(SelfKernel() - var_acc[c], 0.0);
-    }
+  }
+  // Kernel-row panel: panel[i][c] = k(candidate c, x_i), from training row
+  // i against the chunk's lanes. Per (i, c) the accumulation order and the
+  // tail are exactly KernelRow's (the subtraction's sign does not reach the
+  // square), so each lane matches Predict bit for bit.
+  internal::SquaredDistances(xs_flat_.data(), n, ct, kLanes, kLanes, d,
+                             clamped_ls_.data(), inv_ls_.data(),
+                             ExactQuotientFor(ct, d * kLanes), panel);
+  KernelTailInPlace(panel, n * kLanes,
+                    params_.kernel == KernelType::kSquaredExponential,
+                    params_.signal_variance);
+  // Ascending i, the same order as Dot(kstar, alpha_).
+  double acc[kLanes] = {};
+  SumLanes(panel, n, [&](V2 k, size_t i) { return k * alpha_[i]; }, acc);
+  for (size_t c = 0; c < kLanes; ++c) mean[c] = y_mean_ + acc[c];
+}
+
+void GaussianProcess::PanelVariances(double* panel, double* var) const {
+  internal::ForwardSolvePanel(chol_, panel, kPredictLanes);
+  double acc[kPredictLanes] = {};
+  SumLanes(panel, xs_.size(), [](V2 v, size_t) { return v * v; }, acc);
+  for (size_t c = 0; c < kPredictLanes; ++c) {
+    var[c] = std::max(SelfKernel() - acc[c], 0.0);
   }
 }
 

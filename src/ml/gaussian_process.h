@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/arena.h"
@@ -33,13 +35,29 @@ struct GpPrediction {
   double variance = 0.0;  ///< posterior variance (>= 0)
 };
 
-/// Reusable scratch for GaussianProcess::PredictBatch. Owns the arena the
-/// batched kernels carve their candidate-transpose and kernel-row panels
-/// from; after the first batch at a given (n, d, slice count) it is in
-/// steady state and an unpooled PredictBatch call performs zero heap
-/// allocations. A pooled call carves every slice's panels from it on the
-/// calling thread before any worker starts, so one scratch serves the whole
-/// call; it is not synchronized — one scratch per calling thread.
+/// The acquisition functions ArgmaxAcquisition maximizes (ml/acquisition.h,
+/// AcquisitionValue): expected or probability of improvement at xi = 0, or
+/// the lower confidence bound at beta = 2.
+enum class AcquisitionKind {
+  kExpectedImprovement,
+  kProbabilityOfImprovement,
+  kLowerConfidenceBound,
+};
+
+/// The winning candidate of an acquisition scan and its acquisition value.
+struct AcquisitionArgmax {
+  size_t index = 0;
+  double value = 0.0;
+};
+
+/// Reusable scratch for GaussianProcess::PredictBatch and
+/// ArgmaxAcquisition. Owns the arena the batched kernels carve their
+/// candidate-transpose and kernel-row panels from; after the first batch at
+/// a given (n, d, slice count) it is in steady state and an unpooled call
+/// performs zero heap allocations. A pooled call carves every slice's
+/// panels from it on the calling thread before any worker starts, so one
+/// scratch serves the whole call; it is not synchronized — one scratch per
+/// calling thread.
 class GpScratch {
  public:
   GpScratch() = default;
@@ -160,6 +178,25 @@ class GaussianProcess {
                     std::vector<GpPrediction>* out,
                     ThreadPool* pool = nullptr) const;
 
+  /// The candidate that maximizes the acquisition value AcquisitionValue(
+  /// kind, Predict(row), best) over the rows of `candidates`, with that
+  /// value: the first of equal values in index order, as a strict-> scan
+  /// from -inf picks it. Empty when no candidate scores above -inf (every
+  /// value NaN, say). Bit-identical to that full scan, but the O(n²) panel
+  /// solve runs only for candidates that can still win: the rows split into
+  /// a fixed number of 16-aligned groups, which the calling thread and
+  /// `pool` take whole, and each group builds kernel rows and means chunk
+  /// by chunk (as PredictBatch does), bounds each candidate's value from its
+  /// mean and the prior variance (AcquisitionBound), and gathers the lanes
+  /// whose bound reaches the group's best so far into one pending 16-lane
+  /// panel, which it solves and scores when full and at the group's end.
+  /// Counts the candidates and the solved lanes in the gp.acquisition_*
+  /// counters; both depend only on the inputs. The scalar A/B path and the
+  /// PredictBatch fallbacks score every candidate.
+  std::optional<AcquisitionArgmax> ArgmaxAcquisition(
+      const Matrix& candidates, AcquisitionKind kind, double best,
+      GpScratch* scratch, ThreadPool* pool = nullptr) const;
+
   /// Log marginal likelihood of the fitted model.
   double LogMarginalLikelihood() const { return log_marginal_likelihood_; }
 
@@ -168,22 +205,56 @@ class GaussianProcess {
   size_t num_points() const { return xs_.size(); }
 
  private:
+  /// The best lane of a scan so far, by strict > in the order offered, so
+  /// the first of equal values wins and NaN never does; and how many lanes
+  /// were solved.
+  struct GroupArgmax {
+    std::optional<AcquisitionArgmax> winner;
+    size_t solved = 0;
+    void Offer(size_t index, double value) {
+      if (value > (winner ? winner->value
+                          : -std::numeric_limits<double>::infinity())) {
+        winner = AcquisitionArgmax{index, value};
+      }
+    }
+  };
+
   double KernelValue(const Vec& a, const Vec& b) const;
-  /// Shared scratch-free kernel-row builder over the flat training cache:
-  /// out[i - begin] = k(x, x_i) for i in [begin, end), bit-identical to
-  /// KernelValue(x, xs_[i]) (same per-dimension accumulation order, with
-  /// the lengthscale clamp and kernel-type switch hoisted out of the loop).
-  /// Requires flat_ok_ and x spanning clamped_ls_.size() doubles. Routes
-  /// Predict's kstar and AddObservation's bordered row; Fit and the
-  /// hyper-search probes build K with the same row kernel.
-  void KernelRowRangeInto(const double* x, size_t begin, size_t end,
-                          double* out) const;
+  /// True when the exact-quotient distance body may run against `count`
+  /// point coordinates: the host has it and they, the training points and
+  /// the lengthscales all pass its guards (internal::SquaredDistances).
+  bool ExactQuotientFor(const double* pts, size_t count) const;
+  /// Shared scratch-free kernel-row builder over the training cache: out[i]
+  /// = k(x, x_i) for i < n, bit-identical to KernelValue(x, xs_[i]) (same
+  /// per-dimension accumulation order, with the lengthscale clamp and
+  /// kernel-type switch hoisted out of the loop). Requires flat_ok_ and x
+  /// spanning clamped_ls_.size() doubles. Routes Predict's kstar and
+  /// AddObservation's bordered row; Fit and the hyper-search probes build K
+  /// with the same row kernel.
+  void KernelRow(const double* x, double* out) const;
   /// PredictBatch's fast path over rows [begin, end), begin a multiple of
   /// 16: `ct` holds d x 16 and `panel` n x 16 doubles of the caller's.
   void PredictRows(const Matrix& candidates, size_t begin, size_t end,
                    double* ct, double* panel, GpPrediction* out) const;
-  /// Rebuilds xs_flat_/clamped_ls_ from xs_ and params_ (flat_ok_ = false
-  /// when xs_ is ragged; every fast path then falls back to KernelValue).
+  /// Kernel rows and posterior means of the w <= 16 candidate rows from c0:
+  /// panel[i * 16 + c] = k(candidate c0 + c, x_i) and mean[c] for the 16
+  /// lanes, the lanes past w repeating the last candidate. `ct` holds
+  /// d x 16 doubles, `panel` n x 16, `mean` 16.
+  void PanelMeans(const Matrix& candidates, size_t c0, size_t w, double* ct,
+                  double* panel, double* mean) const;
+  /// var[c] = the posterior variance of the candidate whose kernel row is
+  /// lane c of `panel` (n x 16), which the in-place solve consumes. Lanes
+  /// are independent, so a lane's bits do not depend on its neighbours.
+  void PanelVariances(double* panel, double* var) const;
+  /// One group of ArgmaxAcquisition's scan, rows [begin, end): `ct` holds
+  /// d x 16 doubles and `panels` two n x 16 panels (the chunk's and the
+  /// pending one) of the caller's.
+  void ScanGroup(const Matrix& candidates, size_t begin, size_t end,
+                 AcquisitionKind kind, double best, double* ct,
+                 double* panels, GroupArgmax* group) const;
+  /// Rebuilds xs_flat_/xs_t_/clamped_ls_/inv_ls_/exact_inputs_ from xs_
+  /// and params_ (flat_ok_ = false when xs_ is ragged; every fast path then
+  /// falls back to KernelValue).
   void RebuildFlatCache();
   /// k(x, x) for any x: both kernels evaluate to the signal variance at
   /// distance zero, so the self-kernel is a cached constant rather than a
@@ -196,8 +267,11 @@ class GaussianProcess {
   GpHyperParams params_;
   std::vector<Vec> xs_;
   Vec xs_flat_;      // xs_ flattened row-major (n x d) for the batched paths
+  Vec xs_t_;         // the same column-major (d x n), the kernel rows' points
   Vec clamped_ls_;   // per-dim lengthscales with ScaledDistance's clamp baked in
+  Vec inv_ls_;       // RN(1 / clamped_ls_[j]), for the exact quotient
   bool flat_ok_ = false;
+  bool exact_inputs_ = false;  // xs_flat_ and clamped_ls_ pass its guards
   Vec ys_;           // raw targets (kept for recentering and refits)
   Vec alpha_;        // K^{-1} (y - mean)
   Matrix chol_;      // lower Cholesky factor of K + jitter I

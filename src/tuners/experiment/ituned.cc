@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "math/sampling.h"
-#include "ml/acquisition.h"
 #include "obs/trace.h"
 
 namespace atune {
@@ -26,19 +27,22 @@ namespace {
 /// supervision layer.
 constexpr size_t kMaxConsecutiveModelFailures = 3;
 
-/// Reusable storage for the batched acquisition scan: the candidate matrix,
-/// the PredictBatch output, the acquisition values, and the GP panel
-/// scratch. Owned by the Tune loop so a whole tuning session allocates the
-/// scan buffers once instead of per candidate per iteration. The candidate
+/// Reusable storage for the acquisition scan: the candidate matrix and the
+/// GP panel scratch. Owned by the Tune loop so a whole tuning session
+/// allocates the scan buffers once instead of per iteration. The candidate
 /// matrix is sized up front because the serial loop fills it on a pool
 /// worker, which must not allocate.
 struct AcquisitionWorkspace {
   AcquisitionWorkspace(size_t m, size_t dims) : cands(m, dims) {}
   Matrix cands;
-  std::vector<GpPrediction> preds;
-  Vec acq;
   GpScratch gp;
 };
+
+AcquisitionKind KindOf(const std::string& acquisition) {
+  if (acquisition == "pi") return AcquisitionKind::kProbabilityOfImprovement;
+  if (acquisition == "lcb") return AcquisitionKind::kLowerConfidenceBound;
+  return AcquisitionKind::kExpectedImprovement;
+}
 
 /// Draws the `acquisition_candidates` random proposals into *cands (a third
 /// perturb the incumbent), with exactly the rng draw order of the old
@@ -66,19 +70,17 @@ void DrawCandidates(const ITunedOptions& options, const std::vector<Vec>& xs,
   }
 }
 
-/// Acquisition-maximizing candidate over ws->cands. Shared by the serial
-/// loop and the constant-liar batch loop; `xs`/`ys` may include liar
-/// observations. With a non-null `rng` the candidates are drawn here
-/// first; the serial loop passes null because it drew them alongside the
-/// fit. The prediction scan is sliced over the calling thread and `pool`.
-///
-/// The candidates are predicted and scored as whole batches (Predict
-/// consumed no randomness); the strict-> argmax in index order therefore
-/// selects the bit-identical winner the per-point scan did.
-Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
-                     const std::vector<Vec>& xs, const Vec& ys, size_t dims,
-                     Rng* rng, AcquisitionWorkspace* ws, ThreadPool* pool,
-                     double* best_acq_out) {
+/// Acquisition-maximizing row of ws->cands, or none when no candidate
+/// scores above -inf. Shared by the serial loop and the constant-liar batch
+/// loop; `xs`/`ys` may include liar observations. With a non-null `rng` the
+/// candidates are drawn here first; the serial loop passes null because it
+/// drew them alongside the fit. The scan runs on the calling thread and
+/// `pool`, and picks the winner a per-point strict-> scan in index order
+/// picks (GaussianProcess::ArgmaxAcquisition).
+std::optional<AcquisitionArgmax> ProposeCandidate(
+    const GaussianProcess& gp, const ITunedOptions& options,
+    const std::vector<Vec>& xs, const Vec& ys, size_t dims, Rng* rng,
+    AcquisitionWorkspace* ws, ThreadPool* pool) {
   ScopedSpan span(CurrentTracer(), "acquisition");
   if (span.active()) {
     span.AddArg("candidates", std::to_string(options.acquisition_candidates));
@@ -86,27 +88,8 @@ Vec ProposeCandidate(const GaussianProcess& gp, const ITunedOptions& options,
   }
   if (rng != nullptr) DrawCandidates(options, xs, ys, dims, rng, &ws->cands);
   double best_log = *std::min_element(ys.begin(), ys.end());
-  size_t m = options.acquisition_candidates;
-  gp.PredictBatch(ws->cands, &ws->gp, &ws->preds, pool);
-  if (options.acquisition == "pi") {
-    ProbabilityOfImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
-  } else if (options.acquisition == "lcb") {
-    LowerConfidenceBoundBatch(ws->preds, 2.0, &ws->acq);
-  } else {
-    ExpectedImprovementBatch(ws->preds, best_log, 0.0, &ws->acq);
-  }
-  double best_acq = -std::numeric_limits<double>::infinity();
-  Vec next;
-  size_t best_i = m;
-  for (size_t i = 0; i < m; ++i) {
-    if (ws->acq[i] > best_acq) {
-      best_acq = ws->acq[i];
-      best_i = i;
-    }
-  }
-  if (best_i < m) next = ws->cands.Row(best_i);
-  if (best_acq_out != nullptr) *best_acq_out = best_acq;
-  return next;
+  return gp.ArgmaxAcquisition(ws->cands, KindOf(options.acquisition),
+                              best_log, &ws->gp, pool);
 }
 
 }  // namespace
@@ -160,19 +143,27 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
     Status fit = gp.FitWithHyperSearch(xs, ys, options_.gp_hyper_budget, rng,
                                        evaluator->thread_pool(helpers), draw);
-    Vec next;
+    std::optional<AcquisitionArgmax> pick;
     if (fit.ok()) {
+      pick = ProposeCandidate(gp, options_, xs, ys, dims, /*rng=*/nullptr,
+                              &ws, evaluator->thread_pool(helpers));
+      if (!pick) {
+        fit = Status::Internal(
+            "ituned: no acquisition candidate scored above -inf");
+      }
+    }
+    Vec next;
+    if (pick) {
       model_failures = 0;
-      next = ProposeCandidate(gp, options_, xs, ys, dims, /*rng=*/nullptr,
-                              &ws, evaluator->thread_pool(helpers),
-                              &last_acq);
+      next = ws.cands.Row(pick->index);
+      last_acq = pick->value;
     } else {
       // Failed GP (non-finite objectives, or a kernel that stays
-      // indefinite): one-off failures fall back to a random draw from the
-      // stream as the search left it. Persistent failures mean the
-      // observations themselves are poisoned and no amount of random
-      // sampling inside this loop repairs the surrogate — escalate so a
-      // supervision layer can fail over.
+      // indefinite) or a scan without a winner: one-off failures fall back
+      // to a random draw from the stream as the search left it. Persistent
+      // failures mean the observations themselves are poisoned and no
+      // amount of random sampling inside this loop repairs the surrogate —
+      // escalate so a supervision layer can fail over.
       if (++model_failures >= kMaxConsecutiveModelFailures) return fit;
       next.resize(dims);
       for (double& x : next) x = rng->Uniform();
@@ -272,9 +263,17 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
       std::vector<Vec> lie_xs = xs;
       Vec lie_ys = ys;
       for (size_t j = 0; j < k; ++j) {
-        Vec cand = ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng,
-                                    &ws, evaluator->thread_pool(parallelism),
-                                    &last_acq);
+        std::optional<AcquisitionArgmax> pick =
+            ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng, &ws,
+                             evaluator->thread_pool(parallelism));
+        Vec cand(dims);
+        if (pick) {
+          cand = ws.cands.Row(pick->index);
+          last_acq = pick->value;
+        } else {
+          // No winner: this lane takes the failed-model draw.
+          for (double& x : cand) x = rng->Uniform();
+        }
         batch.push_back(space.FromUnitVector(cand));
         if (j + 1 < k) {
           // Liar update; a degenerate append falls back to a full refit

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "math/sampling.h"
-#include "ml/acquisition.h"
 #include "ml/gaussian_process.h"
 #include "ml/kmeans.h"
 #include "ml/linear_model.h"
@@ -257,12 +257,10 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
   size_t mapped = 0;
   size_t recommendations = 0;
   size_t model_failures = 0;
-  // Reusable batched-acquisition storage: candidate matrix, PredictBatch
-  // output, EI values, GP panel scratch — allocated once per session.
+  // Reusable acquisition storage: candidate matrix and GP panel scratch —
+  // allocated once per session.
   constexpr size_t kAcqCandidates = 1500;
   Matrix acq_cands(kAcqCandidates, dims);
-  std::vector<GpPrediction> acq_preds;
-  Vec acq_values;
   GpScratch gp_scratch;
   // The surrogate runs on the calling thread plus a pool that fills the
   // remaining cores; bit-identical to running it on one. The candidates read
@@ -271,9 +269,9 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
   const size_t helpers = HelperThreadCount();
   Vec incumbent;
   const std::function<void(Rng*)> draw = [&](Rng* stream) {
-    // The per-point loop's exact rng draw order; the batch is predicted and
-    // scored after the fit, and the index-order strict-> argmax picks the
-    // bit-identical winner the scalar scan did.
+    // The per-point loop's exact rng draw order; the batch is scored after
+    // the fit, and ArgmaxAcquisition picks the winner the per-point
+    // strict-> scan in index order did.
     for (size_t c = 0; c < kAcqCandidates; ++c) {
       double* cand = acq_cands.RowPtr(c);
       // Non-top knobs stay at the incumbent.
@@ -316,29 +314,30 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
     GaussianProcess gp;
     Status fit = gp.FitWithHyperSearch(xs, ys, 16, rng,
                                        evaluator->thread_pool(helpers), draw);
-    Vec next(dims);
+    std::optional<AcquisitionArgmax> pick;
     if (fit.ok()) {
-      model_failures = 0;
       ScopedSpan acq_span(CurrentTracer(), "acquisition");
       if (acq_span.active()) acq_span.AddArg("candidates", "1500");
       double best_log = *std::min_element(target_objectives.begin(),
                                           target_objectives.end());
-      gp.PredictBatch(acq_cands, &gp_scratch, &acq_preds,
-                      evaluator->thread_pool(helpers));
-      ExpectedImprovementBatch(acq_preds, best_log, 0.0, &acq_values);
-      double best_acq = -std::numeric_limits<double>::infinity();
-      size_t best_c = kAcqCandidates;
-      for (size_t c = 0; c < kAcqCandidates; ++c) {
-        if (acq_values[c] > best_acq) {
-          best_acq = acq_values[c];
-          best_c = c;
-        }
+      pick = gp.ArgmaxAcquisition(acq_cands,
+                                  AcquisitionKind::kExpectedImprovement,
+                                  best_log, &gp_scratch,
+                                  evaluator->thread_pool(helpers));
+      if (!pick) {
+        fit = Status::Internal(
+            "ottertune: no acquisition candidate scored above -inf");
       }
-      if (best_c < kAcqCandidates) next = acq_cands.Row(best_c);
+    }
+    Vec next;
+    if (pick) {
+      model_failures = 0;
+      next = acq_cands.Row(pick->index);
     } else {
-      // One-off GP failures fall back to perturbing the incumbent; three in
-      // a row mean the training set itself is numerically poisoned —
-      // escalate so a supervision layer can fail over.
+      // One-off GP failures, or scans without a winner, fall back to
+      // perturbing the incumbent; three in a row mean the training set
+      // itself is numerically poisoned — escalate so a supervision layer
+      // can fail over.
       if (++model_failures >= 3) return fit;
       next = incumbent;
       for (size_t j = 0; j < k; ++j) {

@@ -46,7 +46,7 @@ TEST(StringUtilTest, StrFormatGrowsPastInternalBuffer) {
   // longer than the stack buffer.
   std::string big(1000, 'x');
   std::string out = StrFormat("[%s]", big.c_str());
-  EXPECT_EQ(out.size(), big.size() + 2);
+  ASSERT_EQ(out.size(), big.size() + 2);
   EXPECT_EQ(out.front(), '[');
   EXPECT_EQ(out.back(), ']');
   EXPECT_EQ(out.substr(1, big.size()), big);

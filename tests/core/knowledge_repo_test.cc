@@ -306,7 +306,7 @@ TEST(KnowledgeRepoTest, LoadShardsPinnedListSkipsMissingEntries) {
   auto loaded = repo.LoadShards(
       {repo.ShardName("keep"), repo.ShardName("never-written")}, &skipped);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 1u);
+  ASSERT_EQ(loaded->size(), 1u);
   EXPECT_EQ(skipped, 1u);
   EXPECT_EQ((*loaded)[0].session_id, "keep");
 }

@@ -1,14 +1,17 @@
 // Verifies that pool workers allocate nothing while they run the GP
 // surrogate's work (DESIGN.md §11): every buffer a hyper-search probe
-// thread, the kept winner's factor, an `alongside` draw or a PredictBatch
-// slice touches is sized on the calling thread first. A worker's first
-// malloc would give it a glibc arena of its own and raise the process's
-// peak RSS. This binary links common/alloc_hook_override.cc, so
-// SampleAllocCount() counts the calling thread's operator-new calls.
+// thread, the kept winner's factor, an `alongside` draw, a PredictBatch
+// slice or an acquisition-scan group touches is sized on the calling thread
+// first. A worker's first malloc would give it a glibc arena of its own and
+// raise the process's peak RSS. This binary links
+// common/alloc_hook_override.cc, so SampleAllocCount() counts the calling
+// thread's operator-new calls.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -65,6 +68,16 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   uint64_t before = worker_count();
   ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool, draw).ok());
   gp.PredictBatch(cands, &scratch, &preds, &pool);
+  // The pruned acquisition scan: the worker takes whole candidate groups
+  // and gathers their lanes into a pending panel carved beforehand.
+  const double best = *std::min_element(ys.begin(), ys.end());
+  std::optional<AcquisitionArgmax> pick;
+  for (AcquisitionKind kind : {AcquisitionKind::kExpectedImprovement,
+                               AcquisitionKind::kProbabilityOfImprovement,
+                               AcquisitionKind::kLowerConfidenceBound}) {
+    pick = gp.ArgmaxAcquisition(cands, kind, best, &scratch, &pool);
+    ASSERT_TRUE(pick.has_value());
+  }
   // Without a draw to run first the worker scores about half the probes,
   // so in some searches it beats the kept winner and swaps its buffer in.
   for (size_t budget : {16, 24, 24}) {
@@ -84,6 +97,10 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   std::vector<GpPrediction> serial_preds;
   serial.PredictBatch(cands, &scratch, &serial_preds);
   EXPECT_EQ(serial_preds.back().mean, preds.back().mean);
+  std::optional<AcquisitionArgmax> serial_pick = serial.ArgmaxAcquisition(
+      cands, AcquisitionKind::kLowerConfidenceBound, best, &scratch);
+  ASSERT_TRUE(serial_pick.has_value());
+  EXPECT_EQ(serial_pick->index, pick->index);
 }
 
 }  // namespace

@@ -66,6 +66,15 @@ class ScalarKernels {
   ~ScalarKernels() { SetScalarKernelsForTesting(false); }
 };
 
+/// Routes the AVX-dispatched kernels to their two-lane divide instances for
+/// one scope (on an FMA host the other setting runs the exact-quotient
+/// distance body); restores them even when an assertion returns early.
+class Sse2Kernels {
+ public:
+  explicit Sse2Kernels(bool sse2) { SetSse2KernelsForTesting(sse2); }
+  ~Sse2Kernels() { SetSse2KernelsForTesting(false); }
+};
+
 /// Pools by worker count, each built on first use and kept for the binary.
 ThreadPool* Pool(size_t workers) {
   static std::map<size_t, std::unique_ptr<ThreadPool>> pools;
@@ -102,7 +111,8 @@ void ExpectSameBits(const std::vector<double>& want,
 
 /// Runs the same seeded hyper search without a pool, with pools of 1..4
 /// workers, and under the scalar kernels without a pool and on a pool of
-/// three (one pool task per candidate), and requires identical bits.
+/// three (one pool task per candidate), under both kernel widths, and
+/// requires identical bits.
 void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
                          GpHyperParams params, size_t budget,
                          const Matrix& probes) {
@@ -116,18 +126,25 @@ void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
   GaussianProcess serial = search(nullptr);
   ASSERT_TRUE(serial.fitted());
   const std::vector<double> want = Fingerprint(serial, probes);
-  for (size_t workers = 1; workers <= 4; ++workers) {
-    ExpectSameBits(want, Fingerprint(search(Pool(workers)), probes),
-                   "pooled search");
-  }
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), Pool(3)}) {
-    GaussianProcess scalar;
-    {
-      ScalarKernels guard;
-      scalar = search(pool);
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels widths(sse2);
+    SCOPED_TRACE(testing::Message() << "sse2=" << sse2);
+    for (size_t workers = 0; workers <= 4; ++workers) {
+      ExpectSameBits(
+          want,
+          Fingerprint(search(workers == 0 ? nullptr : Pool(workers)), probes),
+          "pooled search");
     }
-    ExpectSameBits(want, Fingerprint(scalar, probes),
-                   pool == nullptr ? "scalar search" : "pooled scalar search");
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), Pool(3)}) {
+      GaussianProcess scalar;
+      {
+        ScalarKernels guard;
+        scalar = search(pool);
+      }
+      ExpectSameBits(want, Fingerprint(scalar, probes),
+                     pool == nullptr ? "scalar search"
+                                     : "pooled scalar search");
+    }
   }
 }
 
@@ -175,30 +192,34 @@ TEST(GpPool, JitterEscalationIsBitIdenticalInPlace) {
   // after the duplicate is exactly <= 0; the retry at jitter 1e-10 must
   // give the bits of a fit that starts at 1e-10, on both kernel paths.
   mt19937_64 gen(13);
-  for (KernelType kernel :
-       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    for (size_t n : {40, 200, 12}) {
-      std::vector<Vec> xs = RandomPoints(n, 3, &gen);
-      xs[n / 2] = xs[0];
-      Vec ys = RandomTargets(n, &gen);
-      Matrix probes = RandomCandidates(4, 3, &gen);
-      auto fit = [&](double noise) {
-        GaussianProcess gp(GpHyperParams{kernel, {0.4, 0.3, 0.5}, 1.0, noise});
-        EXPECT_TRUE(gp.Fit(xs, ys).ok());
-        return Fingerprint(gp, probes);
-      };
-      // The noise itself is part of the fingerprint; compare the rest.
-      std::vector<double> escalated = fit(1e-20);
-      std::vector<double> direct = fit(1e-10);
-      escalated[2] = direct[2] = 0.0;
-      ExpectSameBits(direct, escalated, "escalated fit");
-      std::vector<double> scalar;
-      {
-        ScalarKernels guard;
-        scalar = fit(1e-20);
+  for (bool sse2 : {false, true}) {
+    Sse2Kernels widths(sse2);
+    for (KernelType kernel :
+         {KernelType::kMatern52, KernelType::kSquaredExponential}) {
+      for (size_t n : {40, 200, 12}) {
+        std::vector<Vec> xs = RandomPoints(n, 3, &gen);
+        xs[n / 2] = xs[0];
+        Vec ys = RandomTargets(n, &gen);
+        Matrix probes = RandomCandidates(4, 3, &gen);
+        auto fit = [&](double noise) {
+          GaussianProcess gp(
+              GpHyperParams{kernel, {0.4, 0.3, 0.5}, 1.0, noise});
+          EXPECT_TRUE(gp.Fit(xs, ys).ok());
+          return Fingerprint(gp, probes);
+        };
+        // The noise itself is part of the fingerprint; compare the rest.
+        std::vector<double> escalated = fit(1e-20);
+        std::vector<double> direct = fit(1e-10);
+        escalated[2] = direct[2] = 0.0;
+        ExpectSameBits(direct, escalated, "escalated fit");
+        std::vector<double> scalar;
+        {
+          ScalarKernels guard;
+          scalar = fit(1e-20);
+        }
+        scalar[2] = 0.0;
+        ExpectSameBits(escalated, scalar, "scalar escalated fit");
       }
-      scalar[2] = 0.0;
-      ExpectSameBits(escalated, scalar, "scalar escalated fit");
     }
   }
 }
@@ -219,7 +240,9 @@ TEST(GpPool, KeptWinnerFactorGrowsLikeAFit) {
       const std::vector<Vec> extra = RandomPoints(3, 3, &gen);
       const Vec extra_ys = RandomTargets(3, &gen);
       const Matrix probes = RandomCandidates(4, 3, &gen);
-      for (size_t workers : {0, 3}) {
+      for (size_t run = 0; run < 4; ++run) {
+        const size_t workers = run % 2 == 0 ? 0 : 3;
+        Sse2Kernels widths(run >= 2);
         GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
         Rng rng(37);
         ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng,
@@ -316,11 +339,16 @@ TEST(GpPool, ProbeQueueIsBitIdenticalAcrossPoolsAndBudgets) {
                               std::chrono::steady_clock::now() - start) +
                       std::chrono::milliseconds(10);
     for (size_t workers : {0, 1, 3, 7}) {
-      SCOPED_TRACE(testing::Message() << "workers=" << workers);
-      ThreadPool* pool = workers == 0 ? nullptr : Pool(workers);
-      ExpectSameBits(want, search(pool, std::chrono::microseconds(0)),
-                     "queued search");
-      ExpectSameBits(want, search(pool, hold), "queued search beside a hold");
+      for (bool sse2 : {false, true}) {
+        Sse2Kernels widths(sse2);
+        SCOPED_TRACE(testing::Message()
+                     << "workers=" << workers << " sse2=" << sse2);
+        ThreadPool* pool = workers == 0 ? nullptr : Pool(workers);
+        ExpectSameBits(want, search(pool, std::chrono::microseconds(0)),
+                       "queued search");
+        ExpectSameBits(want, search(pool, hold),
+                       "queued search beside a hold");
+      }
     }
   }
 }
@@ -370,8 +398,10 @@ TEST(GpPool, SlicedPredictBatchIsBitIdentical) {
       Matrix cands = RandomCandidates(m, d, &gen);
       std::vector<GpPrediction> want(m);
       for (size_t r = 0; r < m; ++r) want[r] = gp.Predict(cands.Row(r));
-      // Slices: 1 (no pool) through 5 (four workers).
-      for (size_t workers = 0; workers <= 4; ++workers) {
+      // Slices: 1 (no pool) through 5 (four workers), at both widths.
+      for (size_t run = 0; run < 10; ++run) {
+        const size_t workers = run % 5;
+        Sse2Kernels widths(run >= 5);
         std::vector<GpPrediction> got;
         gp.PredictBatch(cands, &scratch, &got,
                         workers == 0 ? nullptr : Pool(workers));

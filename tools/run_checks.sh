@@ -25,9 +25,12 @@
 #                                   # ATUNE_SMOKE=1, gated on the pass flags
 #                                   # in BENCH_hotpath.json: blocked-kernel
 #                                   # and batched-acquisition speedup floors,
-#                                   # whole-session fast-vs-scalar
-#                                   # bit-identity, zero-alloc Evaluator
-#                                   # commits, and mmap replay fallback
+#                                   # the exact-quotient distance pass (bits
+#                                   # equal to the divide's, >= 1.5x where
+#                                   # the host has FMA), whole-session
+#                                   # fast-vs-scalar bit-identity, zero-alloc
+#                                   # Evaluator commits, and mmap replay
+#                                   # fallback
 #   tools/run_checks.sh --crashsafety
 #                                   # Release build + bench_crashsafety at
 #                                   # full scale, gated on the pass flags in
@@ -110,7 +113,12 @@
 #                                   # examples, tests. Prints the counts and
 #                                   # fails on any function that only tests
 #                                   # keep, or that nothing keeps, unless the
-#                                   # allowlist in this stage names it
+#                                   # allowlist in this stage names it. Only
+#                                   # strong (T/t) symbols are classified:
+#                                   # inline members, templates and other
+#                                   # header-only code compile to weak
+#                                   # symbols, which it never sees, so it
+#                                   # cannot tell whether only tests use them
 #   tools/run_checks.sh --native    # release-native preset (-O3
 #                                   # -march=native, build-native/) + full
 #                                   # ctest: the bit-identity suites on the
@@ -319,14 +327,15 @@ if [ "${1:-}" = "--hotpath" ]; then
   # replay fallback) alongside its speedup floors. The binary exits 0 under
   # ATUNE_SMOKE; the recorded pass flags in BENCH_hotpath.json do not lie.
   ATUNE_SMOKE=1 ./build/bench/bench_hotpath
-  if ! grep -q '"pass": {"cholesky": true, "acquisition": true, "identity": true, "alloc": true, "replay": true}' \
+  if ! grep -q '"pass": {"cholesky": true, "acquisition": true, "exact_quotient": true, "identity": true, "alloc": true, "replay": true}' \
       BENCH_hotpath.json; then
     echo "hotpath gate FAILED:" >&2
     grep '"pass"' BENCH_hotpath.json >&2 || true
     exit 1
   fi
-  echo "hotpath checks passed: blocked kernels and batched acquisition at"
-  echo "speed, bit-identical sessions, zero-alloc commits, mmap replay ok"
+  echo "hotpath checks passed: blocked kernels, batched acquisition and the"
+  echo "exact-quotient distance pass at speed, bit-identical sessions,"
+  echo "zero-alloc commits, mmap replay ok"
   exit 0
 fi
 
@@ -531,7 +540,8 @@ if [ "${1:-}" = "--deadcode" ]; then
   mkdir -p "$sym"
   # The library set: strong text symbols the atune_* archives define whose
   # demangled name starts with atune::, lambdas left out and ABI tags
-  # dropped from the names.
+  # dropped from the names. Inline members and template instances are weak
+  # (W) symbols and stay out of the set: this stage never classifies them.
   nm --defined-only "$out"/src/*/libatune_*.a |
       awk '$2 == "T" || $2 == "t" { print $3 }' | sort -u > "$sym/lib.mangled"
   c++filt < "$sym/lib.mangled" | paste "$sym/lib.mangled" - |
