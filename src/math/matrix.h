@@ -32,7 +32,8 @@ using Vec = std::vector<double>;
 /// vectorization. The SIMD kernels are written once each over GCC vector
 /// types (internal::V2 below; GCC's auto-vectorizer shuffles the same scalar
 /// loops into slower code) and instantiated twice: two lanes for the
-/// default target, four inside target("avx") entries picked at runtime via
+/// default target, four inside target("avx") entries (target("avx2,fma")
+/// for the GP's distance pass) picked at runtime via
 /// __builtin_cpu_supports, so the default build carries no extra ISA
 /// requirement (DESIGN.md §11).
 /// Kernel contracts:
@@ -43,7 +44,8 @@ using Vec = std::vector<double>;
 ///     floating-point operations on each output element, in the same order,
 ///     as the naive loops preserved in math/reference_kernels.h. Blocking
 ///     only interleaves *independent* elements' dependency chains; nothing
-///     is reassociated, and divisions stay divisions. Tuners compare
+///     is reassociated, and divisions stay divisions, or become
+///     internal::ExactQuotient, which rounds the same. Tuners compare
 ///     objectives and acquisition values with exact `<`/`>`, so this is a
 ///     correctness contract, not a nicety — enforced by
 ///     tests/math/blocked_kernels_test.cc and bench_hotpath's whole-session
