@@ -111,8 +111,8 @@ void ExpectSameBits(const std::vector<double>& want,
 
 /// Runs the same seeded hyper search without a pool, with pools of 1..4
 /// workers, and under the scalar kernels without a pool and on a pool of
-/// three (one pool task per candidate), under both kernel widths, and
-/// requires identical bits.
+/// three (one pool task per candidate), each under both kernel widths, and
+/// requires the bits of the unpooled search at the default width.
 void ExpectSearchesAgree(const std::vector<Vec>& xs, const Vec& ys,
                          GpHyperParams params, size_t budget,
                          const Matrix& probes) {
