@@ -8,11 +8,20 @@
 //   * acquisition: a 1500-candidate EI scan over a 300-point GP, per-point
 //     Predict loop vs PredictBatch + ExpectedImprovementBatch; gate >= 3x,
 //     with every EI value and the argmax verified bitwise equal.
+//   * argmax: the scan the GP tuners run, ArgmaxAcquisition's bound-pruned
+//     EI scan over the same GP and candidates vs its scalar half (one
+//     Predict per row), both on one thread; gate >= 3x, with the winner's
+//     index and value bitwise equal.
 //   * exact_quotient: the acquisition scan's distance pass (200 training
 //     rows against 2000 candidates in 16-lane chunks, d = 12), the
 //     exact-quotient FMA body vs the divide body on the same inputs; every
 //     output bitwise equal, and gate >= 1.5x where the host has AVX2 and
 //     FMA (elsewhere reported as skipped).
+//   * kernel_tail: the GP kernel tail over 400 k squared distances at
+//     d = 12 (zero and far ones included, which take libm's exp), both
+//     kernels, the ExpV4 body vs the libm body; every output bitwise
+//     equal, and gate >= 2x where the ExpV4 body runs (elsewhere reported
+//     as skipped).
 //   * alloc: steady-state Evaluator commits (journal on, tracing/metrics
 //     off, default policy) must report last_commit_allocs() == 0. This
 //     binary links the counting operator-new override, so zero is meaningful.
@@ -47,6 +56,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -165,25 +175,46 @@ struct AcquisitionTiming {
   bool bitwise_match = false;
 };
 
-AcquisitionTiming TimeAcquisitionScan() {
-  const size_t n = 300, d = 8, m = 1500;
-  AcquisitionTiming t;
-  t.n = n;
-  t.m = m;
+/// The acquisition and argmax lines' problem: a Matérn GP fitted to 300
+/// uniform 8-D points, 1500 uniform candidates, and the best target as
+/// EI's incumbent.
+struct AcquisitionProblem {
+  size_t n = 300;
+  size_t m = 1500;
+  GaussianProcess gp{GpHyperParams{KernelType::kMatern52, {}, 1.0, 1e-4}};
+  Matrix cands;
+  double best = 0.0;
+  bool fitted = false;
+};
+
+AcquisitionProblem MakeAcquisitionProblem() {
+  const size_t d = 8;
+  AcquisitionProblem p;
   Rng rng(kSeed + 17);
-  std::vector<Vec> xs(n, Vec(d));
-  Vec ys(n);
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<Vec> xs(p.n, Vec(d));
+  Vec ys(p.n);
+  for (size_t i = 0; i < p.n; ++i) {
     for (double& v : xs[i]) v = rng.Uniform();
     ys[i] = rng.Uniform() * 4.0 - 2.0;
   }
-  GaussianProcess gp(GpHyperParams{KernelType::kMatern52, {}, 1.0, 1e-4});
-  if (!gp.Fit(xs, ys).ok()) return t;
-  Matrix cands(m, d);
-  for (size_t r = 0; r < m; ++r) {
-    for (size_t j = 0; j < d; ++j) cands.At(r, j) = rng.Uniform();
+  p.fitted = p.gp.Fit(xs, ys).ok();
+  p.cands = Matrix(p.m, d);
+  for (size_t r = 0; r < p.m; ++r) {
+    for (size_t j = 0; j < d; ++j) p.cands.At(r, j) = rng.Uniform();
   }
-  double best = *std::min_element(ys.begin(), ys.end());
+  p.best = *std::min_element(ys.begin(), ys.end());
+  return p;
+}
+
+AcquisitionTiming TimeAcquisitionScan(const AcquisitionProblem& p) {
+  const size_t m = p.m;
+  AcquisitionTiming t;
+  t.n = p.n;
+  t.m = m;
+  if (!p.fitted) return t;
+  const GaussianProcess& gp = p.gp;
+  const Matrix& cands = p.cands;
+  const double best = p.best;
 
   Vec scalar_ei(m), batched_ei;
   GpScratch scratch;
@@ -221,6 +252,52 @@ AcquisitionTiming TimeAcquisitionScan() {
       batched_ei.size() == m && scalar_argmax == batched_argmax &&
       std::memcmp(scalar_ei.data(), batched_ei.data(), m * sizeof(double)) ==
           0;
+  return t;
+}
+
+// ---- section 2a: the tuners' pruned scan ----------------------------------
+
+struct ArgmaxTiming {
+  size_t n = 0;
+  size_t m = 0;
+  double scalar_ns = 0.0;
+  double pruned_ns = 0.0;
+  double speedup = 0.0;
+  bool bitwise_match = false;
+  bool pass() const { return bitwise_match && speedup >= 3.0; }
+};
+
+/// ArgmaxAcquisition's EI scan, as iTuned and OtterTune run it, against
+/// its scalar half (SetScalarKernelsForTesting: one Predict per row), with
+/// no pool, so both run on this thread. Each side runs once before the
+/// timed reps.
+ArgmaxTiming TimeArgmax(const AcquisitionProblem& p) {
+  ArgmaxTiming t;
+  t.n = p.n;
+  t.m = p.m;
+  if (!p.fitted) return t;
+  GpScratch scratch;
+  std::optional<AcquisitionArgmax> won[2];
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  for (int rep = -1; rep < kTimingReps; ++rep) {
+    for (int scalar = 0; scalar < 2; ++scalar) {
+      SetScalarKernelsForTesting(scalar == 1);
+      uint64_t t0 = NowNs();
+      won[scalar] = p.gp.ArgmaxAcquisition(
+          p.cands, AcquisitionKind::kExpectedImprovement, p.best, &scratch);
+      const double dt = static_cast<double>(NowNs() - t0);
+      SetScalarKernelsForTesting(false);
+      if (rep >= 0) best[scalar] = std::min(best[scalar], dt);
+      if (won[scalar]) g_sink += won[scalar]->value;
+    }
+  }
+  t.pruned_ns = best[0];
+  t.scalar_ns = best[1];
+  t.speedup = best[1] / best[0];
+  t.bitwise_match = won[0] && won[1] && won[0]->index == won[1]->index &&
+                    std::memcmp(&won[0]->value, &won[1]->value,
+                                sizeof(double)) == 0;
   return t;
 }
 
@@ -286,6 +363,76 @@ QuotientTiming TimeExactQuotient() {
   t.speedup = best[0] / best[1];
   t.bitwise_match = std::memcmp(out[0].data(), out[1].data(),
                                 out[0].size() * sizeof(double)) == 0;
+  return t;
+}
+
+// ---- section 2c: the kernel tail's exp ------------------------------------
+
+struct TailTiming {
+  size_t m = 0;
+  size_t d = 0;
+  bool skipped = true;  // the ExpV4 body does not run on this host
+  double libm_ns = 0.0;
+  double fast_ns = 0.0;
+  double speedup = 0.0;
+  bool bitwise_match = false;
+  bool pass() const { return bitwise_match && (skipped || speedup >= 2.0); }
+};
+
+/// internal::KernelTailInPlace over the squared distances of random pairs
+/// in the unit cube at hyper-search lengthscales, one in 64 of them zero
+/// and one in 64 far (their exp arguments leave ExpV4's fast range and take
+/// libm's exp), for the squared-exponential and the Matérn kernel, by the
+/// libm body and the ExpV4 body. Each body runs once before the timed
+/// reps, so lazy set-up and a cold host do not land on one side.
+TailTiming TimeKernelTail() {
+  const size_t m = 400000, d = 12;
+  TailTiming t;
+  t.m = m;
+  t.d = d;
+  t.skipped = !internal::ExpV4Available();
+  Rng rng(kSeed + 31);
+  std::vector<double> ls(d);
+  for (double& l : ls) l = std::exp(rng.Uniform(std::log(0.05), std::log(2.0)));
+  std::vector<double> sq(m);
+  for (size_t i = 0; i < m; ++i) {
+    double acc = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      const double q = (rng.Uniform() - rng.Uniform()) / ls[j];
+      acc += q * q;
+    }
+    sq[i] = i % 64 == 0 ? 0.0 : i % 64 == 32 ? 1e6 : acc;
+  }
+  std::vector<double> out[2][2];
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  for (int rep = -1; rep < kTimingReps; ++rep) {
+    for (int fast = 0; fast < (t.skipped ? 1 : 2); ++fast) {
+      double dt = 0.0;
+      for (int se = 0; se < 2; ++se) {
+        out[fast][se] = sq;
+        uint64_t t0 = NowNs();
+        internal::KernelTailInPlace(out[fast][se].data(), m, se == 1, 1.3,
+                                    fast == 1);
+        dt += static_cast<double>(NowNs() - t0);
+        g_sink += out[fast][se][m - 1];
+      }
+      if (rep >= 0) best[fast] = std::min(best[fast], dt);
+    }
+  }
+  t.libm_ns = best[0];
+  if (t.skipped) {
+    t.bitwise_match = true;
+    return t;
+  }
+  t.fast_ns = best[1];
+  t.speedup = best[0] / best[1];
+  t.bitwise_match = true;
+  for (int se = 0; se < 2; ++se) {
+    t.bitwise_match = t.bitwise_match &&
+                      std::memcmp(out[0][se].data(), out[1][se].data(),
+                                  m * sizeof(double)) == 0;
+  }
   return t;
 }
 
@@ -599,10 +746,17 @@ int Main() {
                        kernels.front().identical && kernels.back().identical;
 
   std::printf("== acquisition: 1500-candidate EI scan over a 300-point GP ==\n");
-  AcquisitionTiming acq = TimeAcquisitionScan();
+  const AcquisitionProblem problem = MakeAcquisitionProblem();
+  AcquisitionTiming acq = TimeAcquisitionScan(problem);
   std::printf("  scalar %.0f ns  batched %.0f ns  speedup %.2fx  bitwise=%d\n",
               acq.scalar_ns, acq.batched_ns, acq.speedup, acq.bitwise_match);
   bool acquisition_pass = acq.speedup >= 3.0 && acq.bitwise_match;
+
+  std::printf("== argmax: the tuners' pruned EI scan vs its scalar half ==\n");
+  ArgmaxTiming argmax = TimeArgmax(problem);
+  std::printf("  scalar %.0f ns  pruned %.0f ns  speedup %.2fx  bitwise=%d\n",
+              argmax.scalar_ns, argmax.pruned_ns, argmax.speedup,
+              argmax.bitwise_match);
 
   std::printf("== exact_quotient: distance pass, FMA body vs divide body ==\n");
   QuotientTiming quot = TimeExactQuotient();
@@ -613,6 +767,17 @@ int Main() {
     std::printf("  divide %.0f ns  fma %.0f ns  speedup %.2fx  bitwise=%d\n",
                 quot.divide_ns, quot.fma_ns, quot.speedup,
                 quot.bitwise_match);
+  }
+
+  std::printf("== kernel_tail: GP kernel tail, ExpV4 body vs libm body ==\n");
+  TailTiming tail = TimeKernelTail();
+  if (tail.skipped) {
+    std::printf("  libm %.0f ns  expv4 skipped (no AVX2 and FMA, or libm "
+                "differs)\n",
+                tail.libm_ns);
+  } else {
+    std::printf("  libm %.0f ns  expv4 %.0f ns  speedup %.2fx  bitwise=%d\n",
+                tail.libm_ns, tail.fast_ns, tail.speedup, tail.bitwise_match);
   }
 
   std::printf("== alloc: steady-state commit allocations ==\n");
@@ -639,8 +804,9 @@ int Main() {
   }
   identity_pass = identity_pass && applicable > 0;
 
-  bool all_pass = cholesky_pass && acquisition_pass && quot.pass() &&
-                  identity_pass && alloc.pass && replay.pass;
+  bool all_pass = cholesky_pass && acquisition_pass && argmax.pass() &&
+                  quot.pass() && tail.pass() && identity_pass && alloc.pass &&
+                  replay.pass;
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"E17_hotpath\",\n";
@@ -662,12 +828,23 @@ int Main() {
       acq.n, acq.m, acq.scalar_ns, acq.batched_ns, acq.speedup,
       acq.bitwise_match ? "true" : "false");
   json << StrFormat(
+      "  \"argmax\": {\"n\": %zu, \"m\": %zu, \"scalar_ns\": %.0f, "
+      "\"pruned_ns\": %.0f, \"speedup\": %.3f, \"bitwise_match\": %s},\n",
+      argmax.n, argmax.m, argmax.scalar_ns, argmax.pruned_ns, argmax.speedup,
+      argmax.bitwise_match ? "true" : "false");
+  json << StrFormat(
       "  \"exact_quotient\": {\"n\": %zu, \"m\": %zu, \"d\": %zu, "
       "\"skipped\": %s, \"divide_ns\": %.0f, \"fma_ns\": %.0f, "
       "\"speedup\": %.3f, \"bitwise_match\": %s},\n",
       quot.n, quot.m, quot.d, quot.skipped ? "true" : "false",
       quot.divide_ns, quot.fma_ns, quot.speedup,
       quot.bitwise_match ? "true" : "false");
+  json << StrFormat(
+      "  \"kernel_tail\": {\"m\": %zu, \"d\": %zu, \"skipped\": %s, "
+      "\"libm_ns\": %.0f, \"expv4_ns\": %.0f, \"speedup\": %.3f, "
+      "\"bitwise_match\": %s},\n",
+      tail.m, tail.d, tail.skipped ? "true" : "false", tail.libm_ns,
+      tail.fast_ns, tail.speedup, tail.bitwise_match ? "true" : "false");
   json << StrFormat(
       "  \"alloc\": {\"hook_live\": %s, \"max_steady_allocs\": %llu},\n",
       alloc.hook_live ? "true" : "false",
@@ -693,19 +870,21 @@ int Main() {
   json << "  ],\n";
   json << StrFormat(
       "  \"pass\": {\"cholesky\": %s, \"acquisition\": %s, "
-      "\"exact_quotient\": %s, \"identity\": %s, \"alloc\": %s, "
-      "\"replay\": %s}\n}\n",
+      "\"argmax\": %s, \"exact_quotient\": %s, \"kernel_tail\": %s, "
+      "\"identity\": %s, \"alloc\": %s, \"replay\": %s}\n}\n",
       cholesky_pass ? "true" : "false", acquisition_pass ? "true" : "false",
-      quot.pass() ? "true" : "false", identity_pass ? "true" : "false",
+      argmax.pass() ? "true" : "false", quot.pass() ? "true" : "false",
+      tail.pass() ? "true" : "false", identity_pass ? "true" : "false",
       alloc.pass ? "true" : "false", replay.pass ? "true" : "false");
   if (AtomicWriteFile("BENCH_hotpath.json", json.str()).ok()) {
     std::printf("wrote BENCH_hotpath.json\n");
   }
 
-  std::printf("hotpath gates: cholesky=%d acquisition=%d exact_quotient=%d "
-              "identity=%d alloc=%d replay=%d\n",
-              cholesky_pass, acquisition_pass, quot.pass(), identity_pass,
-              alloc.pass, replay.pass);
+  std::printf("hotpath gates: cholesky=%d acquisition=%d argmax=%d "
+              "exact_quotient=%d kernel_tail=%d identity=%d alloc=%d "
+              "replay=%d\n",
+              cholesky_pass, acquisition_pass, argmax.pass(), quot.pass(),
+              tail.pass(), identity_pass, alloc.pass, replay.pass);
   if (g_sink == 12345.6789) std::printf("(sink)\n");
   return AcceptanceExit(all_pass);
 }

@@ -1,7 +1,9 @@
 #ifndef ATUNE_MATH_MATRIX_H_
 #define ATUNE_MATH_MATRIX_H_
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -25,15 +27,15 @@ using Vec = std::vector<double>;
 /// solves, and (ridge-regularized) least squares.
 ///
 /// The hot kernels (Cholesky, ForwardSolve, Multiply, CholeskyAppendRow and
-/// the sixteen-lane panel solve behind GaussianProcess::PredictBatch) are
-/// written as blocked loops over contiguous row spans: observation stores
-/// now reach hundreds of rows and the GP hot path runs them once per
+/// the sixteen-lane panel solve behind GaussianProcess::ArgmaxAcquisition)
+/// are written as blocked loops over contiguous row spans: observation
+/// stores now reach hundreds of rows and the GP hot path runs them once per
 /// candidate batch, so they are tuned for instruction-level parallelism and
 /// vectorization. The SIMD kernels are written once each over GCC vector
 /// types (internal::V2 below; GCC's auto-vectorizer shuffles the same scalar
 /// loops into slower code) and instantiated twice: two lanes for the
 /// default target, four inside target("avx") entries (target("avx2,fma")
-/// for the GP's distance pass) picked at runtime via
+/// for the GP's distance pass and kernel tail) picked at runtime via
 /// __builtin_cpu_supports, so the default build carries no extra ISA
 /// requirement (DESIGN.md §11).
 /// Kernel contracts:
@@ -185,7 +187,7 @@ inline constexpr size_t kPanelLanes = 16;
 /// kPanelLanes columns with row stride `panel_stride`; each lane performs
 /// bit-identically the operations of Matrix::ForwardSolve on that column,
 /// so the lanes share the factor's memory traffic. The solve behind
-/// GaussianProcess::PredictBatch.
+/// GaussianProcess::ArgmaxAcquisition (and PredictBatch).
 void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
 
 /// Two doubles as a GCC vector type. Its +, -, * and / are per-lane IEEE
@@ -232,11 +234,90 @@ ExactQuotient(V4* q, const V4& a, double b, double y) {
   const __m256d r1 = _mm256_fnmadd_pd(vb, q1, a);
   *q = _mm256_fmadd_pd(r1, vy, q1);
 }
+
+/// glibc's exp table (__exp_data.tab): for k < 128, with
+/// H_k = RN(2^(k/128)), kExpTable[2k] holds the bits of the relative tail
+/// RN(2^(k/128) / H_k - 1) and kExpTable[2k + 1] the bits of H_k minus
+/// k << 45. Adding n << 45 for an index n = k (mod 128) to the latter
+/// gives the bits of H_k * 2^floor(n / 128). Generated in quad precision,
+/// with one Newton correction of 2^(k/128) for the tails; 2 KB of static
+/// data.
+extern const uint64_t kExpTable[256];
+
+/// *y = exp(x) in every lane, as glibc 2.36's exp computes it on a host
+/// with FMA (its table-driven algorithm from ARM's optimized-routines,
+/// every multiply-add fused as the FMA build of that code fuses it):
+///   kd = fma(128 / ln 2, x, 0x1.8p52),  ki = bits(kd),  kd -= 0x1.8p52
+///   r = fma(kd, -ln2lo / 128, fma(kd, -ln2hi / 128, x))
+///   tail = kExpTable[2 (ki & 127)],  scale = kExpTable[2 (ki & 127) + 1]
+///          + (ki << 45) as bits,  r2 = r * r
+///   tmp = fma(r2 * r2, fma(r, C5, C4), fma(r2, fma(r, C3, C2), tail + r))
+///   exp(x) = fma(scale, tmp, scale)
+/// for 2^-54 <= |x| < 512, where glibc takes the same path; every other
+/// lane (zeros, tiny, far, infinite and NaN arguments) is std::exp's. So
+/// it equals std::exp bit for bit where the host's libm runs that code,
+/// which ExpV4Available() checks once per process. Only for entries with
+/// target("avx2,fma") and optimize("fp-contract=off"), where it inlines
+/// (DESIGN.md §11).
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"))) inline void
+ExpV4(V4* y, const V4& x) {
+  const __m256d shift = _mm256_set1_pd(0x1.8p52);
+  __m256d kd = _mm256_fmadd_pd(_mm256_set1_pd(0x1.71547652b82fep7), x, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  __m256d r = _mm256_fmadd_pd(kd, _mm256_set1_pd(-0x1.62e42fefa0000p-8), x);
+  r = _mm256_fmadd_pd(kd, _mm256_set1_pd(-0x1.cf79abc9e3b3ap-47), r);
+  const __m256i i =
+      _mm256_slli_epi64(_mm256_and_si256(ki, _mm256_set1_epi64x(127)), 1);
+  const __m256d tail = _mm256_i64gather_pd(
+      reinterpret_cast<const double*>(kExpTable), i, 8);
+  const __m256i hbits = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExpTable + 1), i, 8);
+  const __m256d scale =
+      _mm256_castsi256_pd(_mm256_add_epi64(hbits, _mm256_slli_epi64(ki, 45)));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d p45 = _mm256_fmadd_pd(r, _mm256_set1_pd(0x1.1111167a4d017p-7),
+                                      _mm256_set1_pd(0x1.55555cf172b91p-5));
+  const __m256d p23 = _mm256_fmadd_pd(r, _mm256_set1_pd(0x1.555555555543cp-3),
+                                      _mm256_set1_pd(0x1.ffffffffffdbdp-2));
+  const __m256d tmp =
+      _mm256_fmadd_pd(_mm256_mul_pd(r2, r2), p45,
+                      _mm256_fmadd_pd(r2, p23, _mm256_add_pd(tail, r)));
+  *y = _mm256_fmadd_pd(scale, tmp, scale);
+  // The fast range, compared ordered so that NaN lanes leave it.
+  const __m256d ax = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+  const int fast = _mm256_movemask_pd(_mm256_and_pd(
+      _mm256_cmp_pd(ax, _mm256_set1_pd(0x1p-54), _CMP_GE_OQ),
+      _mm256_cmp_pd(ax, _mm256_set1_pd(512.0), _CMP_LT_OQ)));
+  if (fast != 0xf) {
+    double lanes[4];
+    double out[4];
+    Store(lanes, x);
+    Store(out, *y);
+    for (int l = 0; l < 4; ++l) {
+      if (!(fast >> l & 1)) out[l] = std::exp(lanes[l]);
+    }
+    Load(y, out);
+  }
+}
 #endif
 
 /// True when the host runs AVX2 and FMA and SetSse2KernelsForTesting is
 /// off: the exact-quotient distance body may then run, on guarded inputs.
 bool FmaAvailable();
+
+/// The one-time self-check behind ExpV4Available(): true when the host runs
+/// AVX2 and FMA and ExpV4 gives `reference`'s bits on all 152 probe
+/// arguments (one per table index, arguments where C2 one ulp off or the
+/// unfused form shows, and the fast range's edges).
+/// Production passes std::exp; a test passes a wrong exp to see it refused.
+bool ExpV4MatchesReference(double (*reference)(double));
+
+/// True when FmaAvailable() and ExpV4 matched std::exp in
+/// ExpV4MatchesReference, which runs once per process: the GP kernel tail
+/// may then take ExpV4. Elsewhere the tail keeps libm's exp, so no host's
+/// bits depend on this.
+bool ExpV4Available();
 
 /// The exact quotient's guard on the operands whose differences it
 /// divides: true when every v[i] is 0, or finite with 2^-800 <= |v[i]| <=
@@ -267,20 +348,21 @@ void SquaredDistances(const double* xs, size_t rows, const double* pts,
 /// constant-count loops rolled, and the bodies then run about 2× slower.
 #define ATUNE_UNROLL _Pragma("GCC unroll 16")
 
-/// Routes the Matrix hot kernels (and GaussianProcess::PredictBatch) through
-/// the naive scalar implementations in math/reference_kernels.h instead of
-/// the blocked fast paths. Testing/benchmarking only: bench_hotpath runs
-/// whole tuning sessions under both settings and requires byte-identical
-/// outcomes, traces, and journals. Process-wide; do not toggle while a
-/// computation is in flight.
+/// Routes the Matrix hot kernels (and GaussianProcess's kernel rows,
+/// ArgmaxAcquisition and PredictBatch) through the naive scalar
+/// implementations in math/reference_kernels.h instead of the blocked fast
+/// paths. Testing/benchmarking only: bench_hotpath runs whole tuning
+/// sessions under both settings and requires byte-identical outcomes,
+/// traces, and journals. Process-wide; do not toggle while a computation is
+/// in flight.
 void SetScalarKernelsForTesting(bool scalar);
 bool ScalarKernelsForTesting();
 
 /// Routes the AVX-dispatched kernels (PanelCholesky8, the sixteen-lane
-/// panel solve and the exact-quotient distance pass) to their two-lane
-/// divide instances, so hosts with AVX run those too; results are
-/// bit-identical either way. Testing only, process-wide; a no-op on builds
-/// without the AVX dispatch.
+/// panel solve, the exact-quotient distance pass and the ExpV4 kernel tail)
+/// to their two-lane instances (the divide body, libm's exp), so hosts with
+/// AVX run those too; results are bit-identical either way. Testing only,
+/// process-wide; a no-op on builds without the AVX dispatch.
 void SetSse2KernelsForTesting(bool sse2);
 
 /// Dot product; sizes must match (asserted).

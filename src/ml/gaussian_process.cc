@@ -55,39 +55,61 @@ constexpr size_t kMaxProbeThreads = 6;
 using internal::Load;
 using internal::Store;
 using internal::V2;
+using internal::V4;
 
-/// Per-lane square root. GCC's vector extensions have no sqrt, and a
+/// The kernel tail's lane ops for the default target: sqrtpd and libm's
+/// exp, one lane at a time. GCC's vector extensions have no sqrt, and a
 /// per-lane std::sqrt compiles to two sqrtsd with errno fallback calls;
 /// sqrtpd is correctly rounded per lane, as std::sqrt is.
-V2 SqrtV2(V2 v) {
+struct LibmTailOps {
+  __attribute__((always_inline)) static void Sqrt(V2* y, const V2& x) {
 #if defined(__SSE2__)
-  return _mm_sqrt_pd(v);
+    *y = _mm_sqrt_pd(x);
 #else
-  return V2{std::sqrt(v[0]), std::sqrt(v[1])};
+    *y = V2{std::sqrt(x[0]), std::sqrt(x[1])};
 #endif
-}
+  }
+  __attribute__((always_inline)) static void Exp(V2* y, const V2& x) {
+    *y = V2{std::exp(x[0]), std::exp(x[1])};
+  }
+};
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+/// The FMA entry's: the packed sqrt and internal::ExpV4, which rounds as
+/// the host's libm does wherever internal::ExpV4Available() holds.
+struct FmaTailOps {
+  __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) static void
+  Sqrt(V4* y, const V4& x) {
+    *y = _mm256_sqrt_pd(x);
+  }
+  __attribute__((target("avx2,fma"), optimize("fp-contract=off"))) static void
+  Exp(V4* y, const V4& x) {
+    internal::ExpV4(y, x);
+  }
+};
+#endif
 
-/// KernelValue's tail over m squared scaled distances, in place: out[i]
-/// becomes k(r) for r = sqrt(out[i]). sqrt and the Matérn polynomial's
-/// s * s / 3.0 run two lanes abreast and exp stays libm, one entry at a
-/// time; every entry takes KernelValue's operations in its order, so the
-/// bits are KernelValue's.
-void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
+/// internal::KernelTailInPlace's body: kW lanes abreast, each entry taking
+/// KernelValue's operations in its order, then single entries by libm.
+template <typename V, typename Ops>
+__attribute__((always_inline, optimize("fp-contract=off"))) inline void
+KernelTail(double* out, size_t m, bool se, double sv) {
+  constexpr size_t kW = sizeof(V) / sizeof(double);
   size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    V2 sq = {};
+  for (; i + kW <= m; i += kW) {
+    V sq = {};
     Load(&sq, out + i);
+    V r = {};
+    Ops::Sqrt(&r, sq);
+    V e = {};
     if (se) {
-      const V2 r = SqrtV2(sq);
-      const V2 e = -0.5 * r * r;
-      out[i] = sv * std::exp(e[0]);
-      out[i + 1] = sv * std::exp(e[1]);
+      Ops::Exp(&e, -0.5 * r * r);
+      e = sv * e;
     } else {
-      const V2 s = std::sqrt(5.0) * SqrtV2(sq);
-      const V2 poly = sv * (1.0 + s + s * s / 3.0);
-      out[i] = poly[0] * std::exp(-s[0]);
-      out[i + 1] = poly[1] * std::exp(-s[1]);
+      const V s = std::sqrt(5.0) * r;
+      Ops::Exp(&e, -s);
+      e = sv * (1.0 + s + s * s / 3.0) * e;
     }
+    Store(out + i, e);
   }
   for (; i < m; ++i) {
     if (se) {
@@ -100,11 +122,23 @@ void KernelTailInPlace(double* out, size_t m, bool se, double sv) {
   }
 }
 
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+// The FMA entry: the tail at four lanes with ExpV4. flatten inlines the
+// ops, which only a target("avx2,fma") function may, and fp-contract=off
+// keeps GCC from fusing the polynomial's multiply-adds in builds without
+// the top-level flag.
+__attribute__((target("avx2,fma"), optimize("fp-contract=off"), flatten)) void
+KernelTailFma(double* out, size_t m, bool se, double sv) {
+  KernelTail<V4, FmaTailOps>(out, m, se, sv);
+}
+#endif
+
 /// The row builders' view of one kernel over d dimensions: the lengthscales
 /// with ScaledDistance's clamp baked in, their reciprocals RN(1 / ls[j]),
 /// whether the exact-quotient distance body may run (the host and the
-/// training side pass its guards; a caller adds its own points' check), and
-/// the hoisted kernel switch and signal variance.
+/// training side pass its guards; a caller adds its own points' check),
+/// the hoisted kernel switch and signal variance, and whether the tail may
+/// take ExpV4.
 struct KernelArgs {
   size_t d;
   const double* ls;
@@ -112,6 +146,7 @@ struct KernelArgs {
   bool exact;
   bool se;
   double sv;
+  bool fast_exp;
 };
 
 /// out[i] = k(x, p_i) for the m points p_i of the column-major point matrix
@@ -120,12 +155,12 @@ struct KernelArgs {
 /// KernelValue's, so each output is bit-identical. Two passes: the squared
 /// distances of the whole row go into `out` first (internal::
 /// SquaredDistances, several points abreast so their quotients overlap),
-/// then KernelTailInPlace runs over `out`.
+/// then internal::KernelTailInPlace runs over `out`.
 void KernelRowInto(const double* x, const double* pts, size_t stride,
                    size_t m, const KernelArgs& k, double* out) {
   internal::SquaredDistances(x, 1, pts, stride, m, k.d, k.ls, k.inv_ls,
                              k.exact, out);
-  KernelTailInPlace(out, m, k.se, k.sv);
+  internal::KernelTailInPlace(out, m, k.se, k.sv, k.fast_exp);
 }
 
 /// The d x n column-major copy of the n x d row-major `xs` that the row
@@ -272,6 +307,7 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
   }
   for (ProbeBuffers& w : work) w.k.resize(PackedSize(n));
   kept->factor.resize(PackedSize(n));
+  const bool fast_exp = internal::ExpV4Available();
   std::mutex kept_mu;
   std::atomic<size_t> next{0};
   RunSlices(threads, pool, [&](size_t t) {
@@ -290,7 +326,8 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
           exact_data && internal::FmaAvailable() &&
               internal::ExactQuotientDivisors(w.ls.data(), d),
           cand.kernel == KernelType::kSquaredExponential,
-          cand.signal_variance};
+          cand.signal_variance,
+          fast_exp};
       double jitter = cand.noise_variance;
       if (!FactorKernelInPlace(flat.data(), flat_t.data(), n, kernel, &jitter,
                                w.k.data(), PackedRows{}, w.panel.data())) {
@@ -317,6 +354,21 @@ void ScoreExactProbes(const std::vector<Vec>& xs, const Vec& ys,
   });
 }
 }  // namespace
+
+namespace internal {
+
+void KernelTailInPlace(double* out, size_t m, bool se, double sv,
+                       bool fast_exp) {
+#if defined(ATUNE_HAVE_AVX_DISPATCH)
+  if (fast_exp) {
+    KernelTailFma(out, m, se, sv);
+    return;
+  }
+#endif
+  KernelTail<V2, LibmTailOps>(out, m, se, sv);
+}
+
+}  // namespace internal
 
 double GaussianProcess::KernelValue(const Vec& a, const Vec& b) const {
   double r = ScaledDistance(a, b, params_.lengthscales);
@@ -376,7 +428,8 @@ void GaussianProcess::KernelRow(const double* x, double* out) const {
                 KernelArgs{d, clamped_ls_.data(), inv_ls_.data(),
                            ExactQuotientFor(x, d),
                            params_.kernel == KernelType::kSquaredExponential,
-                           params_.signal_variance},
+                           params_.signal_variance,
+                           internal::ExpV4Available()},
                 out);
 }
 
@@ -407,7 +460,7 @@ Status GaussianProcess::Fit(const std::vector<Vec>& xs, const Vec& ys) {
         KernelArgs{dims, clamped_ls_.data(), inv_ls_.data(),
                    exact_inputs_ && internal::FmaAvailable(),
                    params_.kernel == KernelType::kSquaredExponential,
-                   SelfKernel()},
+                   SelfKernel(), internal::ExpV4Available()},
         &jitter, chol_.RowPtr(0), DenseRows{n}, panel.data());
   } else {
     // Scalar A/B half and ragged fallback: the per-pair KernelValue loop
@@ -866,9 +919,9 @@ void GaussianProcess::PanelMeans(const Matrix& candidates, size_t c0,
   internal::SquaredDistances(xs_flat_.data(), n, ct, kLanes, kLanes, d,
                              clamped_ls_.data(), inv_ls_.data(),
                              ExactQuotientFor(ct, d * kLanes), panel);
-  KernelTailInPlace(panel, n * kLanes,
-                    params_.kernel == KernelType::kSquaredExponential,
-                    params_.signal_variance);
+  internal::KernelTailInPlace(
+      panel, n * kLanes, params_.kernel == KernelType::kSquaredExponential,
+      params_.signal_variance, internal::ExpV4Available());
   // Ascending i, the same order as Dot(kstar, alpha_).
   double acc[kLanes] = {};
   SumLanes(panel, n, [&](V2 k, size_t i) { return k * alpha_[i]; }, acc);

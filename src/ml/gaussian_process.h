@@ -50,6 +50,19 @@ struct AcquisitionArgmax {
   double value = 0.0;
 };
 
+namespace internal {
+/// KernelValue's tail over m squared scaled distances, in place: out[i]
+/// becomes k(r) for r = sqrt(out[i]), sv * exp(-0.5 * r * r) when `se`
+/// and the Matérn 5/2 polynomial sv * (1 + s + s * s / 3) times exp(-s),
+/// s = sqrt(5) * r, otherwise, each entry with KernelValue's operations in
+/// its order. With `fast_exp`, which the caller may ask for only when
+/// ExpV4Available(), four lanes run abreast with ExpV4; otherwise two,
+/// with libm's exp. The bits are the same. Every kernel row of the GP runs
+/// through it.
+void KernelTailInPlace(double* out, size_t m, bool se, double sv,
+                       bool fast_exp);
+}  // namespace internal
+
 /// Reusable scratch for GaussianProcess::PredictBatch and
 /// ArgmaxAcquisition. Owns the arena the batched kernels carve their
 /// candidate-transpose and kernel-row panels from; after the first batch at

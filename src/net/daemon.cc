@@ -831,6 +831,9 @@ void TuningDaemon::HandleStart(Conn* conn, const StartRequest& req) {
     error = "unknown tuner '" + req.tuner + "'";
   } else if (req.budget == 0) {
     error = "budget must be positive";
+  } else if (req.contention > kMaxContention) {
+    error = StrFormat("contention must be at most %" PRIu64 ", got %" PRIu64,
+                      kMaxContention, req.contention);
   } else {
     auto system = MakeSystemByName(req.system, 0, req.seed);
     if (!system.ok()) {

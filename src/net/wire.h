@@ -75,6 +75,11 @@ enum class SessionState : uint8_t {
 const char* SessionStateToString(SessionState state);
 bool SessionStateTerminal(SessionState state);
 
+/// The most background tenants a StartRequest's `contention` may ask for.
+/// Its callers use 2 or 3; a request over the cap is refused at admission,
+/// so a u64 off the wire cannot make a worker build billions of tenants.
+inline constexpr uint64_t kMaxContention = 64;
+
 /// StartSession request body. `session_id` is chosen by the client and is
 /// the idempotency key: re-submitting the same id (after a disconnect, a
 /// retry, a crashed client) reattaches to the existing session instead of
@@ -96,7 +101,9 @@ struct StartRequest {
   /// Number of background tenants sharing the system (the multi-tenant
   /// contention substrate): 0 tunes the bare system; k > 0 wraps it in a
   /// MultiTenantSystem with this tenant's workload plus k background
-  /// workloads, so concurrent sessions model interference.
+  /// workloads, so concurrent sessions model interference. At most
+  /// kMaxContention: the session job builds one Tenant per background
+  /// workload, so admission refuses more with kInvalidArgument.
   uint64_t contention = 0;
   /// Seed the session from the daemon's knowledge repository: the tuner is
   /// wrapped in a WarmStartTuner over the shard set pinned at admission

@@ -1,5 +1,8 @@
 #include "systems/system_factory.h"
 
+#include <cmath>
+
+#include "common/string_util.h"
 #include "systems/dbms/dbms_system.h"
 #include "systems/dbms/dbms_workloads.h"
 #include "systems/hardware.h"
@@ -53,6 +56,10 @@ Result<std::unique_ptr<TunableSystem>> MakeSystemByName(
 
 Result<Workload> WorkloadByName(const std::string& system,
                                 const std::string& workload, double scale) {
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    return Status::InvalidArgument(
+        StrFormat("workload scale must be finite and positive, got %g", scale));
+  }
   auto catalog = WorkloadsForSystem(system, scale);
   if (workload.empty()) return catalog.begin()->second;
   auto it = catalog.find(workload);

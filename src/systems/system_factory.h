@@ -27,7 +27,9 @@ Result<std::unique_ptr<TunableSystem>> MakeSystemByName(
     const std::string& system, size_t nodes, uint64_t seed);
 
 /// Resolves one workload by name (empty name = the catalog's first entry).
-/// Unknown workload names are kInvalidArgument.
+/// Unknown workload names, and a scale that is not finite and positive, are
+/// kInvalidArgument: the CLI, daemon admission and the daemon's session
+/// jobs all resolve their workload here.
 Result<Workload> WorkloadByName(const std::string& system,
                                 const std::string& workload, double scale);
 

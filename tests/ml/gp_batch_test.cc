@@ -4,7 +4,9 @@
 // Fit/AddObservation/Predict cycle. The AVX-dispatched kernels also run
 // their two-lane instances here, through SetSse2KernelsForTesting.
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -184,6 +186,61 @@ TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {
           EXPECT_TRUE(SameBits(fast[i].mean, scalar[i].mean)) << i;
           EXPECT_TRUE(SameBits(fast[i].variance, scalar[i].variance)) << i;
         }
+      }
+    }
+  }
+}
+
+TEST(GpBatch, KernelTailExpV4BodyEqualsTheLibmBody) {
+  if (!internal::FmaAvailable()) GTEST_SKIP() << "no AVX2 and FMA";
+  // Squared distances as the hyper search meets them (d = 6, lengthscales
+  // log-uniform over [0.05, 2]) with, in every vector position, lanes whose
+  // exp argument leaves ExpV4's fast range beside fast ones: zero and tiny
+  // distances, far ones (below -512 for either kernel), infinity and NaN.
+  mt19937_64 gen(43);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::uniform_real_distribution<double> log_ls(std::log(0.05),
+                                                std::log(2.0));
+  const double special[] = {0.0,    0x1p-120, 0x1p-108, 2.5e3,
+                            6e4,    1e6,      1e300,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> sq;
+  for (double v : special) {
+    for (size_t pos = 0; pos < 4; ++pos) {
+      for (size_t l = 0; l < 4; ++l) sq.push_back(l == pos ? v : -1.0);
+    }
+  }
+  for (size_t i = 0; i < 4096; ++i) sq.push_back(-1.0);
+  for (double& v : sq) {
+    if (v != -1.0) continue;
+    double acc = 0.0;
+    for (size_t j = 0; j < 6; ++j) {
+      const double q = (u(gen) - u(gen)) / std::exp(log_ls(gen));
+      acc += q * q;
+    }
+    v = acc;
+  }
+  for (bool se : {true, false}) {
+    // Every length, so the four-lane steps end on each remainder.
+    for (size_t m : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{7},
+                     sq.size()}) {
+      std::vector<double> libm(sq.begin(), sq.begin() + m);
+      std::vector<double> fast = libm;
+      internal::KernelTailInPlace(libm.data(), m, se, 1.7, false);
+      internal::KernelTailInPlace(fast.data(), m, se, 1.7, true);
+      for (size_t i = 0; i < m; ++i) {
+        // KernelValue's operations on the same squared distance.
+        const double r = std::sqrt(sq[i]);
+        const double s = std::sqrt(5.0) * r;
+        const double want =
+            se ? 1.7 * std::exp(-0.5 * r * r)
+               : 1.7 * (1.0 + s + s * s / 3.0) * std::exp(-s);
+        ASSERT_TRUE(SameBits(libm[i], want))
+            << "se=" << se << " m=" << m << " entry " << i;
+        ASSERT_TRUE(SameBits(fast[i], want))
+            << "se=" << se << " m=" << m << " entry " << i << " sq "
+            << sq[i];
       }
     }
   }

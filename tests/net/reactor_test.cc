@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -208,6 +210,42 @@ TEST_F(DaemonTest, MalformedRequestsGetErrorsNotSessions) {
   auto cancel = client.Cancel("never-started");
   ASSERT_TRUE(cancel.ok());
   EXPECT_FALSE(cancel->found);
+}
+
+TEST_F(DaemonTest, NonFiniteOrNonPositiveScaleIsRefusedAtAdmission) {
+  StartDaemon();
+  TuningClient client = MakeClient();
+  const double scales[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0};
+  for (size_t i = 0; i < std::size(scales); ++i) {
+    StartRequest req = QuickSession("scale" + std::to_string(i));
+    req.scale = scales[i];
+    auto start = client.StartSession(req);
+    ASSERT_FALSE(start.ok()) << "scale " << scales[i];
+    EXPECT_EQ(start.status().code(), StatusCode::kInvalidArgument)
+        << "scale " << scales[i];
+  }
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->admitted, 0u);
+}
+
+TEST_F(DaemonTest, ContentionOverTheCapIsRefusedAndNothingIsAdmitted) {
+  StartDaemon();
+  TuningClient client = MakeClient();
+  // One over the cap: a broken check builds 65 tenants, not billions.
+  StartRequest req = QuickSession("crowd1", /*budget=*/2);
+  req.contention = kMaxContention + 1;
+  auto start = client.StartSession(req);
+  ASSERT_FALSE(start.ok());
+  EXPECT_EQ(start.status().code(), StatusCode::kInvalidArgument);
+  auto attach = client.Attach("crowd1", 0);
+  ASSERT_TRUE(attach.ok());
+  EXPECT_EQ(attach->state, SessionState::kUnknown);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->admitted, 0u);
 }
 
 TEST_F(DaemonTest, DeadlineExceededCancelsCleanly) {

@@ -189,7 +189,7 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       if (options.parallelism == 0) options.parallelism = 1;
     } else if (ParseFlag(arg, "fault-rate", &value)) {
       options.fault_rate = std::strtod(value.c_str(), nullptr);
-      if (options.fault_rate < 0.0 || options.fault_rate > 1.0) {
+      if (!(options.fault_rate >= 0.0 && options.fault_rate <= 1.0)) {
         return Status::InvalidArgument("--fault-rate must be in [0, 1]");
       }
     } else if (ParseFlag(arg, "timeout-seconds", &value)) {

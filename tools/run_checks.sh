@@ -23,11 +23,14 @@
 #                                   # in smoke mode, so the gate lives here)
 #   tools/run_checks.sh --hotpath   # Release build + bench_hotpath under
 #                                   # ATUNE_SMOKE=1, gated on the pass flags
-#                                   # in BENCH_hotpath.json: blocked-kernel
-#                                   # and batched-acquisition speedup floors,
-#                                   # the exact-quotient distance pass (bits
-#                                   # equal to the divide's, >= 1.5x where
-#                                   # the host has FMA), whole-session
+#                                   # in BENCH_hotpath.json: blocked-kernel,
+#                                   # batched-acquisition and pruned-argmax
+#                                   # speedup floors, the exact-quotient
+#                                   # distance pass (bits equal to the
+#                                   # divide's, >= 1.5x where the host has
+#                                   # FMA), the ExpV4 kernel tail (bits equal
+#                                   # to libm's, >= 2x where it runs),
+#                                   # whole-session
 #                                   # fast-vs-scalar bit-identity, zero-alloc
 #                                   # Evaluator commits, and mmap replay
 #                                   # fallback
@@ -223,6 +226,19 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   echo "atune --supervise: ok (usage errors exit 2)"
+  # Numbers that no session can run are usage errors too: a NaN scale
+  # (WorkloadByName) and a NaN fault rate (ParseArgs).
+  for bad_flag in --scale=nan --fault-rate=nan; do
+    if ./build/tools/atune --tuner=random-search --budget=2 --seed=7 \
+        "$bad_flag" > /dev/null 2>&1; then
+      echo "atune: $bad_flag should exit 2" >&2
+      exit 1
+    elif [ $? -ne 2 ]; then
+      echo "atune: wrong exit code for $bad_flag" >&2
+      exit 1
+    fi
+  done
+  echo "atune --scale=nan / --fault-rate=nan: ok (usage errors exit 2)"
   # Strict journal policy must fail loudly on an unwritable journal: exit 3
   # (journal I/O error) with a one-line message, distinct from usage errors.
   if ./build/tools/atune --tuner=random-search --budget=2 --seed=7 \
@@ -327,15 +343,16 @@ if [ "${1:-}" = "--hotpath" ]; then
   # replay fallback) alongside its speedup floors. The binary exits 0 under
   # ATUNE_SMOKE; the recorded pass flags in BENCH_hotpath.json do not lie.
   ATUNE_SMOKE=1 ./build/bench/bench_hotpath
-  if ! grep -q '"pass": {"cholesky": true, "acquisition": true, "exact_quotient": true, "identity": true, "alloc": true, "replay": true}' \
+  if ! grep -q '"pass": {"cholesky": true, "acquisition": true, "argmax": true, "exact_quotient": true, "kernel_tail": true, "identity": true, "alloc": true, "replay": true}' \
       BENCH_hotpath.json; then
     echo "hotpath gate FAILED:" >&2
     grep '"pass"' BENCH_hotpath.json >&2 || true
     exit 1
   fi
-  echo "hotpath checks passed: blocked kernels, batched acquisition and the"
-  echo "exact-quotient distance pass at speed, bit-identical sessions,"
-  echo "zero-alloc commits, mmap replay ok"
+  echo "hotpath checks passed: blocked kernels, batched acquisition, the"
+  echo "pruned argmax scan, the exact-quotient distance pass and the ExpV4"
+  echo "kernel tail at speed, bit-identical sessions, zero-alloc commits,"
+  echo "mmap replay ok"
   exit 0
 fi
 
@@ -560,7 +577,7 @@ if [ "${1:-}" = "--deadcode" ]; then
   # such function is stale and fails the stage too.
   allow=(
     # Test hooks.
-    'atune::SetSse2KernelsForTesting('  # runs the SSE2 bodies on AVX hosts
+    'atune::SetSse2KernelsForTesting('  # selects the V2 instances: divide, libm tail
     'atune::Tracer::Tracer(std::function'  # injected clock for byte-exact trace goldens
     'atune::NetFaultSchedule::Single('  # one targeted transport fault per test
     'atune::NetFaultKindToString('  # names the injected fault in test output
