@@ -17,6 +17,7 @@
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "core/session.h"
+#include "ml/acquisition.h"
 #include "tuners/adaptive/colt.h"
 #include "tuners/experiment/ituned.h"
 #include "tuners/experiment/search_baselines.h"
@@ -97,10 +98,12 @@ int main() {
   }
 
   // A3: acquisition function.
-  for (const char* acq : {"ei", "pi", "lcb"}) {
+  for (AcquisitionKind acq : {AcquisitionKind::kExpectedImprovement,
+                              AcquisitionKind::kProbabilityOfImprovement,
+                              AcquisitionKind::kLowerConfidenceBound}) {
     ITunedOptions options;
     options.acquisition = acq;
-    add("A3 acquisition", acq,
+    add("A3 acquisition", AcquisitionName(acq),
         RunVariant(
             [options] { return std::make_unique<ITunedTuner>(options); },
             workload));

@@ -1,22 +1,21 @@
 // E17 — hot-path speed layer (DESIGN.md §11): the blocked math kernels,
-// batched GP prediction/acquisition, arena-backed zero-allocation commit
-// path, and mmap journal replay must be *faster* and *bit-identical* to the
+// the GP tuners' pruned acquisition scan, the zero-allocation commit path,
+// and mmap journal replay must be *faster* and *bit-identical* to the
 // scalar paths they replaced. This harness is the acceptance gate:
 //
 //   * kernels: ns/op for Cholesky at n in {64, 300}, fast (blocked) vs
 //     scalar (reference) via the runtime A/B switch; gate >= 2x at n=300.
-//   * acquisition: a 1500-candidate EI scan over a 300-point GP, per-point
-//     Predict loop vs PredictBatch + ExpectedImprovementBatch; gate >= 3x,
-//     with every EI value and the argmax verified bitwise equal.
 //   * argmax: the scan the GP tuners run, ArgmaxAcquisition's bound-pruned
-//     EI scan over the same GP and candidates vs its scalar half (one
-//     Predict per row), both on one thread; gate >= 3x, with the winner's
-//     index and value bitwise equal.
+//     EI scan over 1500 candidates and a 300-point GP vs its scalar half
+//     (one Predict per row), both on one thread; gate >= 3x, with the
+//     winner's index and value bitwise equal.
 //   * exact_quotient: the acquisition scan's distance pass (200 training
 //     rows against 2000 candidates in 16-lane chunks, d = 12), the
 //     exact-quotient FMA body vs the divide body on the same inputs; every
 //     output bitwise equal, and gate >= 1.5x where the host has AVX2 and
-//     FMA (elsewhere reported as skipped).
+//     FMA (elsewhere reported as skipped). The FMA body slows more than the
+//     divide under load on the other cores, so the line records the host's
+//     /proc/loadavg at its start; it needs an otherwise idle host.
 //   * kernel_tail: the GP kernel tail over 400 k squared distances at
 //     d = 12 (zero and far ones included, which take libm's exp), both
 //     kernels, the ExpV4 body vs the libm body; every output bitwise
@@ -38,7 +37,7 @@
 //     lines between two commits shows whether a refactor changed any
 //     session's bytes, which the in-build fast-vs-scalar gate cannot see.
 //
-// Results go to console + BENCH_hotpath.json. Kernel/acquisition problem
+// Results go to console + BENCH_hotpath.json. Kernel/argmax problem
 // sizes and the session budget are constant under ATUNE_SMOKE (they are
 // cheap, and budget 14 is what lets the faulted leg reach the watchdog and
 // re-measurement); only timing reps and the replay record count shrink. The
@@ -70,7 +69,6 @@
 #include "core/registry.h"
 #include "core/session.h"
 #include "math/matrix.h"
-#include "ml/acquisition.h"
 #include "ml/gaussian_process.h"
 #include "obs/trace.h"
 #include "systems/dbms/dbms_workloads.h"
@@ -164,20 +162,10 @@ KernelTiming TimeCholesky(size_t n) {
   return t;
 }
 
-// ---- section 2: batched acquisition scan ----------------------------------
+// ---- section 2: the tuners' pruned scan ----------------------------------
 
-struct AcquisitionTiming {
-  size_t n = 0;
-  size_t m = 0;
-  double scalar_ns = 0.0;
-  double batched_ns = 0.0;
-  double speedup = 0.0;
-  bool bitwise_match = false;
-};
-
-/// The acquisition and argmax lines' problem: a Matérn GP fitted to 300
-/// uniform 8-D points, 1500 uniform candidates, and the best target as
-/// EI's incumbent.
+/// The argmax line's problem: a Matérn GP fitted to 300 uniform 8-D
+/// points, 1500 uniform candidates, and the best target as EI's incumbent.
 struct AcquisitionProblem {
   size_t n = 300;
   size_t m = 1500;
@@ -206,57 +194,6 @@ AcquisitionProblem MakeAcquisitionProblem() {
   return p;
 }
 
-AcquisitionTiming TimeAcquisitionScan(const AcquisitionProblem& p) {
-  const size_t m = p.m;
-  AcquisitionTiming t;
-  t.n = p.n;
-  t.m = m;
-  if (!p.fitted) return t;
-  const GaussianProcess& gp = p.gp;
-  const Matrix& cands = p.cands;
-  const double best = p.best;
-
-  Vec scalar_ei(m), batched_ei;
-  GpScratch scratch;
-  std::vector<GpPrediction> preds;
-  double best_scalar = std::numeric_limits<double>::infinity();
-  double best_batched = best_scalar;
-  for (int rep = 0; rep < kTimingReps; ++rep) {
-    {
-      SetScalarKernelsForTesting(true);
-      uint64_t t0 = NowNs();
-      for (size_t r = 0; r < m; ++r) {
-        scalar_ei[r] = ExpectedImprovement(gp.Predict(cands.Row(r)), best);
-      }
-      best_scalar = std::min(best_scalar, static_cast<double>(NowNs() - t0));
-      SetScalarKernelsForTesting(false);
-      g_sink += scalar_ei[m - 1];
-    }
-    {
-      uint64_t t0 = NowNs();
-      gp.PredictBatch(cands, &scratch, &preds);
-      ExpectedImprovementBatch(preds, best, 0.0, &batched_ei);
-      best_batched = std::min(best_batched, static_cast<double>(NowNs() - t0));
-      g_sink += batched_ei[m - 1];
-    }
-  }
-  t.scalar_ns = best_scalar;
-  t.batched_ns = best_batched;
-  t.speedup = best_scalar / best_batched;
-  size_t scalar_argmax =
-      std::max_element(scalar_ei.begin(), scalar_ei.end()) - scalar_ei.begin();
-  size_t batched_argmax =
-      std::max_element(batched_ei.begin(), batched_ei.end()) -
-      batched_ei.begin();
-  t.bitwise_match =
-      batched_ei.size() == m && scalar_argmax == batched_argmax &&
-      std::memcmp(scalar_ei.data(), batched_ei.data(), m * sizeof(double)) ==
-          0;
-  return t;
-}
-
-// ---- section 2a: the tuners' pruned scan ----------------------------------
-
 struct ArgmaxTiming {
   size_t n = 0;
   size_t m = 0;
@@ -276,7 +213,6 @@ ArgmaxTiming TimeArgmax(const AcquisitionProblem& p) {
   t.n = p.n;
   t.m = p.m;
   if (!p.fitted) return t;
-  GpScratch scratch;
   std::optional<AcquisitionArgmax> won[2];
   double best[2] = {std::numeric_limits<double>::infinity(),
                     std::numeric_limits<double>::infinity()};
@@ -285,7 +221,7 @@ ArgmaxTiming TimeArgmax(const AcquisitionProblem& p) {
       SetScalarKernelsForTesting(scalar == 1);
       uint64_t t0 = NowNs();
       won[scalar] = p.gp.ArgmaxAcquisition(
-          p.cands, AcquisitionKind::kExpectedImprovement, p.best, &scratch);
+          p.cands, AcquisitionKind::kExpectedImprovement, p.best);
       const double dt = static_cast<double>(NowNs() - t0);
       SetScalarKernelsForTesting(false);
       if (rep >= 0) best[scalar] = std::min(best[scalar], dt);
@@ -312,11 +248,23 @@ struct QuotientTiming {
   double fma_ns = 0.0;
   double speedup = 0.0;
   bool bitwise_match = false;
+  std::string loadavg;  // /proc/loadavg's 1, 5 and 15 min loads at the start
   bool pass() const { return bitwise_match && (skipped || speedup >= 1.5); }
 };
 
+/// The host's 1, 5 and 15 minute load averages, or "unknown" where
+/// /proc/loadavg cannot be read.
+std::string LoadAverage() {
+  std::string text;
+  if (!ReadFileToString("/proc/loadavg", &text).ok()) return "unknown";
+  std::istringstream in(text);
+  std::string one, five, fifteen;
+  if (!(in >> one >> five >> fifteen)) return "unknown";
+  return one + " " + five + " " + fifteen;
+}
+
 /// The distance pass of one acquisition scan at gp-serial's largest sizes:
-/// each 16-candidate chunk (transposed, as PredictBatch lays it out)
+/// each 16-candidate chunk (transposed, as ArgmaxAcquisition lays it out)
 /// against every training row, once by the divide body and once by the
 /// exact-quotient body. Each body runs once before the timed reps, so lazy
 /// set-up and a cold host do not land on one side.
@@ -324,6 +272,7 @@ QuotientTiming TimeExactQuotient() {
   const size_t n = 200, d = 12, m = 2000, kLanes = 16;
   const size_t chunks = m / kLanes;
   QuotientTiming t;
+  t.loadavg = LoadAverage();
   t.n = n;
   t.m = m;
   t.d = d;
@@ -730,7 +679,7 @@ std::vector<IdentityRow> RunIdentityMatrix() {
 int Main() {
   PrintHeader("E17 hot-path speed layer",
               "the paper's iterative-tuning inner loop at interactive speed",
-              "blocked kernels, batched acquisition, zero-alloc commit, "
+              "blocked kernels, pruned acquisition, zero-alloc commit, "
               "mmap replay — speed with bit-identity");
 
   std::printf("== kernels: blocked Cholesky vs scalar reference ==\n");
@@ -745,15 +694,8 @@ int Main() {
   bool cholesky_pass = kernels.back().speedup >= 2.0 &&
                        kernels.front().identical && kernels.back().identical;
 
-  std::printf("== acquisition: 1500-candidate EI scan over a 300-point GP ==\n");
-  const AcquisitionProblem problem = MakeAcquisitionProblem();
-  AcquisitionTiming acq = TimeAcquisitionScan(problem);
-  std::printf("  scalar %.0f ns  batched %.0f ns  speedup %.2fx  bitwise=%d\n",
-              acq.scalar_ns, acq.batched_ns, acq.speedup, acq.bitwise_match);
-  bool acquisition_pass = acq.speedup >= 3.0 && acq.bitwise_match;
-
   std::printf("== argmax: the tuners' pruned EI scan vs its scalar half ==\n");
-  ArgmaxTiming argmax = TimeArgmax(problem);
+  ArgmaxTiming argmax = TimeArgmax(MakeAcquisitionProblem());
   std::printf("  scalar %.0f ns  pruned %.0f ns  speedup %.2fx  bitwise=%d\n",
               argmax.scalar_ns, argmax.pruned_ns, argmax.speedup,
               argmax.bitwise_match);
@@ -764,9 +706,10 @@ int Main() {
     std::printf("  divide %.0f ns  fma skipped (no AVX2 and FMA)\n",
                 quot.divide_ns);
   } else {
-    std::printf("  divide %.0f ns  fma %.0f ns  speedup %.2fx  bitwise=%d\n",
-                quot.divide_ns, quot.fma_ns, quot.speedup,
-                quot.bitwise_match);
+    std::printf("  divide %.0f ns  fma %.0f ns  speedup %.2fx  bitwise=%d  "
+                "loadavg %s\n",
+                quot.divide_ns, quot.fma_ns, quot.speedup, quot.bitwise_match,
+                quot.loadavg.c_str());
   }
 
   std::printf("== kernel_tail: GP kernel tail, ExpV4 body vs libm body ==\n");
@@ -804,9 +747,8 @@ int Main() {
   }
   identity_pass = identity_pass && applicable > 0;
 
-  bool all_pass = cholesky_pass && acquisition_pass && argmax.pass() &&
-                  quot.pass() && tail.pass() && identity_pass && alloc.pass &&
-                  replay.pass;
+  bool all_pass = cholesky_pass && argmax.pass() && quot.pass() &&
+                  tail.pass() && identity_pass && alloc.pass && replay.pass;
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"E17_hotpath\",\n";
@@ -823,11 +765,6 @@ int Main() {
   }
   json << "  ],\n";
   json << StrFormat(
-      "  \"acquisition\": {\"n\": %zu, \"m\": %zu, \"scalar_ns\": %.0f, "
-      "\"batched_ns\": %.0f, \"speedup\": %.3f, \"bitwise_match\": %s},\n",
-      acq.n, acq.m, acq.scalar_ns, acq.batched_ns, acq.speedup,
-      acq.bitwise_match ? "true" : "false");
-  json << StrFormat(
       "  \"argmax\": {\"n\": %zu, \"m\": %zu, \"scalar_ns\": %.0f, "
       "\"pruned_ns\": %.0f, \"speedup\": %.3f, \"bitwise_match\": %s},\n",
       argmax.n, argmax.m, argmax.scalar_ns, argmax.pruned_ns, argmax.speedup,
@@ -835,10 +772,10 @@ int Main() {
   json << StrFormat(
       "  \"exact_quotient\": {\"n\": %zu, \"m\": %zu, \"d\": %zu, "
       "\"skipped\": %s, \"divide_ns\": %.0f, \"fma_ns\": %.0f, "
-      "\"speedup\": %.3f, \"bitwise_match\": %s},\n",
+      "\"speedup\": %.3f, \"bitwise_match\": %s, \"loadavg\": \"%s\"},\n",
       quot.n, quot.m, quot.d, quot.skipped ? "true" : "false",
       quot.divide_ns, quot.fma_ns, quot.speedup,
-      quot.bitwise_match ? "true" : "false");
+      quot.bitwise_match ? "true" : "false", quot.loadavg.c_str());
   json << StrFormat(
       "  \"kernel_tail\": {\"m\": %zu, \"d\": %zu, \"skipped\": %s, "
       "\"libm_ns\": %.0f, \"expv4_ns\": %.0f, \"speedup\": %.3f, "
@@ -869,10 +806,10 @@ int Main() {
   }
   json << "  ],\n";
   json << StrFormat(
-      "  \"pass\": {\"cholesky\": %s, \"acquisition\": %s, "
-      "\"argmax\": %s, \"exact_quotient\": %s, \"kernel_tail\": %s, "
-      "\"identity\": %s, \"alloc\": %s, \"replay\": %s}\n}\n",
-      cholesky_pass ? "true" : "false", acquisition_pass ? "true" : "false",
+      "  \"pass\": {\"cholesky\": %s, \"argmax\": %s, "
+      "\"exact_quotient\": %s, \"kernel_tail\": %s, \"identity\": %s, "
+      "\"alloc\": %s, \"replay\": %s}\n}\n",
+      cholesky_pass ? "true" : "false",
       argmax.pass() ? "true" : "false", quot.pass() ? "true" : "false",
       tail.pass() ? "true" : "false", identity_pass ? "true" : "false",
       alloc.pass ? "true" : "false", replay.pass ? "true" : "false");
@@ -880,11 +817,10 @@ int Main() {
     std::printf("wrote BENCH_hotpath.json\n");
   }
 
-  std::printf("hotpath gates: cholesky=%d acquisition=%d argmax=%d "
-              "exact_quotient=%d kernel_tail=%d identity=%d alloc=%d "
-              "replay=%d\n",
-              cholesky_pass, acquisition_pass, argmax.pass(), quot.pass(),
-              tail.pass(), identity_pass, alloc.pass, replay.pass);
+  std::printf("hotpath gates: cholesky=%d argmax=%d exact_quotient=%d "
+              "kernel_tail=%d identity=%d alloc=%d replay=%d\n",
+              cholesky_pass, argmax.pass(), quot.pass(), tail.pass(),
+              identity_pass, alloc.pass, replay.pass);
   if (g_sink == 12345.6789) std::printf("(sink)\n");
   return AcceptanceExit(all_pass);
 }

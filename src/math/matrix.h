@@ -187,7 +187,7 @@ inline constexpr size_t kPanelLanes = 16;
 /// kPanelLanes columns with row stride `panel_stride`; each lane performs
 /// bit-identically the operations of Matrix::ForwardSolve on that column,
 /// so the lanes share the factor's memory traffic. The solve behind
-/// GaussianProcess::ArgmaxAcquisition (and PredictBatch).
+/// GaussianProcess::ArgmaxAcquisition.
 void ForwardSolvePanel(const Matrix& l, double* panel, size_t panel_stride);
 
 /// Two doubles as a GCC vector type. Its +, -, * and / are per-lane IEEE
@@ -348,13 +348,12 @@ void SquaredDistances(const double* xs, size_t rows, const double* pts,
 /// constant-count loops rolled, and the bodies then run about 2× slower.
 #define ATUNE_UNROLL _Pragma("GCC unroll 16")
 
-/// Routes the Matrix hot kernels (and GaussianProcess's kernel rows,
-/// ArgmaxAcquisition and PredictBatch) through the naive scalar
-/// implementations in math/reference_kernels.h instead of the blocked fast
-/// paths. Testing/benchmarking only: bench_hotpath runs whole tuning
-/// sessions under both settings and requires byte-identical outcomes,
-/// traces, and journals. Process-wide; do not toggle while a computation is
-/// in flight.
+/// Routes the Matrix hot kernels (and GaussianProcess's kernel rows and
+/// ArgmaxAcquisition) through the naive scalar implementations in
+/// math/reference_kernels.h instead of the blocked fast paths.
+/// Testing/benchmarking only: bench_hotpath runs whole tuning sessions
+/// under both settings and requires byte-identical outcomes, traces, and
+/// journals. Process-wide; do not toggle while a computation is in flight.
 void SetScalarKernelsForTesting(bool scalar);
 bool ScalarKernelsForTesting();
 

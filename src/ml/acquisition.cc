@@ -15,37 +15,38 @@ constexpr double kInvSqrt2 = 0.7071067811865475;
 /// absolute floor takes over.
 constexpr double kRelativeMargin = 1e-9;
 constexpr double kAbsoluteMargin = 0x1p-1000;
+
+struct AcquisitionNameEntry {
+  AcquisitionKind kind;
+  const char* name;
+};
+constexpr AcquisitionNameEntry kAcquisitionNames[] = {
+    {AcquisitionKind::kExpectedImprovement, "ei"},
+    {AcquisitionKind::kProbabilityOfImprovement, "pi"},
+    {AcquisitionKind::kLowerConfidenceBound, "lcb"},
+};
 }  // namespace
 
 double NormalPdf(double z) { return kInvSqrt2Pi * std::exp(-0.5 * z * z); }
 
 double NormalCdf(double z) { return 0.5 * std::erfc(-z * kInvSqrt2); }
 
-double ExpectedImprovement(const GpPrediction& pred, double best, double xi) {
+double ExpectedImprovement(const GpPrediction& pred, double best) {
   double sigma = std::sqrt(pred.variance);
-  double improvement = best - xi - pred.mean;
+  double improvement = best - pred.mean;
   if (sigma < 1e-12) return improvement > 0.0 ? improvement : 0.0;
   double z = improvement / sigma;
   return improvement * NormalCdf(z) + sigma * NormalPdf(z);
 }
 
-double ProbabilityOfImprovement(const GpPrediction& pred, double best,
-                                double xi) {
+double ProbabilityOfImprovement(const GpPrediction& pred, double best) {
   double sigma = std::sqrt(pred.variance);
-  if (sigma < 1e-12) return pred.mean < best - xi ? 1.0 : 0.0;
-  return NormalCdf((best - xi - pred.mean) / sigma);
+  if (sigma < 1e-12) return pred.mean < best ? 1.0 : 0.0;
+  return NormalCdf((best - pred.mean) / sigma);
 }
 
-double LowerConfidenceBound(const GpPrediction& pred, double beta) {
-  return -(pred.mean - beta * std::sqrt(pred.variance));
-}
-
-void ExpectedImprovementBatch(const std::vector<GpPrediction>& preds,
-                              double best, double xi, Vec* out) {
-  out->resize(preds.size());
-  for (size_t i = 0; i < preds.size(); ++i) {
-    (*out)[i] = ExpectedImprovement(preds[i], best, xi);
-  }
+double LowerConfidenceBound(const GpPrediction& pred) {
+  return -(pred.mean - 2.0 * std::sqrt(pred.variance));
 }
 
 double AcquisitionValue(AcquisitionKind kind, const GpPrediction& pred,
@@ -54,11 +55,18 @@ double AcquisitionValue(AcquisitionKind kind, const GpPrediction& pred,
     case AcquisitionKind::kProbabilityOfImprovement:
       return ProbabilityOfImprovement(pred, best);
     case AcquisitionKind::kLowerConfidenceBound:
-      return LowerConfidenceBound(pred, 2.0);
+      return LowerConfidenceBound(pred);
     case AcquisitionKind::kExpectedImprovement:
       break;
   }
   return ExpectedImprovement(pred, best);
+}
+
+const char* AcquisitionName(AcquisitionKind kind) {
+  for (const AcquisitionNameEntry& entry : kAcquisitionNames) {
+    if (entry.kind == kind) return entry.name;
+  }
+  return "?";
 }
 
 double AcquisitionBound(AcquisitionKind kind, double mean,
@@ -67,7 +75,7 @@ double AcquisitionBound(AcquisitionKind kind, double mean,
   switch (kind) {
     case AcquisitionKind::kLowerConfidenceBound:
       // sqrt, the doubling and the subtraction all round monotonically.
-      return LowerConfidenceBound(prior, 2.0);
+      return LowerConfidenceBound(prior);
     case AcquisitionKind::kProbabilityOfImprovement: {
       if (mean < best) return 1.0;
       const double p = ProbabilityOfImprovement(prior, best);

@@ -11,29 +11,23 @@ namespace atune {
 /// more promising candidates.
 
 /// Expected Improvement: E[max(best - Y, 0)] under the posterior.
-double ExpectedImprovement(const GpPrediction& pred, double best,
-                           double xi = 0.0);
+double ExpectedImprovement(const GpPrediction& pred, double best);
 
-/// Probability of Improvement: P(Y < best - xi).
-double ProbabilityOfImprovement(const GpPrediction& pred, double best,
-                                double xi = 0.0);
+/// Probability of Improvement: P(Y < best).
+double ProbabilityOfImprovement(const GpPrediction& pred, double best);
 
-/// Lower Confidence Bound expressed as an acquisition value:
-/// -(mean - beta * stddev); larger is better.
-double LowerConfidenceBound(const GpPrediction& pred, double beta = 2.0);
-
-/// Batched ExpectedImprovement over a PredictBatch result: (*out)[i] is
-/// bit-identical to ExpectedImprovement(preds[i], best, xi) (the loop *is*
-/// the scalar function, in index order). `*out` is resized; capacity
-/// persists so a caller scanning candidate batches reuses the same storage.
-void ExpectedImprovementBatch(const std::vector<GpPrediction>& preds,
-                              double best, double xi, Vec* out);
+/// Lower Confidence Bound at two standard deviations, expressed as an
+/// acquisition value: -(mean - 2 * stddev); larger is better.
+double LowerConfidenceBound(const GpPrediction& pred);
 
 /// The value GaussianProcess::ArgmaxAcquisition maximizes:
 /// ExpectedImprovement(pred, best), ProbabilityOfImprovement(pred, best) or
-/// LowerConfidenceBound(pred, 2.0).
+/// LowerConfidenceBound(pred).
 double AcquisitionValue(AcquisitionKind kind, const GpPrediction& pred,
                         double best);
+
+/// The short name of `kind`: "ei", "pi" or "lcb".
+const char* AcquisitionName(AcquisitionKind kind);
 
 /// An upper bound on AcquisitionValue(kind, {mean, v}, best), as computed,
 /// over every variance v <= prior_variance. EI and LCB do not decrease in

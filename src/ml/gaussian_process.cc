@@ -38,9 +38,9 @@ double ScaledDistance(const Vec& a, const Vec& b,
   return std::sqrt(acc);
 }
 
-/// Candidates per PredictBatch chunk: one panel of the forward solve, which
-/// streams the whole Cholesky factor once per chunk.
-constexpr size_t kPredictLanes = internal::kPanelLanes;
+/// Candidates per chunk of ArgmaxAcquisition's scan: one panel of the
+/// forward solve, which streams the whole Cholesky factor once per panel.
+constexpr size_t kLanes = internal::kPanelLanes;
 
 /// Candidate groups of ArgmaxAcquisition's pruned scan: each prunes against
 /// its own best, so fewer groups solve fewer lanes, and the count is fixed,
@@ -173,18 +173,18 @@ void TransposeInto(const double* xs, size_t n, size_t d, Vec* out) {
 }
 
 /// out[c] = the sum over i < count, ascending from 0.0, of term(rows[i *
-/// kPredictLanes + c], i), for each of the kPredictLanes lanes c: eight
+/// kLanes + c], i), for each of the kLanes lanes c: eight
 /// lanes per step in four two-lane vectors, each lane its own chain in the
 /// scalar loop's order. `term` maps a two-lane slice of row i to its terms.
 template <typename Term>
 void SumLanes(const double* rows, size_t count, const Term& term,
               double* out) {
-  for (size_t h = 0; h < kPredictLanes; h += 8) {
+  for (size_t h = 0; h < kLanes; h += 8) {
     V2 acc[4] = {};
     for (size_t i = 0; i < count; ++i) {
       ATUNE_UNROLL for (size_t q = 0; q < 4; ++q) {
         V2 x = {};
-        Load(&x, rows + i * kPredictLanes + h + 2 * q);
+        Load(&x, rows + i * kLanes + h + 2 * q);
         acc[q] += term(x, i);
       }
     }
@@ -749,47 +749,16 @@ GpPrediction GaussianProcess::Predict(const Vec& x) const {
   return out;
 }
 
-void GaussianProcess::PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                                   std::vector<GpPrediction>* out,
-                                   ThreadPool* pool) const {
-  size_t m = candidates.rows();
-  out->assign(m, GpPrediction{});
-  if (!fitted_ || m == 0) return;
-  size_t n = xs_.size();
-  size_t d = clamped_ls_.size();
-  if (ScalarKernelsForTesting() || !flat_ok_ || candidates.cols() != d ||
-      scratch == nullptr) {
-    // Scalar A/B half (and ragged fallback): one Predict per row.
-    for (size_t r = 0; r < m; ++r) (*out)[r] = Predict(candidates.Row(r));
-    return;
-  }
-  constexpr size_t kLanes = kPredictLanes;
-  const size_t chunks = (m + kLanes - 1) / kLanes;
-  const size_t slices =
-      std::min(chunks, 1 + (pool != nullptr ? pool->num_threads() : 0));
-  // Every slice's panels are carved here, before any worker starts.
-  ScratchArena& arena = scratch->arena_;
-  arena.Reset();
-  double* ct = arena.AllocateArray<double>(slices * d * kLanes);
-  double* panel = arena.AllocateArray<double>(slices * n * kLanes);
-  GpPrediction* dst = out->data();
-  RunSlices(slices, pool, [&](size_t s) {
-    PredictRows(candidates, chunks * s / slices * kLanes,
-                std::min(m, chunks * (s + 1) / slices * kLanes),
-                ct + s * d * kLanes, panel + s * n * kLanes, dst);
-  });
-}
-
 std::optional<AcquisitionArgmax> GaussianProcess::ArgmaxAcquisition(
     const Matrix& candidates, AcquisitionKind kind, double best,
-    GpScratch* scratch, ThreadPool* pool) const {
+    ThreadPool* pool) const {
   const size_t m = candidates.rows();
   const size_t n = xs_.size();
   const size_t d = clamped_ls_.size();
   GroupArgmax groups[kAcquisitionGroups];
   size_t group_count = 1;
   if (!fitted_ || ScalarKernelsForTesting() || !flat_ok_ ||
-      candidates.cols() != d || scratch == nullptr) {
+      candidates.cols() != d) {
     // Scalar A/B half (and the fallbacks): the full scan, one Predict per
     // row.
     for (size_t r = 0; r < m; ++r) {
@@ -798,16 +767,16 @@ std::optional<AcquisitionArgmax> GaussianProcess::ArgmaxAcquisition(
     }
     groups[0].solved = m;
   } else if (m > 0) {
-    constexpr size_t kLanes = kPredictLanes;
     const size_t chunks = (m + kLanes - 1) / kLanes;
     group_count = std::min(kAcquisitionGroups, chunks);
     const size_t threads = std::min(
         group_count, 1 + (pool != nullptr ? pool->num_threads() : 0));
-    // Every thread's panels are carved here, before any worker starts.
-    ScratchArena& arena = scratch->arena_;
-    arena.Reset();
-    double* ct = arena.AllocateArray<double>(threads * d * kLanes);
-    double* panels = arena.AllocateArray<double>(threads * 2 * n * kLanes);
+    // Every thread's panels are sized here, before any worker starts: a
+    // worker's first malloc would give it a glibc arena of its own.
+    static thread_local Vec scratch;
+    scratch.resize(threads * (d + 2 * n) * kLanes);
+    double* ct = scratch.data();
+    double* panels = ct + threads * d * kLanes;
     std::atomic<size_t> next{0};
     RunSlices(threads, pool, [&](size_t t) {
       for (size_t g = next++; g < group_count; g = next++) {
@@ -836,7 +805,6 @@ void GaussianProcess::ScanGroup(const Matrix& candidates, size_t begin,
                                 size_t end, AcquisitionKind kind, double best,
                                 double* ct, double* panels,
                                 GroupArgmax* group) const {
-  constexpr size_t kLanes = kPredictLanes;
   const size_t n = xs_.size();
   double* panel = panels;
   double* pending = panels + n * kLanes;
@@ -884,23 +852,9 @@ void GaussianProcess::ScanGroup(const Matrix& candidates, size_t begin,
   if (kept > 0) solve_pending();
 }
 
-void GaussianProcess::PredictRows(const Matrix& candidates, size_t begin,
-                                  size_t end, double* ct, double* panel,
-                                  GpPrediction* out) const {
-  for (size_t c0 = begin; c0 < end; c0 += kPredictLanes) {
-    const size_t w = std::min(kPredictLanes, end - c0);
-    double mean[kPredictLanes];
-    double var[kPredictLanes];
-    PanelMeans(candidates, c0, w, ct, panel, mean);
-    PanelVariances(panel, var);
-    for (size_t c = 0; c < w; ++c) out[c0 + c] = GpPrediction{mean[c], var[c]};
-  }
-}
-
 void GaussianProcess::PanelMeans(const Matrix& candidates, size_t c0,
                                  size_t w, double* ct, double* panel,
                                  double* mean) const {
-  constexpr size_t kLanes = kPredictLanes;
   const size_t n = xs_.size();
   const size_t d = clamped_ls_.size();
   // Transpose the candidate chunk to d x kLanes so the distance pass loads
@@ -929,10 +883,10 @@ void GaussianProcess::PanelMeans(const Matrix& candidates, size_t c0,
 }
 
 void GaussianProcess::PanelVariances(double* panel, double* var) const {
-  internal::ForwardSolvePanel(chol_, panel, kPredictLanes);
-  double acc[kPredictLanes] = {};
+  internal::ForwardSolvePanel(chol_, panel, kLanes);
+  double acc[kLanes] = {};
   SumLanes(panel, xs_.size(), [](V2 v, size_t) { return v * v; }, acc);
-  for (size_t c = 0; c < kPredictLanes; ++c) {
+  for (size_t c = 0; c < kLanes; ++c) {
     var[c] = std::max(SelfKernel() - acc[c], 0.0);
   }
 }

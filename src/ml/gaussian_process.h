@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -36,8 +35,8 @@ struct GpPrediction {
 };
 
 /// The acquisition functions ArgmaxAcquisition maximizes (ml/acquisition.h,
-/// AcquisitionValue): expected or probability of improvement at xi = 0, or
-/// the lower confidence bound at beta = 2.
+/// AcquisitionValue): expected or probability of improvement, or the lower
+/// confidence bound at two standard deviations.
 enum class AcquisitionKind {
   kExpectedImprovement,
   kProbabilityOfImprovement,
@@ -62,25 +61,6 @@ namespace internal {
 void KernelTailInPlace(double* out, size_t m, bool se, double sv,
                        bool fast_exp);
 }  // namespace internal
-
-/// Reusable scratch for GaussianProcess::PredictBatch and
-/// ArgmaxAcquisition. Owns the arena the batched kernels carve their
-/// candidate-transpose and kernel-row panels from; after the first batch at
-/// a given (n, d, slice count) it is in steady state and an unpooled call
-/// performs zero heap allocations. A pooled call carves every slice's
-/// panels from it on the calling thread before any worker starts, so one
-/// scratch serves the whole call; it is not synchronized — one scratch per
-/// calling thread.
-class GpScratch {
- public:
-  GpScratch() = default;
-  GpScratch(const GpScratch&) = delete;
-  GpScratch& operator=(const GpScratch&) = delete;
-
- private:
-  friend class GaussianProcess;
-  ScratchArena arena_;
-};
 
 /// Gaussian-process regression, the surrogate model behind iTuned [9] and
 /// OtterTune [24]. Inputs are expected normalized to [0,1]^d; targets are
@@ -174,23 +154,6 @@ class GaussianProcess {
   /// Posterior mean/variance at x. Requires a successful Fit.
   GpPrediction Predict(const Vec& x) const;
 
-  /// Batched Predict over a whole candidate matrix (one candidate per row,
-  /// candidates.cols() == input dims). (*out)[r] is bit-identical to
-  /// Predict(candidates.Row(r)) — same per-element operation order — but the
-  /// kernel rows are built sixteen candidates at a time over the contiguous
-  /// training-point cache and the sixteen triangular solves share the
-  /// factor's memory traffic (internal::ForwardSolvePanel), which is where
-  /// the acquisition-scan speedup gated by bench_hotpath comes from.
-  /// `scratch` provides the panel storage and is reused across calls; `out`
-  /// is resized (capacity persists for the caller's reuse). With a non-null
-  /// `pool` the rows split into contiguous 16-aligned slices, one for the
-  /// calling thread and one per worker; a slice computes its chunks exactly
-  /// as the unsliced scan does, so the output is bit-identical, and the
-  /// workers only use panels carved from `scratch` beforehand.
-  void PredictBatch(const Matrix& candidates, GpScratch* scratch,
-                    std::vector<GpPrediction>* out,
-                    ThreadPool* pool = nullptr) const;
-
   /// The candidate that maximizes the acquisition value AcquisitionValue(
   /// kind, Predict(row), best) over the rows of `candidates`, with that
   /// value: the first of equal values in index order, as a strict-> scan
@@ -198,17 +161,24 @@ class GaussianProcess {
   /// value NaN, say). Bit-identical to that full scan, but the O(n²) panel
   /// solve runs only for candidates that can still win: the rows split into
   /// a fixed number of 16-aligned groups, which the calling thread and
-  /// `pool` take whole, and each group builds kernel rows and means chunk
-  /// by chunk (as PredictBatch does), bounds each candidate's value from its
-  /// mean and the prior variance (AcquisitionBound), and gathers the lanes
-  /// whose bound reaches the group's best so far into one pending 16-lane
-  /// panel, which it solves and scores when full and at the group's end.
-  /// Counts the candidates and the solved lanes in the gp.acquisition_*
-  /// counters; both depend only on the inputs. The scalar A/B path and the
-  /// PredictBatch fallbacks score every candidate.
+  /// `pool` take whole, and each group builds kernel rows and means sixteen
+  /// candidates at a time over the contiguous training-point cache, bounds
+  /// each candidate's value from its mean and the prior variance
+  /// (AcquisitionBound), and gathers the lanes whose bound reaches the
+  /// group's best so far into one pending 16-lane panel, which it solves
+  /// and scores when full and at the group's end (the sixteen triangular
+  /// solves share the factor's memory traffic, internal::
+  /// ForwardSolvePanel). Every thread's panels come from one thread-local
+  /// buffer sized on the calling thread before any worker starts, as
+  /// Predict's are: workers allocate nothing, and after the first call at
+  /// a given n and d an unpooled call allocates nothing either. Counts the
+  /// candidates and the solved lanes in the gp.acquisition_* counters; both
+  /// depend only on the inputs. The scalar A/B path and the fallbacks (an
+  /// unfitted model, ragged training inputs, candidates of the wrong width)
+  /// score every candidate, one Predict per row.
   std::optional<AcquisitionArgmax> ArgmaxAcquisition(
       const Matrix& candidates, AcquisitionKind kind, double best,
-      GpScratch* scratch, ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr) const;
 
   /// Log marginal likelihood of the fitted model.
   double LogMarginalLikelihood() const { return log_marginal_likelihood_; }
@@ -245,10 +215,6 @@ class GaussianProcess {
   /// AddObservation's bordered row; Fit and the hyper-search probes build K
   /// with the same row kernel.
   void KernelRow(const double* x, double* out) const;
-  /// PredictBatch's fast path over rows [begin, end), begin a multiple of
-  /// 16: `ct` holds d x 16 and `panel` n x 16 doubles of the caller's.
-  void PredictRows(const Matrix& candidates, size_t begin, size_t end,
-                   double* ct, double* panel, GpPrediction* out) const;
   /// Kernel rows and posterior means of the w <= 16 candidate rows from c0:
   /// panel[i * 16 + c] = k(candidate c0 + c, x_i) and mean[c] for the 16
   /// lanes, the lanes past w repeating the last candidate. `ct` holds

@@ -131,8 +131,6 @@ Status LassoRegression::Fit(const std::vector<Vec>& xs, const Vec& ys) {
     }
     if (max_delta < tol_) break;
   }
-  intercept_ = y_mean;
-  fitted_ = true;
   return Status::OK();
 }
 

@@ -61,16 +61,12 @@ class LassoRegression {
   /// Weights in the standardized feature space (sparsity pattern is what
   /// matters for ranking).
   const Vec& weights() const { return weights_; }
-  double intercept() const { return intercept_; }
-  bool fitted() const { return fitted_; }
 
  private:
   double lambda_;
   size_t max_iters_;
   double tol_;
-  Vec weights_;       // in standardized space
-  double intercept_ = 0.0;  // in original y units
-  bool fitted_ = false;
+  Vec weights_;  // in standardized space
 };
 
 /// Computes the Lasso regularization path: fits a sequence of decreasing

@@ -10,6 +10,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "math/sampling.h"
+#include "ml/acquisition.h"
 #include "obs/trace.h"
 
 namespace atune {
@@ -26,23 +27,6 @@ namespace {
 /// looping forever on a dead surrogate hides the failure from any
 /// supervision layer.
 constexpr size_t kMaxConsecutiveModelFailures = 3;
-
-/// Reusable storage for the acquisition scan: the candidate matrix and the
-/// GP panel scratch. Owned by the Tune loop so a whole tuning session
-/// allocates the scan buffers once instead of per iteration. The candidate
-/// matrix is sized up front because the serial loop fills it on a pool
-/// worker, which must not allocate.
-struct AcquisitionWorkspace {
-  AcquisitionWorkspace(size_t m, size_t dims) : cands(m, dims) {}
-  Matrix cands;
-  GpScratch gp;
-};
-
-AcquisitionKind KindOf(const std::string& acquisition) {
-  if (acquisition == "pi") return AcquisitionKind::kProbabilityOfImprovement;
-  if (acquisition == "lcb") return AcquisitionKind::kLowerConfidenceBound;
-  return AcquisitionKind::kExpectedImprovement;
-}
 
 /// Draws the `acquisition_candidates` random proposals into *cands (a third
 /// perturb the incumbent), with exactly the rng draw order of the old
@@ -70,7 +54,7 @@ void DrawCandidates(const ITunedOptions& options, const std::vector<Vec>& xs,
   }
 }
 
-/// Acquisition-maximizing row of ws->cands, or none when no candidate
+/// Acquisition-maximizing row of *cands, or none when no candidate
 /// scores above -inf. Shared by the serial loop and the constant-liar batch
 /// loop; `xs`/`ys` may include liar observations. With a non-null `rng` the
 /// candidates are drawn here first; the serial loop passes null because it
@@ -80,16 +64,15 @@ void DrawCandidates(const ITunedOptions& options, const std::vector<Vec>& xs,
 std::optional<AcquisitionArgmax> ProposeCandidate(
     const GaussianProcess& gp, const ITunedOptions& options,
     const std::vector<Vec>& xs, const Vec& ys, size_t dims, Rng* rng,
-    AcquisitionWorkspace* ws, ThreadPool* pool) {
+    Matrix* cands, ThreadPool* pool) {
   ScopedSpan span(CurrentTracer(), "acquisition");
   if (span.active()) {
     span.AddArg("candidates", std::to_string(options.acquisition_candidates));
-    span.AddArg("kind", options.acquisition);
+    span.AddArg("kind", AcquisitionName(options.acquisition));
   }
-  if (rng != nullptr) DrawCandidates(options, xs, ys, dims, rng, &ws->cands);
+  if (rng != nullptr) DrawCandidates(options, xs, ys, dims, rng, cands);
   double best_log = *std::min_element(ys.begin(), ys.end());
-  return gp.ArgmaxAcquisition(ws->cands, KindOf(options.acquisition),
-                              best_log, &ws->gp, pool);
+  return gp.ArgmaxAcquisition(*cands, options.acquisition, best_log, pool);
 }
 
 }  // namespace
@@ -130,14 +113,16 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
   size_t aborts = 0;
   size_t model_failures = 0;
   double last_acq = 0.0;
-  AcquisitionWorkspace ws(options_.acquisition_candidates, dims);
+  // Sized once per session: the serial loop fills it on a pool worker,
+  // which must not allocate.
+  Matrix cands(options_.acquisition_candidates, dims);
   // The surrogate runs on the calling thread plus a pool that fills the
   // remaining cores; bit-identical to running it on one. The acquisition
   // candidates read no model, so a pool worker draws them while the hyper
   // search runs, from the stream position the draws would have had after it.
   const size_t helpers = HelperThreadCount();
   const std::function<void(Rng*)> draw = [&](Rng* stream) {
-    DrawCandidates(options_, xs, ys, dims, stream, &ws.cands);
+    DrawCandidates(options_, xs, ys, dims, stream, &cands);
   };
   while (!evaluator->Exhausted()) {
     GaussianProcess gp(GpHyperParams{options_.kernel, {}, 1.0, 1e-4});
@@ -146,7 +131,7 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
     std::optional<AcquisitionArgmax> pick;
     if (fit.ok()) {
       pick = ProposeCandidate(gp, options_, xs, ys, dims, /*rng=*/nullptr,
-                              &ws, evaluator->thread_pool(helpers));
+                              &cands, evaluator->thread_pool(helpers));
       if (!pick) {
         fit = Status::Internal(
             "ituned: no acquisition candidate scored above -inf");
@@ -155,7 +140,7 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
     Vec next;
     if (pick) {
       model_failures = 0;
-      next = ws.cands.Row(pick->index);
+      next = cands.Row(pick->index);
       last_acq = pick->value;
     } else {
       // Failed GP (non-finite objectives, or a kernel that stays
@@ -191,8 +176,8 @@ Status ITunedTuner::Tune(Evaluator* evaluator, Rng* rng) {
   report_ = StrFormat(
       "LHS design %zu + %zu GP/%s iterations (%zu early-aborted, final acq "
       "%.4f, %zu obs)",
-      design.size(), bo_iters, options_.acquisition.c_str(), aborts, last_acq,
-      xs.size());
+      design.size(), bo_iters, AcquisitionName(options_.acquisition), aborts,
+      last_acq, xs.size());
   return Status::OK();
 }
 
@@ -244,7 +229,7 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
   size_t proposed = 0;
   size_t model_failures = 0;
   double last_acq = 0.0;
-  AcquisitionWorkspace ws(options_.acquisition_candidates, dims);
+  Matrix cands(options_.acquisition_candidates, dims);
   while (!evaluator->Exhausted()) {
     size_t affordable = static_cast<size_t>(
         std::max(0.0, evaluator->Remaining() + 1e-9));
@@ -264,11 +249,11 @@ Status ITunedTuner::TuneBatch(Evaluator* evaluator, Rng* rng) {
       Vec lie_ys = ys;
       for (size_t j = 0; j < k; ++j) {
         std::optional<AcquisitionArgmax> pick =
-            ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng, &ws,
+            ProposeCandidate(gp, options_, lie_xs, lie_ys, dims, rng, &cands,
                              evaluator->thread_pool(parallelism));
         Vec cand(dims);
         if (pick) {
-          cand = ws.cands.Row(pick->index);
+          cand = cands.Row(pick->index);
           last_acq = pick->value;
         } else {
           // No winner: this lane takes the failed-model draw.

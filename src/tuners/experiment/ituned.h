@@ -18,8 +18,9 @@ struct ITunedOptions {
   size_t gp_hyper_budget = 24;
   /// GP kernel.
   KernelType kernel = KernelType::kMatern52;
-  /// Acquisition: "ei" (default), "pi", or "lcb".
-  std::string acquisition = "ei";
+  /// Acquisition function: expected improvement (default), probability of
+  /// improvement, or the lower confidence bound.
+  AcquisitionKind acquisition = AcquisitionKind::kExpectedImprovement;
   /// iTuned's early abort of low-utility experiments: stop any run that
   /// exceeds `early_abort_factor` x the incumbent objective and charge only
   /// the budget actually burned. 0 disables (default, for exact

@@ -257,11 +257,9 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
   size_t mapped = 0;
   size_t recommendations = 0;
   size_t model_failures = 0;
-  // Reusable acquisition storage: candidate matrix and GP panel scratch —
-  // allocated once per session.
+  // The acquisition candidates, allocated once per session.
   constexpr size_t kAcqCandidates = 1500;
   Matrix acq_cands(kAcqCandidates, dims);
-  GpScratch gp_scratch;
   // The surrogate runs on the calling thread plus a pool that fills the
   // remaining cores; bit-identical to running it on one. The candidates read
   // no model, so a pool worker draws them while the hyper search runs, from
@@ -322,8 +320,7 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
                                           target_objectives.end());
       pick = gp.ArgmaxAcquisition(acq_cands,
                                   AcquisitionKind::kExpectedImprovement,
-                                  best_log, &gp_scratch,
-                                  evaluator->thread_pool(helpers));
+                                  best_log, evaluator->thread_pool(helpers));
       if (!pick) {
         fit = Status::Internal(
             "ottertune: no acquisition candidate scored above -inf");

@@ -251,9 +251,9 @@ TEST(BlockedKernels, ForwardSolveIntoMatchesAndAllowsAliasing) {
   EXPECT_TRUE(BitIdentical(in_place, expect));
 }
 
-// The panel solve behind GaussianProcess::PredictBatch: each of the sixteen
-// lanes must equal reference::ForwardSolve on its column bit for bit, at
-// four lanes and at two alike.
+// The panel solve behind GaussianProcess::ArgmaxAcquisition: each of the
+// sixteen lanes must equal reference::ForwardSolve on its column bit for
+// bit, at four lanes and at two alike.
 TEST(BlockedKernels, ForwardSolvePanelEachLaneBitIdentical) {
   constexpr size_t kLanes = internal::kPanelLanes;
   for (bool sse2 : {false, true}) {

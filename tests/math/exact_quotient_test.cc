@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -164,37 +165,79 @@ TEST(ExactQuotient, GuardSendsNearUnderflowAndOverflowToTheDivide) {
   }
 
   // Through the GP: coordinates past the guard take the divide, so every
-  // posterior keeps the scalar path's bits. The huge coordinate makes its
-  // distances overflow, where the FMA sequence would give NaN for the
-  // divide's infinity, and the squared-exponential kernel tells them apart.
+  // posterior and every scan keeps the scalar path's bits. The huge
+  // coordinate makes its distances overflow, where the FMA sequence would
+  // give NaN for the divide's infinity, and the squared-exponential kernel
+  // tells them apart. A training coordinate past the guard turns the exact
+  // body off for the whole GP; a candidate's only for its own kernel row
+  // (Predict) or panel chunk (ArgmaxAcquisition).
   const double huge = std::ldexp(1.5, 1023);
-  const std::vector<Vec> xs = {{0.1, 0.2}, {0.6, std::ldexp(1.0, -1022)},
-                               {0.9, 0.4}, {0.3, huge}};
+  const double tiny = std::ldexp(1.0, -1022);
   const Vec ys = {0.5, -0.2, 1.1, 0.3};
-  Matrix cands(19, 2);
+  const std::vector<Vec> outside = {
+      {0.1, 0.2}, {0.6, tiny}, {0.9, 0.4}, {0.3, huge}};
+  Matrix subnormal(19, 2);
   mt19937_64 gen(23);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  for (size_t r = 0; r < cands.rows(); ++r) {
-    cands.At(r, 0) = u(gen);
-    cands.At(r, 1) = r % 3 == 0 ? std::ldexp(1.0, -1022) : u(gen);
+  for (size_t r = 0; r < subnormal.rows(); ++r) {
+    subnormal.At(r, 0) = u(gen);
+    subnormal.At(r, 1) = r % 3 == 0 ? tiny : u(gen);
   }
-  auto run = [&](bool scalar) {
+  // Training points inside the guard, and candidates on them, where the
+  // variance is about 0, but for one huge candidate: its infinite distances
+  // give it the prior, whose LCB is the largest. The exact body's NaN would
+  // never win.
+  const std::vector<Vec> inside = {
+      {0.1, 0.2}, {0.6, 0.7}, {0.9, 0.4}, {0.3, 0.8}};
+  const size_t kHugeRow = 13;
+  Matrix on_points(19, 2);
+  for (size_t r = 0; r < on_points.rows(); ++r) {
+    on_points.At(r, 0) = inside[r % 4][0];
+    on_points.At(r, 1) = r == kHugeRow ? huge : inside[r % 4][1];
+  }
+  const AcquisitionKind kinds[] = {AcquisitionKind::kExpectedImprovement,
+                                   AcquisitionKind::kProbabilityOfImprovement,
+                                   AcquisitionKind::kLowerConfidenceBound};
+  struct Scan {
+    std::vector<GpPrediction> preds;
+    std::optional<AcquisitionArgmax> picks[3];
+  };
+  auto run = [&](const std::vector<Vec>& xs, const Matrix& cands,
+                 bool scalar) {
     SetScalarKernelsForTesting(scalar);
     GaussianProcess gp(
         GpHyperParams{KernelType::kSquaredExponential, {0.7, 0.5}, 1.0, 1e-4});
     EXPECT_TRUE(gp.Fit(xs, ys).ok());
-    std::vector<GpPrediction> preds;
-    GpScratch scratch;
-    gp.PredictBatch(cands, &scratch, &preds);
+    Scan scan;
+    for (size_t r = 0; r < cands.rows(); ++r) {
+      scan.preds.push_back(gp.Predict(cands.Row(r)));
+    }
+    for (size_t k = 0; k < 3; ++k) {
+      scan.picks[k] = gp.ArgmaxAcquisition(cands, kinds[k], -0.2);
+    }
     SetScalarKernelsForTesting(false);
-    return preds;
+    return scan;
   };
-  const std::vector<GpPrediction> want = run(true);
-  const std::vector<GpPrediction> got = run(false);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t r = 0; r < want.size(); ++r) {
-    EXPECT_TRUE(SameBits(got[r].mean, want[r].mean)) << r;
-    EXPECT_TRUE(SameBits(got[r].variance, want[r].variance)) << r;
+  for (bool training_outside : {true, false}) {
+    SCOPED_TRACE(training_outside ? "training outside" : "training inside");
+    const std::vector<Vec>& xs = training_outside ? outside : inside;
+    const Matrix& cands = training_outside ? subnormal : on_points;
+    const Scan want = run(xs, cands, true);
+    const Scan got = run(xs, cands, false);
+    for (size_t r = 0; r < cands.rows(); ++r) {
+      EXPECT_TRUE(SameBits(got.preds[r].mean, want.preds[r].mean)) << r;
+      EXPECT_TRUE(SameBits(got.preds[r].variance, want.preds[r].variance))
+          << r;
+    }
+    for (size_t k = 0; k < 3; ++k) {
+      ASSERT_TRUE(want.picks[k].has_value()) << k;
+      ASSERT_TRUE(got.picks[k].has_value()) << k;
+      EXPECT_EQ(got.picks[k]->index, want.picks[k]->index) << k;
+      EXPECT_TRUE(SameBits(got.picks[k]->value, want.picks[k]->value)) << k;
+    }
+    if (!training_outside) {
+      EXPECT_EQ(want.picks[2]->index, kHugeRow);
+    }
   }
 }
 

@@ -126,10 +126,8 @@ void ExpectArgmaxOfFullScan(const GaussianProcess& gp, const Matrix& cands,
         SCOPED_TRACE(testing::Message()
                      << what << " kind=" << static_cast<int>(kind)
                      << " sse2=" << sse2 << " workers=" << workers);
-        GpScratch scratch;
         const std::optional<AcquisitionArgmax> got = gp.ArgmaxAcquisition(
-            cands, kind, best, &scratch,
-            workers == 0 ? nullptr : Pool(workers));
+            cands, kind, best, workers == 0 ? nullptr : Pool(workers));
         ASSERT_EQ(got.has_value(), want.has_value());
         if (!want) continue;
         EXPECT_EQ(got->index, want->index);
@@ -187,6 +185,27 @@ TEST(AcquisitionScanTest, ArgmaxIsTheFullScans) {
         }
         ExpectArgmaxOfFullScan(gp, cands, best, "some nan");
       }
+      // One 16-row block in all 16 rotations, so the winner visits every
+      // chunk lane. A single chunk has no running best before its panel is
+      // solved, so every lane is solved, in the solve panel's lane of its
+      // chunk lane: a wrong bit in any lane's mean or variance shows in the
+      // winner's value in some rotation.
+      mt19937_64 block_gen(53 + n);
+      const size_t lanes = internal::kPanelLanes;
+      const Matrix block = UniformCandidates(lanes, d, &block_gen);
+      for (size_t k = 0; k < lanes; ++k) {
+        Matrix rotated(lanes, d);
+        for (size_t r = 0; r < lanes; ++r) {
+          for (size_t j = 0; j < d; ++j) {
+            rotated.At(r, j) = block.At((r + k) % lanes, j);
+          }
+        }
+        ExpectArgmaxOfFullScan(gp, rotated, best, "rotated");
+      }
+      // Candidates of the wrong width take the full scan, whose Predict
+      // falls back to KernelValue over the shared dimensions.
+      ExpectArgmaxOfFullScan(gp, UniformCandidates(40, d + 2, &block_gen),
+                             best, "wrong width");
     }
   }
 }
@@ -197,8 +216,7 @@ TEST(AcquisitionScanTest, AllNanCandidatesHaveNoWinner) {
   Matrix cands(40, 1, std::numeric_limits<double>::quiet_NaN());
   for (AcquisitionKind kind : kKinds) {
     for (size_t workers : {0, 3}) {
-      GpScratch scratch;
-      EXPECT_FALSE(gp.ArgmaxAcquisition(cands, kind, -0.5, &scratch,
+      EXPECT_FALSE(gp.ArgmaxAcquisition(cands, kind, -0.5,
                                         workers == 0 ? nullptr : Pool(workers))
                        .has_value());
     }
@@ -262,8 +280,7 @@ TEST(AcquisitionScanTest, SolvedCountsArePinned) {
                                         << " workers=" << workers);
         MetricsRegistry metrics;
         ScopedMetricsInstall install(&metrics);
-        GpScratch scratch;
-        ASSERT_TRUE(c.gp->ArgmaxAcquisition(*c.cands, c.kind, best, &scratch,
+        ASSERT_TRUE(c.gp->ArgmaxAcquisition(*c.cands, c.kind, best,
                                             workers == 0 ? nullptr
                                                          : Pool(workers))
                         .has_value());

@@ -1,8 +1,9 @@
-// Bit-identity tests for the batched GP paths of DESIGN.md §11:
-// PredictBatch vs per-point Predict, the batch acquisition wrappers vs their
-// scalar forms, and the fast-vs-scalar A/B switch over a full
-// Fit/AddObservation/Predict cycle. The AVX-dispatched kernels also run
-// their two-lane instances here, through SetSse2KernelsForTesting.
+// Bit-identity tests for the GP's fast paths of DESIGN.md §11: the
+// fast-vs-scalar A/B switch over a full Fit/AddObservation/Predict cycle,
+// and the kernel tail's ExpV4 body against its libm body. The
+// AVX-dispatched kernels also run their two-lane instances here, through
+// SetSse2KernelsForTesting. ArgmaxAcquisition's panels are checked lane by
+// lane in acquisition_test.cc.
 
 #include <cmath>
 #include <cstring>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "ml/acquisition.h"
 #include "ml/gaussian_process.h"
 
 namespace atune {
@@ -56,96 +56,14 @@ class Sse2Kernels {
   ~Sse2Kernels() { SetSse2KernelsForTesting(false); }
 };
 
-TEST(GpBatch, PredictBatchBitIdenticalToPredict) {
-  for (bool sse2 : {false, true}) {
-    Sse2Kernels guard(sse2);
-    mt19937_64 gen(3);
-    for (KernelType kernel :
-         {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-      for (size_t n : {1, 4, 17, 60}) {
-        for (size_t m : {1, 3, 7, 8, 9, 16, 33}) {
-          size_t d = 5;
-          // Non-dyadic lengthscales: at the default one, y / l == y * (1 / l)
-          // for every sampled y, which would hide a divide turned into a
-          // reciprocal multiply.
-          GaussianProcess gp(
-              GpHyperParams{kernel, {0.7, 1.3, 0.45, 0.9, 0.6}, 1.0, 1e-4});
-          ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen))
-                          .ok());
-          Matrix cands = RandomCandidates(m, d, &gen);
-          GpScratch scratch;
-          std::vector<GpPrediction> batch;
-          gp.PredictBatch(cands, &scratch, &batch);
-          ASSERT_EQ(batch.size(), m);
-          for (size_t r = 0; r < m; ++r) {
-            GpPrediction p = gp.Predict(cands.Row(r));
-            EXPECT_TRUE(SameBits(batch[r].mean, p.mean))
-                << "n=" << n << " m=" << m << " r=" << r << " sse2=" << sse2;
-            EXPECT_TRUE(SameBits(batch[r].variance, p.variance))
-                << "n=" << n << " m=" << m << " r=" << r << " sse2=" << sse2;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(GpBatch, PredictBatchUnfittedReturnsDefaults) {
-  GaussianProcess gp;
-  GpScratch scratch;
-  std::vector<GpPrediction> batch;
-  mt19937_64 gen(5);
-  gp.PredictBatch(RandomCandidates(6, 3, &gen), &scratch, &batch);
-  ASSERT_EQ(batch.size(), 6u);
-  for (const auto& p : batch) {
-    EXPECT_EQ(p.mean, 0.0);
-    EXPECT_EQ(p.variance, 0.0);
-  }
-}
-
-TEST(GpBatch, PredictBatchWrongColumnCountFallsBackToPredict) {
-  mt19937_64 gen(7);
-  size_t n = 12, d = 4;
-  GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen)).ok());
-  // Candidates with the wrong dimensionality route through per-point
-  // Predict, which itself falls back to KernelValue on ragged input.
-  Matrix cands = RandomCandidates(5, d + 2, &gen);
-  GpScratch scratch;
-  std::vector<GpPrediction> batch;
-  gp.PredictBatch(cands, &scratch, &batch);
-  ASSERT_EQ(batch.size(), 5u);
-  for (size_t r = 0; r < 5; ++r) {
-    GpPrediction p = gp.Predict(cands.Row(r));
-    EXPECT_TRUE(SameBits(batch[r].mean, p.mean));
-    EXPECT_TRUE(SameBits(batch[r].variance, p.variance));
-  }
-}
-
-TEST(GpBatch, PredictBatchNullScratchFallsBack) {
-  mt19937_64 gen(9);
-  size_t n = 10, d = 3;
-  GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen)).ok());
-  Matrix cands = RandomCandidates(9, d, &gen);
-  std::vector<GpPrediction> batch;
-  gp.PredictBatch(cands, nullptr, &batch);
-  ASSERT_EQ(batch.size(), 9u);
-  for (size_t r = 0; r < 9; ++r) {
-    GpPrediction p = gp.Predict(cands.Row(r));
-    EXPECT_TRUE(SameBits(batch[r].mean, p.mean));
-    EXPECT_TRUE(SameBits(batch[r].variance, p.variance));
-  }
-}
-
 TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {
-  // Fit + AddObservation, then Predict or PredictBatch, under the fast
-  // kernels at four lanes and at two, must equal the same cycle's Predict
-  // under the scalar (pre-speed-layer) kernels bit for bit, for both kernel
-  // types: the fast paths share the kernel-row tail, so only the scalar
-  // path can catch a change to it. Explicit lengthscales: the default 0.3
-  // divides exactly like a multiply by its reciprocal, and would hide one.
-  auto run = [](KernelType kernel, bool scalar, bool batch) {
+  // Fit + AddObservation, then Predict, under the fast kernels at four
+  // lanes and at two, must equal the same cycle under the scalar
+  // (pre-speed-layer) kernels bit for bit, for both kernel types: the fast
+  // paths share the kernel-row tail, so only the scalar path can catch a
+  // change to it. Explicit lengthscales: the default 0.3 divides exactly
+  // like a multiply by its reciprocal, and would hide one.
+  auto run = [](KernelType kernel, bool scalar) {
     SetScalarKernelsForTesting(scalar);
     mt19937_64 gen(13);
     size_t d = 4;
@@ -160,32 +78,24 @@ TEST(GpBatch, ScalarSwitchWholeCycleBitIdentical) {
     }
     Matrix probes = RandomCandidates(11, d, &gen);
     std::vector<GpPrediction> preds(probes.rows());
-    if (batch) {
-      GpScratch scratch;
-      gp.PredictBatch(probes, &scratch, &preds);
-    } else {
-      for (size_t r = 0; r < probes.rows(); ++r) {
-        preds[r] = gp.Predict(probes.Row(r));
-      }
+    for (size_t r = 0; r < probes.rows(); ++r) {
+      preds[r] = gp.Predict(probes.Row(r));
     }
     SetScalarKernelsForTesting(false);
     return preds;
   };
   for (KernelType kernel :
        {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    const std::vector<GpPrediction> scalar = run(kernel, true, false);
+    const std::vector<GpPrediction> scalar = run(kernel, true);
     for (bool sse2 : {false, true}) {
       Sse2Kernels guard(sse2);
-      for (bool batch : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "kernel=" << static_cast<int>(kernel)
-                     << " sse2=" << sse2 << " batch=" << batch);
-        std::vector<GpPrediction> fast = run(kernel, false, batch);
-        ASSERT_EQ(fast.size(), scalar.size());
-        for (size_t i = 0; i < fast.size(); ++i) {
-          EXPECT_TRUE(SameBits(fast[i].mean, scalar[i].mean)) << i;
-          EXPECT_TRUE(SameBits(fast[i].variance, scalar[i].variance)) << i;
-        }
+      SCOPED_TRACE(testing::Message() << "kernel=" << static_cast<int>(kernel)
+                                      << " sse2=" << sse2);
+      std::vector<GpPrediction> fast = run(kernel, false);
+      ASSERT_EQ(fast.size(), scalar.size());
+      for (size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_TRUE(SameBits(fast[i].mean, scalar[i].mean)) << i;
+        EXPECT_TRUE(SameBits(fast[i].variance, scalar[i].variance)) << i;
       }
     }
   }
@@ -243,24 +153,6 @@ TEST(GpBatch, KernelTailExpV4BodyEqualsTheLibmBody) {
             << sq[i];
       }
     }
-  }
-}
-
-TEST(GpBatch, AcquisitionBatchMatchesScalar) {
-  mt19937_64 gen(17);
-  std::uniform_real_distribution<double> u(-2.0, 2.0);
-  std::vector<GpPrediction> preds(37);
-  for (auto& p : preds) {
-    p.mean = u(gen);
-    p.variance = std::fabs(u(gen));
-  }
-  preds[3].variance = 0.0;  // exercise the degenerate-sigma branch
-  double best = 0.4;
-  Vec ei;
-  ExpectedImprovementBatch(preds, best, 0.0, &ei);
-  ASSERT_EQ(ei.size(), preds.size());
-  for (size_t i = 0; i < preds.size(); ++i) {
-    EXPECT_TRUE(SameBits(ei[i], ExpectedImprovement(preds[i], best))) << i;
   }
 }
 

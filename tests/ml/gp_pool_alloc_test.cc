@@ -1,9 +1,10 @@
 // Verifies that pool workers allocate nothing while they run the GP
 // surrogate's work (DESIGN.md §11): every buffer a hyper-search probe
-// thread, the kept winner's factor, an `alongside` draw, a PredictBatch
-// slice or an acquisition-scan group touches is sized on the calling thread
-// first. A worker's first malloc would give it a glibc arena of its own and
-// raise the process's peak RSS. This binary links
+// thread, the kept winner's factor, an `alongside` draw or an
+// acquisition-scan group touches is sized on the calling thread first. A
+// worker's first malloc would give it a glibc arena of its own and raise
+// the process's peak RSS. An unpooled scan at a size the calling thread
+// has seen allocates nothing either. This binary links
 // common/alloc_hook_override.cc, so SampleAllocCount() counts the calling
 // thread's operator-new calls.
 
@@ -53,8 +54,6 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
 
   GaussianProcess gp;
   Rng rng(3);
-  GpScratch scratch;
-  std::vector<GpPrediction> preds;
   // The acquisition draw iTuned runs alongside the search, into a matrix
   // sized here; the worker takes it before its probes.
   Matrix drawn(2000, d);
@@ -67,15 +66,14 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   };
   uint64_t before = worker_count();
   ASSERT_TRUE(gp.FitWithHyperSearch(xs, ys, 8, &rng, &pool, draw).ok());
-  gp.PredictBatch(cands, &scratch, &preds, &pool);
   // The pruned acquisition scan: the worker takes whole candidate groups
-  // and gathers their lanes into a pending panel carved beforehand.
+  // and gathers their lanes into a pending panel sized beforehand.
   const double best = *std::min_element(ys.begin(), ys.end());
   std::optional<AcquisitionArgmax> pick;
   for (AcquisitionKind kind : {AcquisitionKind::kExpectedImprovement,
                                AcquisitionKind::kProbabilityOfImprovement,
                                AcquisitionKind::kLowerConfidenceBound}) {
-    pick = gp.ArgmaxAcquisition(cands, kind, best, &scratch, &pool);
+    pick = gp.ArgmaxAcquisition(cands, kind, best, &pool);
     ASSERT_TRUE(pick.has_value());
   }
   // Without a draw to run first the worker scores about half the probes,
@@ -86,7 +84,6 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   }
   EXPECT_EQ(worker_count(), before);
   EXPECT_NE(drew_on, std::this_thread::get_id());
-  ASSERT_EQ(preds.size(), cands.rows());
 
   // The worker did score and draw: the results equal the unpooled ones.
   GaussianProcess serial;
@@ -94,13 +91,18 @@ TEST(GpPoolAlloc, WorkersAllocateNothing) {
   ASSERT_TRUE(serial.FitWithHyperSearch(xs, ys, 8, &serial_rng).ok());
   EXPECT_EQ(serial.LogMarginalLikelihood(), gp.LogMarginalLikelihood());
   EXPECT_EQ(serial_rng.Uniform(), drawn.At(0, 0));
-  std::vector<GpPrediction> serial_preds;
-  serial.PredictBatch(cands, &scratch, &serial_preds);
-  EXPECT_EQ(serial_preds.back().mean, preds.back().mean);
   std::optional<AcquisitionArgmax> serial_pick = serial.ArgmaxAcquisition(
-      cands, AcquisitionKind::kLowerConfidenceBound, best, &scratch);
+      cands, AcquisitionKind::kLowerConfidenceBound, best);
   ASSERT_TRUE(serial_pick.has_value());
   EXPECT_EQ(serial_pick->index, pick->index);
+
+  // A second unpooled scan at the same n and d reuses the calling thread's
+  // panels: it allocates nothing.
+  const uint64_t caller_before = SampleAllocCount();
+  serial_pick = serial.ArgmaxAcquisition(
+      cands, AcquisitionKind::kExpectedImprovement, best);
+  EXPECT_EQ(SampleAllocCount(), caller_before);
+  ASSERT_TRUE(serial_pick.has_value());
 }
 
 }  // namespace

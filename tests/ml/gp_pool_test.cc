@@ -2,12 +2,11 @@
 // hyper search scores its probes in place from one queue that the calling
 // thread and up to five pool workers drain, optionally beside an
 // `alongside` task on the pool, and hands the model its winning probe's
-// factor; PredictBatch splits its rows into 16-aligned slices over the
-// calling thread and the pool. None of it may change a bit: the fitted
-// params, the log marginal likelihood and every prediction must equal the
-// unpooled run's, the fast in-place path must equal the scalar reference
-// path (which refits the winner), and the caller's random stream must end
-// where the unpooled run leaves it.
+// factor. None of it may change a bit: the fitted params, the log marginal
+// likelihood and every prediction must equal the unpooled run's, the fast
+// in-place path must equal the scalar reference path (which refits the
+// winner), and the caller's random stream must end where the unpooled run
+// leaves it. The pooled acquisition scan is checked in acquisition_test.cc.
 
 #include <chrono>
 #include <cstring>
@@ -382,38 +381,6 @@ TEST(GpPool, FailedSearchLeavesTheCallersStreamUnmoved) {
               StatusCode::kInternal);
     EXPECT_TRUE(ran) << "workers=" << workers;
     EXPECT_EQ(rng.Next(), plain.Next()) << "workers=" << workers;
-  }
-}
-
-TEST(GpPool, SlicedPredictBatchIsBitIdentical) {
-  mt19937_64 gen(41);
-  for (KernelType kernel :
-       {KernelType::kMatern52, KernelType::kSquaredExponential}) {
-    const size_t n = 70;
-    const size_t d = 5;
-    GaussianProcess gp(GpHyperParams{kernel, {}, 1.0, 1e-4});
-    ASSERT_TRUE(gp.Fit(RandomPoints(n, d, &gen), RandomTargets(n, &gen)).ok());
-    GpScratch scratch;  // reused across slice counts on purpose
-    for (size_t m : {1, 15, 16, 17, 1500, 2000}) {
-      Matrix cands = RandomCandidates(m, d, &gen);
-      std::vector<GpPrediction> want(m);
-      for (size_t r = 0; r < m; ++r) want[r] = gp.Predict(cands.Row(r));
-      // Slices: 1 (no pool) through 5 (four workers), at both widths.
-      for (size_t run = 0; run < 10; ++run) {
-        const size_t workers = run % 5;
-        Sse2Kernels widths(run >= 5);
-        std::vector<GpPrediction> got;
-        gp.PredictBatch(cands, &scratch, &got,
-                        workers == 0 ? nullptr : Pool(workers));
-        ASSERT_EQ(got.size(), m);
-        for (size_t r = 0; r < m; ++r) {
-          ASSERT_TRUE(SameBits(want[r].mean, got[r].mean))
-              << "m=" << m << " workers=" << workers << " row " << r;
-          ASSERT_TRUE(SameBits(want[r].variance, got[r].variance))
-              << "m=" << m << " workers=" << workers << " row " << r;
-        }
-      }
-    }
   }
 }
 

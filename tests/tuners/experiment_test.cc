@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
+#include "ml/acquisition.h"
 #include "tests/core/mock_system.h"
 #include "tests/testing_util.h"
 #include "tuners/experiment/adaptive_sampling.h"
@@ -161,15 +163,19 @@ TEST(ITunedTest, BeatsRandomSearchOnAverage) {
 }
 
 TEST(ITunedTest, AlternativeAcquisitions) {
-  for (const char* acq : {"pi", "lcb"}) {
+  for (AcquisitionKind acq : {AcquisitionKind::kProbabilityOfImprovement,
+                              AcquisitionKind::kLowerConfidenceBound}) {
     QuadraticSystem system;
     ITunedOptions options;
     options.acquisition = acq;
     ITunedTuner tuner(options);
     Evaluator evaluator(&system, MockWorkload(), TuningBudget{18});
     Rng rng(9);
-    ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok()) << acq;
-    EXPECT_LT(evaluator.best()->objective, 14.0) << acq;
+    ASSERT_TRUE(tuner.Tune(&evaluator, &rng).ok()) << AcquisitionName(acq);
+    EXPECT_LT(evaluator.best()->objective, 14.0) << AcquisitionName(acq);
+    EXPECT_NE(tuner.Report().find(std::string("GP/") + AcquisitionName(acq)),
+              std::string::npos)
+        << tuner.Report();
   }
 }
 
