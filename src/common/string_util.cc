@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include <cctype>
@@ -68,6 +70,30 @@ std::string DoubleToString(double v) {
   }
   std::string s = StrFormat("%.6g", v);
   return s;
+}
+
+bool ParseNumber(const std::string& s, uint64_t* out) {
+  // strtoull would skip blanks and accept a sign ("-1" wraps to 2^64 - 1).
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseNumber(const std::string& s, double* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
 bool ValidSessionId(const std::string& id) {

@@ -1,6 +1,7 @@
 #ifndef ATUNE_COMMON_STRING_UTIL_H_
 #define ATUNE_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,15 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Renders a double compactly (trims trailing zeros, max 6 significant
 /// decimals) — used for configuration printing.
 std::string DoubleToString(double v);
+
+/// Parses all of `s` as a number: base-10 digits only for the unsigned
+/// form (no sign, no blanks, at most 2^64 - 1), and a finite strtod value
+/// with no leading blank and nothing after it for the double form. On any
+/// other input returns false and leaves *out as it was. Both CLIs read
+/// every numeric flag through these, so a typo is a usage error, not a
+/// silent 0.
+bool ParseNumber(const std::string& s, uint64_t* out);
+bool ParseNumber(const std::string& s, double* out);
 
 /// True iff `id` is a safe session id: nonempty, <= 128 bytes, only
 /// [A-Za-z0-9._-], and neither "." nor "..". Ids become file names (the

@@ -18,10 +18,6 @@ class StandardScaler {
   Vec Transform(const Vec& x) const;
   std::vector<Vec> TransformAll(const std::vector<Vec>& xs) const;
 
-  bool fitted() const { return !means_.empty(); }
-  const Vec& means() const { return means_; }
-  const Vec& stds() const { return stds_; }
-
  private:
   Vec means_;
   Vec stds_;
@@ -35,10 +31,6 @@ class RidgeRegression {
 
   Status Fit(const std::vector<Vec>& xs, const Vec& ys);
   double Predict(const Vec& x) const;
-
-  const Vec& weights() const { return weights_; }
-  double intercept() const { return intercept_; }
-  bool fitted() const { return fitted_; }
 
  private:
   double lambda_;

@@ -35,6 +35,10 @@ std::map<std::string, Workload> WorkloadsForSystem(const std::string& system,
 
 Result<std::unique_ptr<TunableSystem>> MakeSystemByName(
     const std::string& system, size_t nodes, uint64_t seed) {
+  if (nodes > kMaxNodes) {
+    return Status::InvalidArgument(
+        StrFormat("nodes must be at most %zu, got %zu", kMaxNodes, nodes));
+  }
   NodeSpec node;
   node.cores = 8;
   node.ram_mb = 16384;

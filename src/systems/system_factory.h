@@ -21,8 +21,12 @@ namespace atune {
 std::map<std::string, Workload> WorkloadsForSystem(const std::string& system,
                                                    double scale);
 
+/// The largest cluster MakeSystemByName builds.
+inline constexpr size_t kMaxNodes = 1024;
+
 /// Builds a simulator by name. `nodes` == 0 picks the per-system default
-/// (1 for dbms, 4 for mapreduce/spark). Unknown names are kInvalidArgument.
+/// (1 for dbms, 4 for mapreduce/spark). Unknown names, and `nodes` above
+/// kMaxNodes, are kInvalidArgument.
 Result<std::unique_ptr<TunableSystem>> MakeSystemByName(
     const std::string& system, size_t nodes, uint64_t seed);
 

@@ -131,58 +131,88 @@ std::vector<size_t> PruneMetrics(const OtterTuneRepository& repo, Rng* rng) {
   return kept;
 }
 
-// Workload mapping: repository session whose standardized metric responses
-// at (approximately) the same configs are closest to the target's.
-size_t MapWorkload(const OtterTuneRepository& repo,
-                   const std::vector<size_t>& metric_idx,
-                   const std::vector<Vec>& target_configs,
-                   const std::vector<Vec>& target_metrics) {
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best_session = 0;
-  // Standardize per metric across the repository for a fair distance.
-  std::vector<RunningStats> stats(metric_idx.size());
-  for (const auto& session : repo.sessions) {
-    for (const Vec& mv : session.metrics) {
-      for (size_t j = 0; j < metric_idx.size(); ++j) {
-        stats[j].Add(mv[metric_idx[j]]);
+// Workload mapping: the repository session whose standardized metric
+// responses at (approximately) the same configs are closest to the
+// target's, by the mean over the target observations of each one's squared
+// distance. The repository's per-metric statistics and standardized
+// responses are fixed for a session, so they are computed once; each
+// target observation adds its term to every session's running sum when it
+// is observed, in observation order, which is the order a pass over all
+// targets would sum them in.
+class WorkloadMapper {
+ public:
+  WorkloadMapper(const OtterTuneRepository& repo,
+                 const std::vector<size_t>& metric_idx)
+      : repo_(repo),
+        metric_idx_(metric_idx),
+        stats_(metric_idx.size()),
+        sums_(repo.sessions.size(), 0.0) {
+    // Standardize per metric across the repository for a fair distance.
+    for (const auto& session : repo.sessions) {
+      for (const Vec& mv : session.metrics) {
+        for (size_t j = 0; j < metric_idx.size(); ++j) {
+          stats_[j].Add(mv[metric_idx[j]]);
+        }
+      }
+    }
+    standardized_.resize(repo.sessions.size());
+    for (size_t s = 0; s < repo.sessions.size(); ++s) {
+      for (const Vec& mv : repo.sessions[s].metrics) {
+        standardized_[s].push_back(Standardize(mv));
       }
     }
   }
-  auto standardize = [&](const Vec& mv) {
-    Vec z(metric_idx.size());
-    for (size_t j = 0; j < metric_idx.size(); ++j) {
-      double sd = stats[j].stddev();
-      z[j] = sd > 1e-12 ? (mv[metric_idx[j]] - stats[j].mean()) / sd : 0.0;
-    }
-    return z;
-  };
-  for (size_t s = 0; s < repo.sessions.size(); ++s) {
-    const auto& session = repo.sessions[s];
-    double score = 0.0;
-    size_t count = 0;
-    for (size_t t = 0; t < target_configs.size(); ++t) {
+
+  void AddTarget(const Vec& config, const Vec& metrics) {
+    const Vec z = Standardize(metrics);
+    for (size_t s = 0; s < repo_.sessions.size(); ++s) {
+      const auto& session = repo_.sessions[s];
       // Nearest historical config stands in for "same config".
       size_t nearest = 0;
       double nd = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < session.configs.size(); ++i) {
-        double d = SquaredDistance(session.configs[i], target_configs[t]);
+        double d = SquaredDistance(session.configs[i], config);
         if (d < nd) {
           nd = d;
           nearest = i;
         }
       }
-      score += SquaredDistance(standardize(session.metrics[nearest]),
-                               standardize(target_metrics[t]));
-      ++count;
+      sums_[s] += SquaredDistance(standardized_[s][nearest], z);
     }
-    if (count > 0) score /= static_cast<double>(count);
-    if (score < best_score) {
-      best_score = score;
-      best_session = s;
-    }
+    ++targets_;
   }
-  return best_session;
-}
+
+  size_t Best() const {
+    double best_score = std::numeric_limits<double>::infinity();
+    size_t best_session = 0;
+    for (size_t s = 0; s < sums_.size(); ++s) {
+      double score = sums_[s];
+      if (targets_ > 0) score /= static_cast<double>(targets_);
+      if (score < best_score) {
+        best_score = score;
+        best_session = s;
+      }
+    }
+    return best_session;
+  }
+
+ private:
+  Vec Standardize(const Vec& mv) const {
+    Vec z(metric_idx_.size());
+    for (size_t j = 0; j < metric_idx_.size(); ++j) {
+      double sd = stats_[j].stddev();
+      z[j] = sd > 1e-12 ? (mv[metric_idx_[j]] - stats_[j].mean()) / sd : 0.0;
+    }
+    return z;
+  }
+
+  const OtterTuneRepository& repo_;
+  const std::vector<size_t>& metric_idx_;
+  std::vector<RunningStats> stats_;
+  std::vector<std::vector<Vec>> standardized_;  // [session][observation]
+  Vec sums_;                                    // per session
+  size_t targets_ = 0;
+};
 
 }  // namespace
 
@@ -223,8 +253,8 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
 
   // Target observations: defaults + LHS probes.
   std::vector<Vec> target_configs;
-  std::vector<Vec> target_metrics;
   Vec target_objectives;
+  WorkloadMapper mapper(repository_, metric_idx);
   auto observe = [&](const Vec& u) -> Status {
     auto obj = evaluator->Evaluate(space.FromUnitVector(u));
     if (!obj.ok()) return obj.status();
@@ -234,8 +264,8 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
     for (const std::string& m : repository_.metric_names) {
       mv.push_back(res.MetricOr(m, 0.0));
     }
+    mapper.AddTarget(u, mv);
     target_configs.push_back(u);
-    target_metrics.push_back(std::move(mv));
     target_objectives.push_back(std::log(std::max(*obj, 1e-6)));
     return Status::OK();
   };
@@ -284,8 +314,7 @@ Status OtterTuneTuner::Tune(Evaluator* evaluator, Rng* rng) {
     }
   };
   while (!evaluator->Exhausted()) {
-    mapped = MapWorkload(repository_, metric_idx, target_configs,
-                         target_metrics);
+    mapped = mapper.Best();
     const auto& session = repository_.sessions[mapped];
 
     // Training set: mapped session (background) + target observations

@@ -80,5 +80,35 @@ TEST(StringUtilTest, DoubleToStringEdgeValues) {
   EXPECT_EQ(DoubleToString(1.0 / 3.0), "0.333333");
 }
 
+TEST(StringUtilTest, ParseNumberTakesWholeUnsignedStrings) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseNumber("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ULL);
+  for (const char* bad : {"", "abc", "12abc", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616", "1e3", "0x10"}) {
+    v = 7;
+    EXPECT_FALSE(ParseNumber(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "'";
+  }
+}
+
+TEST(StringUtilTest, ParseNumberTakesWholeFiniteDoubles) {
+  double v = 7.0;
+  EXPECT_TRUE(ParseNumber("0.15", &v));
+  EXPECT_EQ(v, 0.15);
+  EXPECT_TRUE(ParseNumber("-2.5e3", &v));
+  EXPECT_EQ(v, -2500.0);
+  EXPECT_TRUE(ParseNumber("1", &v));
+  EXPECT_EQ(v, 1.0);
+  for (const char* bad : {"", "abc", "0.5x", " 1", "1 ", "nan", "inf",
+                          "-inf", "1e999"}) {
+    v = 7.0;
+    EXPECT_FALSE(ParseNumber(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7.0) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace atune

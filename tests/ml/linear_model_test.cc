@@ -44,9 +44,9 @@ TEST(RidgeTest, RecoversLinearFunction) {
   }
   RidgeRegression ridge(1e-6);
   ASSERT_TRUE(ridge.Fit(xs, ys).ok());
-  EXPECT_NEAR(ridge.weights()[0], 3.0, 1e-3);
-  EXPECT_NEAR(ridge.weights()[1], -2.0, 1e-3);
-  EXPECT_NEAR(ridge.intercept(), 1.0, 1e-3);
+  EXPECT_NEAR(ridge.Predict({0.0, 0.0}), 1.0, 1e-3);
+  EXPECT_NEAR(ridge.Predict({1.0, 0.0}), 4.0, 1e-3);
+  EXPECT_NEAR(ridge.Predict({0.0, 1.0}), -1.0, 1e-3);
   EXPECT_NEAR(ridge.Predict({0.5, 0.5}), 1.5, 1e-3);
 }
 

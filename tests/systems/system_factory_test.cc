@@ -26,5 +26,20 @@ TEST(SystemFactoryTest, WorkloadByNameRefusesScalesThatAreNotFinitePositive) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(SystemFactoryTest, MakeSystemByNameRefusesNodesAboveTheCap) {
+  for (const char* system : {"dbms", "mapreduce", "spark"}) {
+    for (size_t nodes : {kMaxNodes + 1, std::numeric_limits<size_t>::max()}) {
+      auto made = MakeSystemByName(system, nodes, /*seed=*/1);
+      ASSERT_FALSE(made.ok()) << system << " nodes " << nodes;
+      EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument)
+          << system << " nodes " << nodes;
+    }
+    for (size_t nodes : {size_t{0}, size_t{8}, kMaxNodes}) {
+      EXPECT_TRUE(MakeSystemByName(system, nodes, /*seed=*/1).ok())
+          << system << " nodes " << nodes;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace atune

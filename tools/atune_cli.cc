@@ -87,7 +87,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -158,6 +157,11 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+/// A numeric flag whose value ParseNumber refuses: a usage error (exit 2).
+Status BadNumber(const std::string& arg) {
+  return Status::InvalidArgument("not a valid number: " + arg);
+}
+
 Result<CliOptions> ParseArgs(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -174,29 +178,25 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "tuner", &value)) {
       options.tuner = value;
     } else if (ParseFlag(arg, "budget", &value)) {
-      options.budget = static_cast<size_t>(std::strtoull(value.c_str(),
-                                                         nullptr, 10));
+      if (!ParseNumber(value, &options.budget)) return BadNumber(arg);
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.seed)) return BadNumber(arg);
     } else if (ParseFlag(arg, "nodes", &value)) {
-      options.nodes = static_cast<size_t>(std::strtoull(value.c_str(),
-                                                        nullptr, 10));
+      if (!ParseNumber(value, &options.nodes)) return BadNumber(arg);
     } else if (ParseFlag(arg, "scale", &value)) {
-      options.scale = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &options.scale)) return BadNumber(arg);
     } else if (ParseFlag(arg, "parallelism", &value)) {
-      options.parallelism = static_cast<size_t>(std::strtoull(value.c_str(),
-                                                              nullptr, 10));
+      if (!ParseNumber(value, &options.parallelism)) return BadNumber(arg);
       if (options.parallelism == 0) options.parallelism = 1;
     } else if (ParseFlag(arg, "fault-rate", &value)) {
-      options.fault_rate = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &options.fault_rate)) return BadNumber(arg);
       if (!(options.fault_rate >= 0.0 && options.fault_rate <= 1.0)) {
         return Status::InvalidArgument("--fault-rate must be in [0, 1]");
       }
     } else if (ParseFlag(arg, "timeout-seconds", &value)) {
-      options.timeout_seconds = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &options.timeout_seconds)) return BadNumber(arg);
     } else if (ParseFlag(arg, "max-retries", &value)) {
-      options.max_retries = static_cast<size_t>(std::strtoull(value.c_str(),
-                                                              nullptr, 10));
+      if (!ParseNumber(value, &options.max_retries)) return BadNumber(arg);
     } else if (ParseFlag(arg, "drift", &value)) {
       options.drift = value;
     } else if (arg == "--adaptive") {
@@ -237,11 +237,11 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "tenant", &value)) {
       options.tenant = value;
     } else if (ParseFlag(arg, "deadline-ms", &value)) {
-      options.deadline_ms = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.deadline_ms)) return BadNumber(arg);
     } else if (ParseFlag(arg, "contention", &value)) {
-      options.contention = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.contention)) return BadNumber(arg);
     } else if (ParseFlag(arg, "wait-ms", &value)) {
-      options.wait_ms = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.wait_ms)) return BadNumber(arg);
     } else if (arg == "--warm-start") {
       options.warm_start = true;
     } else {

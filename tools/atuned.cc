@@ -34,7 +34,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unistd.h>
@@ -66,6 +65,12 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+/// A numeric flag whose value ParseNumber refuses: exit 2.
+int BadNumber(const std::string& arg) {
+  std::fprintf(stderr, "not a valid number: %s\n", arg.c_str());
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   DaemonOptions options;
   bool quiet = false;
@@ -77,18 +82,18 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(arg, "journal-dir", &value)) {
       options.journal_dir = value;
     } else if (ParseFlag(arg, "workers", &value)) {
-      options.workers =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseNumber(value, &options.workers)) return BadNumber(arg);
       if (options.workers == 0) options.workers = 1;
     } else if (ParseFlag(arg, "max-queue", &value)) {
-      options.max_queue =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseNumber(value, &options.max_queue)) return BadNumber(arg);
     } else if (ParseFlag(arg, "tenant-quota", &value)) {
-      options.tenant_budget_quota = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &options.tenant_budget_quota)) {
+        return BadNumber(arg);
+      }
     } else if (ParseFlag(arg, "retry-after-ms", &value)) {
-      options.retry_after_ms = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.retry_after_ms)) return BadNumber(arg);
     } else if (ParseFlag(arg, "idle-timeout-ms", &value)) {
-      options.idle_timeout_ms = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &options.idle_timeout_ms)) return BadNumber(arg);
     } else if (ParseFlag(arg, "knowledge-dir", &value)) {
       options.knowledge_dir = value;
     } else if (arg == "--no-recover") {

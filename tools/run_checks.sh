@@ -31,7 +31,9 @@
 #                                   # idle host, and a failure prints the
 #                                   # load average it started at), the ExpV4
 #                                   # kernel tail (bits equal to libm's, >= 2x
-#                                   # where it runs), whole-session
+#                                   # where it runs), the rng candidate
+#                                   # draw (bits equal to the std engine's
+#                                   # and distributions', >= 2x), whole-session
 #                                   # fast-vs-scalar bit-identity, zero-alloc
 #                                   # Evaluator commits, and mmap replay
 #                                   # fallback
@@ -227,9 +229,11 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 1
   fi
   echo "atune --supervise: ok (usage errors exit 2)"
-  # Numbers that no session can run are usage errors too: a NaN scale
-  # (WorkloadByName) and a NaN fault rate (ParseArgs).
-  for bad_flag in --scale=nan --fault-rate=nan; do
+  # Numbers that no session can run are usage errors too: a NaN scale or
+  # fault rate, a value that is not a whole number (ParseNumber), and a
+  # cluster above kMaxNodes (MakeSystemByName).
+  for bad_flag in --scale=nan --fault-rate=nan --nodes=18446744073709551615 \
+      --nodes=abc --budget=abc; do
     if ./build/tools/atune --tuner=random-search --budget=2 --seed=7 \
         "$bad_flag" > /dev/null 2>&1; then
       echo "atune: $bad_flag should exit 2" >&2
@@ -239,7 +243,8 @@ if [ "${1:-}" = "--smoke" ]; then
       exit 1
     fi
   done
-  echo "atune --scale=nan / --fault-rate=nan: ok (usage errors exit 2)"
+  echo "atune bad numbers (nan scale and fault rate, --nodes=2^64-1,"
+  echo "--nodes=abc, --budget=abc): ok (usage errors exit 2)"
   # Strict journal policy must fail loudly on an unwritable journal: exit 3
   # (journal I/O error) with a one-line message, distinct from usage errors.
   if ./build/tools/atune --tuner=random-search --budget=2 --seed=7 \
@@ -344,7 +349,7 @@ if [ "${1:-}" = "--hotpath" ]; then
   # replay fallback) alongside its speedup floors. The binary exits 0 under
   # ATUNE_SMOKE; the recorded pass flags in BENCH_hotpath.json do not lie.
   ATUNE_SMOKE=1 ./build/bench/bench_hotpath
-  if ! grep -q '"pass": {"cholesky": true, "argmax": true, "exact_quotient": true, "kernel_tail": true, "identity": true, "alloc": true, "replay": true}' \
+  if ! grep -q '"pass": {"cholesky": true, "argmax": true, "exact_quotient": true, "kernel_tail": true, "rng": true, "identity": true, "alloc": true, "replay": true}' \
       BENCH_hotpath.json; then
     echo "hotpath gate FAILED:" >&2
     grep '"pass"' BENCH_hotpath.json >&2 || true
@@ -355,8 +360,9 @@ if [ "${1:-}" = "--hotpath" ]; then
     exit 1
   fi
   echo "hotpath checks passed: blocked kernels, the pruned argmax scan, the"
-  echo "exact-quotient distance pass and the ExpV4 kernel tail at speed,"
-  echo "bit-identical sessions, zero-alloc commits, mmap replay ok"
+  echo "exact-quotient distance pass, the ExpV4 kernel tail and the rng"
+  echo "candidate draw at speed, bit-identical sessions, zero-alloc commits,"
+  echo "mmap replay ok"
   exit 0
 fi
 
