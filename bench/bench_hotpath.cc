@@ -1,7 +1,7 @@
 // E17 — hot-path speed layer (DESIGN.md §11): the blocked math kernels,
-// the GP tuners' pruned acquisition scan, the zero-allocation commit path,
-// and mmap journal replay must be *faster* and *bit-identical* to the
-// scalar paths they replaced. This harness is the acceptance gate:
+// the GP tuners' pruned acquisition scan and the zero-allocation commit
+// path must be *faster* and *bit-identical* to the scalar paths they
+// replaced. This harness is the acceptance gate:
 //
 //   * kernels: ns/op for Cholesky at n in {64, 300}, fast (blocked) vs
 //     scalar (reference) via the runtime A/B switch; gate >= 2x at n=300.
@@ -29,9 +29,6 @@
 //   * alloc: steady-state Evaluator commits (journal on, tracing/metrics
 //     off, default policy) must report last_commit_allocs() == 0. This
 //     binary links the counting operator-new override, so zero is meaningful.
-//   * replay: journal recovery MB/s, mmap vs forced streaming, identical
-//     records in every mode including the ATUNE_JOURNAL_NO_MMAP env
-//     fallback.
 //   * identity: whole-registry tuning sessions — serial, batched p=8,
 //     kill/resume, and batched p=8 on a faulty DBMS (FaultProfile rate 0.15,
 //     3600 s watchdog, 3.5 MAD outlier threshold, so lane repairs run) —
@@ -45,8 +42,8 @@
 // Results go to console + BENCH_hotpath.json. Kernel/argmax problem
 // sizes and the session budget are constant under ATUNE_SMOKE (they are
 // cheap, and budget 14 is what lets the faulted leg reach the watchdog and
-// re-measurement); only timing reps and the replay record count shrink. The
-// identity/alloc/replay flags gate even at smoke scale
+// re-measurement); only timing reps shrink. The identity/alloc flags gate
+// even at smoke scale
 // via tools/run_checks.sh --hotpath (correctness, not paper-scale numbers);
 // the speedup gates use the binary's own exit code (advisory under smoke).
 
@@ -55,7 +52,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -512,96 +508,7 @@ AllocCheck CheckCommitAllocs() {
   return out;
 }
 
-// ---- section 4: journal replay throughput ---------------------------------
-
-struct ReplayCheck {
-  size_t records = 0;
-  size_t bytes = 0;
-  double mmap_mb_s = 0.0;
-  double streaming_mb_s = 0.0;
-  bool records_match = false;
-  bool fallback_ok = false;
-  bool pass = false;
-};
-
-uint64_t RecordsFingerprint(const std::vector<JournalRecord>& records) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const JournalRecord& r : records) {
-    const std::string cfg = r.config.ToString();
-    h = Fnv1a(h, cfg.data(), cfg.size());
-    h = Fnv1a(h, &r.seq, sizeof(r.seq));
-    h = Fnv1a(h, &r.objective, sizeof(r.objective));
-    h = Fnv1a(h, &r.used, sizeof(r.used));
-  }
-  return h;
-}
-
-ReplayCheck CheckReplay() {
-  ReplayCheck out;
-  const size_t n_records = SmokeSize(4000, 600);
-  std::string path = "BENCH_hotpath_replay.waljournal.tmp";
-  {
-    JournalHeader header;
-    header.tuner_name = "hotpath-replay";
-    header.max_evaluations = n_records;
-    auto journal = TrialJournal::Create(path, header);
-    if (!journal.ok()) return out;
-    (*journal)->set_sync(false);
-    for (size_t i = 0; i < n_records; ++i) {
-      JournalRecord rec;
-      rec.seq = i;
-      rec.config.SetDouble("shared_buffers", 0.001 * static_cast<double>(i));
-      rec.config.SetInt("max_connections", static_cast<int64_t>(i % 512));
-      rec.config.SetString("wal_level", i % 2 == 0 ? "replica" : "logical");
-      rec.result.runtime_seconds = 1.0 + 0.25 * static_cast<double>(i % 17);
-      rec.result.metrics = {{"throughput", 1000.0 - static_cast<double>(i)}};
-      rec.objective = rec.result.runtime_seconds;
-      rec.cost = 1.0;
-      rec.system_runs = i + 1;
-      rec.used = static_cast<double>(i + 1);
-      if (!(*journal)->Append(rec).ok()) return out;
-    }
-  }
-  std::string file;
-  if (!ReadFileToString(path, &file).ok()) return out;
-  out.bytes = file.size();
-
-  auto time_mode = [&](JournalReplayMode mode, uint64_t* fingerprint,
-                       size_t* records) {
-    SetJournalReplayModeForTesting(mode);
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < kTimingReps; ++rep) {
-      uint64_t t0 = NowNs();
-      auto recovered = TrialJournal::OpenForResume(path);
-      uint64_t dt = NowNs() - t0;
-      if (!recovered.ok()) return 0.0;
-      best = std::min(best, static_cast<double>(dt));
-      *fingerprint = RecordsFingerprint(recovered->records);
-      *records = recovered->records.size();
-    }
-    SetJournalReplayModeForTesting(JournalReplayMode::kAuto);
-    return static_cast<double>(out.bytes) / (best / 1e9) / 1e6;
-  };
-
-  uint64_t mmap_fp = 0, stream_fp = 0, env_fp = 0;
-  size_t mmap_n = 0, stream_n = 0, env_n = 0;
-  out.mmap_mb_s = time_mode(JournalReplayMode::kMmap, &mmap_fp, &mmap_n);
-  out.streaming_mb_s =
-      time_mode(JournalReplayMode::kStreaming, &stream_fp, &stream_n);
-  // Env fallback: kAuto must degrade to streaming when the env var is set.
-  ::setenv("ATUNE_JOURNAL_NO_MMAP", "1", 1);
-  double env_mb_s = time_mode(JournalReplayMode::kAuto, &env_fp, &env_n);
-  ::unsetenv("ATUNE_JOURNAL_NO_MMAP");
-  out.records = mmap_n;
-  out.records_match = mmap_n == n_records && stream_n == n_records &&
-                      mmap_fp == stream_fp;
-  out.fallback_ok = env_n == n_records && env_fp == mmap_fp && env_mb_s > 0.0;
-  out.pass = out.records_match && out.fallback_ok && out.mmap_mb_s > 0.0;
-  std::remove(path.c_str());
-  return out;
-}
-
-// ---- section 5: whole-registry fast-vs-scalar identity --------------------
+// ---- section 4: whole-registry fast-vs-scalar identity --------------------
 
 struct SessionResult {
   bool ok = false;
@@ -761,8 +668,8 @@ std::vector<IdentityRow> RunIdentityMatrix() {
 int Main() {
   PrintHeader("E17 hot-path speed layer",
               "the paper's iterative-tuning inner loop at interactive speed",
-              "blocked kernels, pruned acquisition, zero-alloc commit, "
-              "mmap replay — speed with bit-identity");
+              "blocked kernels, pruned acquisition, zero-alloc commit — "
+              "speed with bit-identity");
 
   std::printf("== kernels: blocked Cholesky vs scalar reference ==\n");
   std::vector<KernelTiming> kernels;
@@ -817,13 +724,6 @@ int Main() {
               static_cast<unsigned long long>(alloc.max_steady_allocs),
               alloc.pass);
 
-  std::printf("== replay: journal recovery throughput ==\n");
-  ReplayCheck replay = CheckReplay();
-  std::printf("  %zu records (%zu bytes): mmap %.1f MB/s, streaming %.1f "
-              "MB/s, records_match=%d fallback_ok=%d\n",
-              replay.records, replay.bytes, replay.mmap_mb_s,
-              replay.streaming_mb_s, replay.records_match, replay.fallback_ok);
-
   std::printf("== identity: whole-registry fast vs scalar sessions ==\n");
   std::vector<IdentityRow> identity = RunIdentityMatrix();
   bool identity_pass = true;
@@ -835,8 +735,7 @@ int Main() {
   identity_pass = identity_pass && applicable > 0;
 
   bool all_pass = cholesky_pass && argmax.pass() && quot.pass() &&
-                  tail.pass() && draw.pass() && identity_pass && alloc.pass &&
-                  replay.pass;
+                  tail.pass() && draw.pass() && identity_pass && alloc.pass;
 
   std::ostringstream json;
   json << "{\n  \"experiment\": \"E17_hotpath\",\n";
@@ -879,13 +778,6 @@ int Main() {
       "  \"alloc\": {\"hook_live\": %s, \"max_steady_allocs\": %llu},\n",
       alloc.hook_live ? "true" : "false",
       static_cast<unsigned long long>(alloc.max_steady_allocs));
-  json << StrFormat(
-      "  \"replay\": {\"records\": %zu, \"bytes\": %zu, \"mmap_mb_s\": %.1f, "
-      "\"streaming_mb_s\": %.1f, \"records_match\": %s, \"fallback_ok\": "
-      "%s},\n",
-      replay.records, replay.bytes, replay.mmap_mb_s, replay.streaming_mb_s,
-      replay.records_match ? "true" : "false",
-      replay.fallback_ok ? "true" : "false");
   json << "  \"identity\": [\n";
   for (size_t i = 0; i < identity.size(); ++i) {
     const IdentityRow& row = identity[i];
@@ -901,20 +793,20 @@ int Main() {
   json << StrFormat(
       "  \"pass\": {\"cholesky\": %s, \"argmax\": %s, "
       "\"exact_quotient\": %s, \"kernel_tail\": %s, \"rng\": %s, "
-      "\"identity\": %s, \"alloc\": %s, \"replay\": %s}\n}\n",
+      "\"identity\": %s, \"alloc\": %s}\n}\n",
       cholesky_pass ? "true" : "false",
       argmax.pass() ? "true" : "false", quot.pass() ? "true" : "false",
       tail.pass() ? "true" : "false", draw.pass() ? "true" : "false",
       identity_pass ? "true" : "false",
-      alloc.pass ? "true" : "false", replay.pass ? "true" : "false");
+      alloc.pass ? "true" : "false");
   if (AtomicWriteFile("BENCH_hotpath.json", json.str()).ok()) {
     std::printf("wrote BENCH_hotpath.json\n");
   }
 
   std::printf("hotpath gates: cholesky=%d argmax=%d exact_quotient=%d "
-              "kernel_tail=%d rng=%d identity=%d alloc=%d replay=%d\n",
+              "kernel_tail=%d rng=%d identity=%d alloc=%d\n",
               cholesky_pass, argmax.pass(), quot.pass(), tail.pass(),
-              draw.pass(), identity_pass, alloc.pass, replay.pass);
+              draw.pass(), identity_pass, alloc.pass);
   if (g_sink == 12345.6789) std::printf("(sink)\n");
   return AcceptanceExit(all_pass);
 }

@@ -161,12 +161,12 @@ int Main() {
     return 1;
   }
   size_t kb_corrupt = 0;
-  auto snapshot = repo.LoadAll(&kb_corrupt);
-  if (!snapshot.ok() || kb_corrupt != 0) {
+  std::vector<KnowledgeRecord> snapshot = repo.LoadAll(&kb_corrupt);
+  if (kb_corrupt != 0) {
     std::fprintf(stderr, "knowledge base reload failed\n");
     return 1;
   }
-  std::printf("\nknowledge base: %zu shard(s) in %s\n", snapshot->size(),
+  std::printf("\nknowledge base: %zu shard(s) in %s\n", snapshot.size(),
               kb_dir.c_str());
 
   // ----- pass 1: cold vs warm convergence --------------------------------
@@ -187,7 +187,7 @@ int Main() {
         if (!cold.ok()) continue;
 
         auto warm_tuner =
-            MakeWarmStartTuner(registry, tuner_name, *snapshot);
+            MakeWarmStartTuner(registry, tuner_name, snapshot);
         if (!warm_tuner.ok()) continue;
         auto* warm_ptr = static_cast<WarmStartTuner*>(warm_tuner->get());
         auto warm = RunCell(warm_tuner->get(), wl, seed, "", 0, false);
@@ -240,7 +240,7 @@ int Main() {
     ScopedIoEnv install(&env);
     KnowledgeRepository faulted(fault_dir);
     for (size_t i = 0; i < kFaultRecords; ++i) {
-      KnowledgeRecord rec = (*snapshot)[i % snapshot->size()];
+      KnowledgeRecord rec = snapshot[i % snapshot.size()];
       rec.session_id = StrFormat("faulted-%zu", i);
       if (faulted.Ingest(rec).ok()) ++fault_ingested;
     }
@@ -248,8 +248,8 @@ int Main() {
   }
   size_t fault_corrupt = 0;
   auto fault_loaded = KnowledgeRepository(fault_dir).LoadAll(&fault_corrupt);
-  const bool fault_pass = fault_loaded.ok() && fault_corrupt == 0 &&
-                          fault_loaded->size() == fault_ingested &&
+  const bool fault_pass = fault_corrupt == 0 &&
+                          fault_loaded.size() == fault_ingested &&
                           fault_ingested == kFaultRecords;
 
   const std::string storm_dir = "bench_warmstart_storm";
@@ -264,7 +264,7 @@ int Main() {
       writers.emplace_back([&storm, &storm_failures, &snapshot, kPerThread,
                             t] {
         for (size_t i = 0; i < kPerThread; ++i) {
-          KnowledgeRecord rec = (*snapshot)[(t + i) % snapshot->size()];
+          KnowledgeRecord rec = snapshot[(t + i) % snapshot.size()];
           rec.session_id = StrFormat("storm-%zu-%zu", t, i);
           if (!storm.Ingest(rec).ok()) storm_failures.fetch_add(1);
         }
@@ -274,9 +274,9 @@ int Main() {
   }
   size_t storm_corrupt = 0;
   auto storm_loaded = KnowledgeRepository(storm_dir).LoadAll(&storm_corrupt);
-  const bool storm_pass = storm_loaded.ok() && storm_corrupt == 0 &&
+  const bool storm_pass = storm_corrupt == 0 &&
                           storm_failures.load() == 0 &&
-                          storm_loaded->size() == kThreads * kPerThread;
+                          storm_loaded.size() == kThreads * kPerThread;
   const bool ingest_pass = fault_pass && storm_pass;
   std::printf(
       "\ningest: 15%%-fault single writer %zu/%zu shards, %llu faults "
@@ -285,7 +285,7 @@ int Main() {
       fault_ingested, kFaultRecords,
       static_cast<unsigned long long>(injected), fault_corrupt,
       fault_pass ? "PASS" : "FAIL", kThreads,
-      storm_loaded.ok() ? storm_loaded->size() : 0, kThreads * kPerThread,
+      storm_loaded.size(), kThreads * kPerThread,
       storm_corrupt, storm_pass ? "PASS" : "FAIL");
 
   // ----- pass 3: warmed kill -> resume bit-identity ----------------------
@@ -295,7 +295,7 @@ int Main() {
     const std::string journal = "bench_warmstart_resume.wal";
     std::remove(journal.c_str());
     auto baseline_tuner = MakeWarmStartTuner(registry, "random-search",
-                                             *snapshot);
+                                             snapshot);
     resume_pass = baseline_tuner.ok();
     uint64_t baseline_checksum = 0;
     std::string baseline_journal;
@@ -318,13 +318,13 @@ int Main() {
         if (kill == 0 || kill >= records) continue;
         std::remove(journal.c_str());
         auto killed_tuner = MakeWarmStartTuner(registry, "random-search",
-                                               *snapshot);
+                                               snapshot);
         auto killed = RunCell((*killed_tuner).get(), wl, 2000, journal, kill,
                               false);
         const bool aborted =
             !killed.ok() && killed.status().code() == StatusCode::kAborted;
         auto resumed_tuner = MakeWarmStartTuner(registry, "random-search",
-                                                *snapshot);
+                                                snapshot);
         auto resumed = RunCell((*resumed_tuner).get(), wl, 2000, journal, 0,
                                true);
         std::string final_journal;
@@ -352,7 +352,7 @@ int Main() {
   std::ostringstream json;
   json << "{\n  \"experiment\": \"bench_warmstart\",\n";
   json << StrFormat("  \"budget\": %zu,\n  \"knowledge_shards\": %zu,\n",
-                    kBudget, snapshot->size());
+                    kBudget, snapshot.size());
   json << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -373,7 +373,7 @@ int Main() {
       "\"faulted_corrupt\": %zu, \"storm_records\": %zu, "
       "\"storm_corrupt\": %zu},\n",
       fault_ingested, static_cast<unsigned long long>(injected), fault_corrupt,
-      storm_loaded.ok() ? storm_loaded->size() : 0, storm_corrupt);
+      storm_loaded.size(), storm_corrupt);
   json << StrFormat(
       "  \"pass\": {\"warm\": %s, \"ingest\": %s, \"resume\": %s}\n}\n",
       warm_pass ? "true" : "false", ingest_pass ? "true" : "false",

@@ -1,12 +1,9 @@
 #include "common/file_util.h"
 
 #include <fcntl.h>
-#include <unistd.h>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
 #include <sys/stat.h>
-#endif
+#include <unistd.h>
 
 #include <array>
 #include <cerrno>
@@ -114,8 +111,6 @@ Status CommitTempFile(std::FILE* f, const std::string& path) {
   return env->SyncDir(path);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 Result<MappedFile> MappedFile::Map(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -146,47 +141,14 @@ Result<MappedFile> MappedFile::Map(const std::string& path) {
   return mapped;
 }
 
-bool MappedFile::Supported() { return true; }
-
-void MappedFile::Unmap() {
+MappedFile::~MappedFile() {
   if (addr_ != nullptr) ::munmap(addr_, size_);
-  addr_ = nullptr;
-  size_ = 0;
 }
-
-#else  // !(__unix__ || __APPLE__)
-
-Result<MappedFile> MappedFile::Map(const std::string& path) {
-  (void)path;
-  return Status::Unimplemented("mmap is not available on this platform");
-}
-
-bool MappedFile::Supported() { return false; }
-
-void MappedFile::Unmap() {
-  addr_ = nullptr;
-  size_ = 0;
-}
-
-#endif  // __unix__ || __APPLE__
-
-MappedFile::~MappedFile() { Unmap(); }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : addr_(other.addr_), size_(other.size_) {
   other.addr_ = nullptr;
   other.size_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    Unmap();
-    addr_ = other.addr_;
-    size_ = other.size_;
-    other.addr_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
 }
 
 Status TruncateFile(const std::string& path, uint64_t length) {

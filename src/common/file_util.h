@@ -34,38 +34,27 @@ Status TruncateFile(const std::string& path, uint64_t length);
 /// crash-safety as AtomicWriteFile without buffering everything in memory.
 Status CommitTempFile(std::FILE* f, const std::string& path);
 
-/// Read-only memory mapping of a whole file — the zero-copy half of journal
-/// replay (DESIGN.md §11). On POSIX this is mmap(PROT_READ, MAP_PRIVATE);
-/// elsewhere Map() returns Unimplemented and callers fall back to
-/// ReadFileToString (TrialJournal::OpenForResume does this automatically).
-///
-/// The mapping is released in the destructor. Callers that later shrink the
-/// file (journal recovery truncating a corrupt tail) must destroy or
-/// move-assign away the MappedFile first: touching pages past the new EOF of
-/// a live mapping is undefined.
+/// Read-only memory mapping of a whole file: mmap(PROT_READ, MAP_PRIVATE),
+/// released in the destructor. No library code maps a file: MappedFile
+/// stays only as the return type of IoEnv::Map, which perfbench's
+/// CountingIoEnv overrides, and the benchmark change that drops that
+/// override deletes both.
 class MappedFile {
  public:
   MappedFile() = default;
   ~MappedFile();
   MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
-  /// Maps `path` read-only. NotFound if it does not exist; Unimplemented on
-  /// platforms without mmap. An empty file maps successfully with
-  /// data() == nullptr and size() == 0.
+  /// Maps `path` read-only. NotFound if it does not exist. An empty file
+  /// maps successfully with data() == nullptr and size() == 0.
   static Result<MappedFile> Map(const std::string& path);
-
-  /// True when this build can mmap at all.
-  static bool Supported();
 
   const char* data() const { return static_cast<const char*>(addr_); }
   size_t size() const { return size_; }
 
  private:
-  void Unmap();
-
   void* addr_ = nullptr;
   size_t size_ = 0;
 };

@@ -1,11 +1,8 @@
 #include "common/io_env.h"
 
 #include <fcntl.h>
-#include <unistd.h>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
-#endif
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -153,7 +150,6 @@ class DefaultIoEnv : public IoEnv {
 
   Status SyncDir(const std::string& path) override {
     if (CountOpAndCheckCrash()) CrashNow();
-#if defined(__unix__) || defined(__APPLE__)
     std::string dir = ParentDir(path);
     int fd = ::open(dir.c_str(), O_RDONLY);
     if (fd < 0) return ErrnoStatus("open dir", dir, errno);
@@ -164,10 +160,6 @@ class DefaultIoEnv : public IoEnv {
     }
     ::close(fd);
     return Status::OK();
-#else
-    (void)path;
-    return Status::OK();  // no directory-entry durability to speak of
-#endif
   }
 
   Status Unlink(const std::string& path) override {
@@ -183,7 +175,6 @@ class DefaultIoEnv : public IoEnv {
   }
 
   Result<uint64_t> FileSize(const std::string& path) override {
-#if defined(__unix__) || defined(__APPLE__)
     struct stat st;
     if (::stat(path.c_str(), &st) != 0) {
       if (errno == ENOENT) {
@@ -192,15 +183,6 @@ class DefaultIoEnv : public IoEnv {
       return ErrnoStatus("stat", path, errno);
     }
     return static_cast<uint64_t>(st.st_size);
-#else
-    std::string contents;
-    ATUNE_RETURN_IF_ERROR(::atune::ReadFileToString(path, &contents));
-    return static_cast<uint64_t>(contents.size());
-#endif
-  }
-
-  Result<MappedFile> Map(const std::string& path) override {
-    return MappedFile::Map(path);
   }
 
   void Backoff(size_t attempt) override {
@@ -239,12 +221,12 @@ const char* IoFaultKindToString(IoFaultKind kind) {
       return "sync_fail";
     case IoFaultKind::kRenameFail:
       return "rename_fail";
-    case IoFaultKind::kMapFail:
-      return "map_fail";
-    case IoFaultKind::kStatShrink:
-      return "stat_shrink";
   }
   return "?";
+}
+
+Result<MappedFile> IoEnv::Map(const std::string& path) {
+  return MappedFile::Map(path);
 }
 
 IoEnv* IoEnv::Default() {
@@ -527,23 +509,8 @@ Status FaultInjectingIoEnv::ReadFileToString(const std::string& path,
 }
 
 Result<uint64_t> FaultInjectingIoEnv::FileSize(const std::string& path) {
-  IoFaultKind fault;
-  if (NextFault(IoOpKind::kStat, &fault) &&
-      fault == IoFaultKind::kStatShrink) {
-    auto size = base_->FileSize(path);
-    if (!size.ok()) return size;
-    CountInjected(fault);
-    return *size > 0 ? *size - 1 : *size;
-  }
+  NextFault(IoOpKind::kStat, nullptr);  // count only
   return base_->FileSize(path);
-}
-
-Result<MappedFile> FaultInjectingIoEnv::Map(const std::string& path) {
-  IoFaultKind fault;
-  if (NextFault(IoOpKind::kRead, &fault) && fault == IoFaultKind::kMapFail) {
-    return Fail(fault, "mmap", path);
-  }
-  return base_->Map(path);
 }
 
 }  // namespace atune

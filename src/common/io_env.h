@@ -107,8 +107,11 @@ class IoEnv {
   virtual Status ReadFileToString(const std::string& path,
                                   std::string* out) = 0;
   virtual Result<uint64_t> FileSize(const std::string& path) = 0;
-  /// Read-only mapping of the whole file (journal replay's zero-copy path).
-  virtual Result<MappedFile> Map(const std::string& path) = 0;
+  /// Read-only mapping of the whole file: MappedFile::Map. No library code
+  /// calls it; it stays only because perfbench's CountingIoEnv overrides
+  /// it, and the benchmark change that drops that override deletes it
+  /// together with MappedFile.
+  virtual Result<MappedFile> Map(const std::string& path);
   /// Backoff before retry `attempt` (1-based) of a transient write error.
   virtual void Backoff(size_t attempt) = 0;
 
@@ -184,11 +187,8 @@ enum class IoFaultKind : uint8_t {
   kSyncFail,          ///< fsync fails AND unsynced bytes are dropped from the
                       ///< file (fsyncgate: page-cache state was unknown)
   kRenameFail,        ///< rename fails; the temp file stays in place
-  kMapFail,           ///< Map() fails (forces the streaming replay fallback)
-  kStatShrink,        ///< FileSize() lies low by one byte (truncation-race
-                      ///< guard: mmap replay must fall back to streaming)
 };
-inline constexpr size_t kNumIoFaultKinds = 9;
+inline constexpr size_t kNumIoFaultKinds = 7;
 const char* IoFaultKindToString(IoFaultKind kind);
 
 /// Deterministic per-op fault schedule. Targeted rules key on the index of
@@ -232,7 +232,6 @@ class FaultInjectingIoEnv : public IoEnv {
   Status Unlink(const std::string& path) override;
   Status ReadFileToString(const std::string& path, std::string* out) override;
   Result<uint64_t> FileSize(const std::string& path) override;
-  Result<MappedFile> Map(const std::string& path) override;
   void Backoff(size_t attempt) override { backoffs_ += attempt > 0 ? 1 : 0; }
 
   uint64_t ops(IoOpKind kind) const {

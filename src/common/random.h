@@ -11,11 +11,10 @@
 namespace atune {
 
 /// Derives an independent seed for stream `stream` of a component seeded
-/// with `seed` (splitmix64 finalizer). Unlike Rng::Fork(), the result does
-/// not depend on how many draws the parent has made — only on (seed,
-/// stream) — which is what lets cloned systems reproduce exactly the
-/// measurement noise the parent would have drawn at a given run index (see
-/// TunableSystem::Clone).
+/// with `seed` (splitmix64 finalizer). The result does not depend on how
+/// many draws any generator has made — only on (seed, stream) — which is
+/// what lets cloned systems reproduce exactly the measurement noise the
+/// parent would have drawn at a given run index (see TunableSystem::Clone).
 inline uint64_t DeriveSeed(uint64_t seed, uint64_t stream) {
   uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -109,32 +108,12 @@ class Rng {
     return y * mult * stddev + mean;
   }
 
-  /// Log-normal with the given underlying normal parameters.
-  double LogNormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
-  /// Exponential with the given rate parameter.
-  double Exponential(double rate) {
-    return std::exponential_distribution<double>(rate)(engine_);
-  }
-
   /// Bernoulli trial with success probability p.
   bool Bernoulli(double p) { return Canonical() < p; }
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    std::shuffle(v->begin(), v->end(), engine_);
-  }
 
   /// Draws an index in [0, weights.size()) with probability proportional to
   /// weights[i]. Weights must be non-negative; returns 0 if all are zero.
   size_t Categorical(const std::vector<double>& weights);
-
-  /// Derives an independent child generator; handy for giving each
-  /// subcomponent its own stream.
-  Rng Fork() { return Rng(engine_()); }
 
   /// Raw 64-bit draw.
   uint64_t Next() { return engine_(); }

@@ -60,7 +60,6 @@ class DriftDetector {
   size_t firings() const { return firings_; }
   /// Current cumulative Page–Hinkley statistic.
   double statistic() const { return ph_; }
-  const DriftDetectorOptions& options() const { return options_; }
 
  private:
   DriftDetectorOptions options_;

@@ -1,7 +1,5 @@
 #include "core/journal.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/byte_codec.h"
@@ -206,17 +204,7 @@ bool ParseRecord(const char* payload, size_t len, JournalRecord* record) {
   return in.Done();
 }
 
-std::atomic<JournalReplayMode> g_replay_mode{JournalReplayMode::kAuto};
-
 }  // namespace
-
-void SetJournalReplayModeForTesting(JournalReplayMode mode) {
-  g_replay_mode.store(mode, std::memory_order_relaxed);
-}
-
-JournalReplayMode JournalReplayModeForTesting() {
-  return g_replay_mode.load(std::memory_order_relaxed);
-}
 
 bool JournalHeader::operator==(const JournalHeader& other) const {
   return SerializeHeader(*this) == SerializeHeader(other);
@@ -289,57 +277,13 @@ Result<std::unique_ptr<TrialJournal>> TrialJournal::Create(
 
 Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
     const std::string& path) {
-  // Zero-copy fast path: mmap the file and parse frames in place. Streaming
-  // (read-into-memory) remains the fallback for platforms without mmap, any
-  // mapping failure under kAuto, or an explicit override. A missing file is
-  // NotFound in every mode, matching the pre-mmap behavior.
   IoEnv* env = IoEnv::Current();
-  JournalReplayMode mode = JournalReplayModeForTesting();
-  const char* no_mmap_env = std::getenv("ATUNE_JOURNAL_NO_MMAP");
-  bool env_disables =
-      no_mmap_env != nullptr && *no_mmap_env != '\0' &&
-      std::strcmp(no_mmap_env, "0") != 0;
-  MappedFile mapped;
-  std::string streamed;
-  const char* data = nullptr;
-  size_t size = 0;
-  bool use_mmap = false;
-  if (mode == JournalReplayMode::kMmap ||
-      (mode == JournalReplayMode::kAuto && MappedFile::Supported() &&
-       !env_disables)) {
-    Result<MappedFile> map = env->Map(path);
-    if (map.ok()) {
-      // Truncation-race guard: the size was captured once at map time, and
-      // every frame below is bounds-checked against it. If the file shrank
-      // between open and map (a concurrent truncation), pages past the new
-      // EOF would SIGBUS on touch — so re-stat and, on any mismatch, fall
-      // back to the streaming reader, which snapshots the bytes.
-      Result<uint64_t> current_size = env->FileSize(path);
-      if (current_size.ok() && *current_size == map->size()) {
-        mapped = std::move(*map);
-        data = mapped.data();
-        size = mapped.size();
-        use_mmap = true;
-      } else if (mode == JournalReplayMode::kMmap) {
-        return Status::IoError(StrFormat(
-            "journal '%s': size changed under the mapping (%zu mapped)",
-            path.c_str(), map->size()));
-      }
-    } else if (mode == JournalReplayMode::kMmap ||
-               map.status().code() == StatusCode::kNotFound) {
-      return map.status();
-    }
-    // kAuto with a non-NotFound mapping failure (or a size mismatch): fall
-    // back to streaming.
-  }
-  if (!use_mmap) {
-    ATUNE_RETURN_IF_ERROR(env->ReadFileToString(path, &streamed));
-    data = streamed.data();
-    size = streamed.size();
-  }
+  std::string contents;
+  ATUNE_RETURN_IF_ERROR(env->ReadFileToString(path, &contents));
+  const char* data = contents.data();
+  const size_t size = contents.size();
 
   Recovered recovered;
-  recovered.used_mmap = use_mmap;
   // Magic + version + header frame. Damage here leaves nothing to trust
   // (we cannot even verify the session fingerprint), so the whole file is
   // discarded and the caller starts a fresh journal.
@@ -423,12 +367,7 @@ Result<TrialJournal::Recovered> TrialJournal::OpenForResume(
                            ? record_ends[record_ends.size() - 2]
                            : header_end;
   }
-  size_t file_size = size;
-  // Release the mapping before truncating: shrinking a file under a live
-  // mapping leaves pages whose reads are undefined.
-  mapped = MappedFile();
-  data = nullptr;
-  if (valid_end < file_size) {
+  if (valid_end < size) {
     ATUNE_RETURN_IF_ERROR(TruncateFile(path, valid_end));
   }
 

@@ -126,19 +126,6 @@ enum class JournalPolicy : uint8_t { kStrict, kDegrade };
 /// TrialJournal::Create removes a stale one when starting fresh.
 inline constexpr char kDegradedSidecarSuffix[] = ".degraded";
 
-/// How OpenForResume reads the file. kAuto (the default) memory-maps when
-/// the platform supports it and falls back to the streaming read on any
-/// mapping failure other than the file not existing; kStreaming forces the
-/// read-into-memory path; kMmap requires the mapping (errors surface). The
-/// env var ATUNE_JOURNAL_NO_MMAP=1 disables mapping under kAuto. Recovery
-/// semantics are identical in every mode — the bench_hotpath replay section
-/// and journal_mmap_test assert record-for-record equality.
-enum class JournalReplayMode { kAuto, kStreaming, kMmap };
-
-/// Process-wide replay-mode override (testing/benchmarking).
-void SetJournalReplayModeForTesting(JournalReplayMode mode);
-JournalReplayMode JournalReplayModeForTesting();
-
 /// Write-ahead trial journal: an append-only file of checksummed records,
 /// one per committed observation, written by the Evaluator before the
 /// measurement reaches the tuner. Because every tuner is deterministic
@@ -183,15 +170,12 @@ class TrialJournal {
     std::vector<JournalRecord> records;
     /// What recovery had to discard, for operator visibility.
     std::vector<std::string> warnings;
-    /// Whether recovery parsed the file through the zero-copy mmap path
-    /// (false: streaming fallback — platform without mmap, a mapping
-    /// failure, or the truncation-race guard tripping).
-    bool used_mmap = false;
   };
 
-  /// Loads `path`, recovering the longest valid record prefix and
-  /// truncating the file to it. NotFound if the file does not exist; any
-  /// *corrupt* file recovers (possibly to zero records) rather than erroring.
+  /// Reads `path` whole (IoEnv::ReadFileToString), recovers the longest
+  /// valid record prefix and truncates the file to it. NotFound if the file
+  /// does not exist, the read's kIoError if it cannot be read; any *corrupt*
+  /// file recovers (possibly to zero records) rather than erroring.
   static Result<Recovered> OpenForResume(const std::string& path);
 
   /// Appends one record as a wave of one: AppendRef, then Commit. On OK the

@@ -215,7 +215,7 @@ Result<KnowledgeRecord> KnowledgeRepository::LoadShard(
   return DecodeKnowledgeRecord(bytes);
 }
 
-Result<std::vector<KnowledgeRecord>> KnowledgeRepository::LoadShards(
+std::vector<KnowledgeRecord> KnowledgeRepository::LoadShards(
     const std::vector<std::string>& filenames, size_t* corrupt_skipped) const {
   std::vector<KnowledgeRecord> records;
   size_t skipped = 0;
@@ -231,7 +231,7 @@ Result<std::vector<KnowledgeRecord>> KnowledgeRepository::LoadShards(
   return records;
 }
 
-Result<std::vector<KnowledgeRecord>> KnowledgeRepository::LoadAll(
+std::vector<KnowledgeRecord> KnowledgeRepository::LoadAll(
     size_t* corrupt_skipped) const {
   return LoadShards(ListShards(), corrupt_skipped);
 }

@@ -95,14 +95,13 @@ class KnowledgeRepository {
 
   /// Loads every listed shard. A corrupt or unreadable shard is skipped —
   /// not fatal — and counted into *corrupt_skipped (may be null).
-  Result<std::vector<KnowledgeRecord>> LoadAll(
-      size_t* corrupt_skipped = nullptr) const;
+  std::vector<KnowledgeRecord> LoadAll(size_t* corrupt_skipped = nullptr) const;
 
   /// LoadAll restricted to an explicit shard list — how a warm-started
   /// daemon session pins its snapshot at admission so a restart maps
   /// against byte-identical history (DESIGN.md §14). Missing/corrupt
   /// entries are skipped and counted.
-  Result<std::vector<KnowledgeRecord>> LoadShards(
+  std::vector<KnowledgeRecord> LoadShards(
       const std::vector<std::string>& filenames,
       size_t* corrupt_skipped = nullptr) const;
 

@@ -77,8 +77,6 @@ class SupervisorGuard : public ProposalGuard {
   const SupervisionStats& stats() const { return stats_; }
   /// Regions whose breaker is currently open (vetoing proposals).
   size_t open_regions() const;
-  /// Committed trials observed so far (the breaker's cooldown clock).
-  size_t trials_seen() const { return trials_seen_; }
 
  private:
   /// One crash region: failures accumulate while tracking; at

@@ -150,7 +150,6 @@ class Evaluator {
   void set_robustness_policy(const RobustnessPolicy& policy) {
     policy_ = policy;
   }
-  const RobustnessPolicy& robustness_policy() const { return policy_; }
 
   /// Attaches a write-ahead trial journal (not owned): every committed
   /// observation — trial or unit run — is appended and checksummed, and its
@@ -171,7 +170,6 @@ class Evaluator {
   /// record, and tuning continues un-journaled. Set before the first
   /// Evaluate call.
   void set_journal_policy(JournalPolicy policy) { journal_policy_ = policy; }
-  JournalPolicy journal_policy() const { return journal_policy_; }
   /// True once a journal I/O failure degraded this session (kDegrade only).
   bool journal_degraded() const { return journal_degraded_; }
 
@@ -209,17 +207,12 @@ class Evaluator {
   void set_interrupt_after_records(uint64_t limit) { record_limit_ = limit; }
   bool interrupted() const { return interrupted_; }
 
-  /// Parent-system executions so far (the measurement-noise cursor synced
-  /// to TunableSystem::SkipRuns accounting; see JournalRecord::system_runs).
-  uint64_t system_runs() const { return system_runs_; }
-
   /// Installs a proposal guard (not owned; null = off, the default). Every
   /// Evaluate* proposal passes through the guard before validation, and
   /// every committed trial (live or replayed) is fed back via Observe().
   /// Null keeps the evaluator bit-identical to the pre-supervision
   /// behavior. Set before the first Evaluate call.
   void set_proposal_guard(ProposalGuard* guard) { guard_ = guard; }
-  ProposalGuard* proposal_guard() { return guard_; }
 
   /// Caps further spending at `units` budget units from the current used()
   /// mark (the supervision layer's failover cooldown). While a lease is
@@ -236,7 +229,6 @@ class Evaluator {
     lease_active_ = false;
     lease_refused_ = false;
   }
-  bool lease_active() const { return lease_active_; }
 
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
@@ -356,7 +348,6 @@ class Evaluator {
   /// a replayed session reconstructs a structurally identical tree. Set
   /// before the first Evaluate call.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-  Tracer* tracer() { return tracer_; }
 
   /// Attaches a metrics registry (not owned; null = metrics off). Hot-path
   /// recording is atomic through cached pointers; see DESIGN.md §9 for the

@@ -37,7 +37,6 @@ class Mlp {
 
   double final_loss() const { return final_loss_; }
   bool fitted() const { return fitted_; }
-  const MlpOptions& options() const { return options_; }
 
  private:
   struct Layer {

@@ -120,7 +120,6 @@ Result<std::string> TuningClient::Call(const std::string& payload) {
     last = status;
     Disconnect();
     if (attempt < options_.retry.max_attempts) {
-      retried_exchanges_++;
       SleepBackoff(options_.retry, attempt);
     }
   }

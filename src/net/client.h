@@ -77,8 +77,6 @@ class TuningClient {
 
   /// Connections opened over this client's lifetime (reconnect visibility).
   uint64_t connects() const { return connects_; }
-  /// Exchanges that died on a torn connection and were retried.
-  uint64_t retried_exchanges() const { return retried_exchanges_; }
 
  private:
   Status EnsureConnected();
@@ -92,7 +90,6 @@ class TuningClient {
   Options options_;
   std::unique_ptr<Transport> transport_;
   uint64_t connects_ = 0;
-  uint64_t retried_exchanges_ = 0;
 };
 
 }  // namespace atune

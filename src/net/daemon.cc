@@ -120,28 +120,30 @@ JobResult RunSessionJob(const StartRequest& spec, const std::string& wal_path,
                         const std::string& knowledge_dir,
                         const std::vector<std::string>& warm_shards) {
   JobResult job;
-  auto tuner = registry->Create(spec.tuner);
-  if (!tuner.ok()) {
-    job.status = tuner.status();
-    return job;
-  }
-  std::unique_ptr<Tuner> session_tuner = std::move(*tuner);
+  std::vector<KnowledgeRecord> snapshot;
   if (spec.warm_start) {
     // The snapshot is exactly the shard list pinned at admission: shards
     // are immutable files, so fresh run, reattach, and post-restart resume
     // all map against byte-identical history (missing/corrupt shards are
     // skipped deterministically by filename).
-    KnowledgeRepository repo(knowledge_dir);
     size_t skipped = 0;
-    auto snapshot = repo.LoadShards(warm_shards, &skipped);
+    snapshot = KnowledgeRepository(knowledge_dir).LoadShards(warm_shards,
+                                                             &skipped);
     if (skipped > 0) {
       ATUNE_LOG(Warning) << "session " << spec.session_id << ": " << skipped
                          << " pinned knowledge shard(s) unreadable, mapping "
                             "against the remainder";
     }
-    session_tuner = std::make_unique<WarmStartTuner>(std::move(session_tuner),
-                                                     std::move(*snapshot));
   }
+  auto tuner = spec.warm_start
+                   ? MakeWarmStartTuner(*registry, spec.tuner,
+                                        std::move(snapshot))
+                   : registry->Create(spec.tuner);
+  if (!tuner.ok()) {
+    job.status = tuner.status();
+    return job;
+  }
+  std::unique_ptr<Tuner> session_tuner = std::move(*tuner);
   auto base = MakeSystemByName(spec.system, /*nodes=*/0, spec.seed);
   if (!base.ok()) {
     job.status = base.status();
@@ -226,6 +228,31 @@ JobResult RunSessionJob(const StartRequest& spec, const std::string& wal_path,
     }
   }
   return job;
+}
+
+/// The admission checks: empty when `spec` may run, else what is wrong
+/// with it. HandleStart runs them on every request and Recover() on every
+/// `.meta`, which is outside input too (operators edit it by hand).
+std::string SpecError(const StartRequest& spec,
+                      const TunerRegistry& registry) {
+  if (!ValidSessionId(spec.session_id)) {
+    return "invalid session id (want [A-Za-z0-9._-], <= 128 chars)";
+  }
+  if (!spec.tenant.empty() && !ValidSessionId(spec.tenant)) {
+    return "invalid tenant name (want [A-Za-z0-9._-], <= 128 chars)";
+  }
+  if (!registry.Contains(spec.tuner)) {
+    return "unknown tuner '" + spec.tuner + "'";
+  }
+  if (spec.budget == 0) return "budget must be positive";
+  if (spec.contention > kMaxContention) {
+    return StrFormat("contention must be at most %" PRIu64 ", got %" PRIu64,
+                     kMaxContention, spec.contention);
+  }
+  auto system = MakeSystemByName(spec.system, 0, spec.seed);
+  if (!system.ok()) return system.status().message();
+  auto workload = WorkloadByName(spec.system, spec.workload, spec.scale);
+  return workload.ok() ? std::string() : workload.status().message();
 }
 
 }  // namespace
@@ -559,28 +586,43 @@ Status TuningDaemon::Recover() {
       continue;
     }
 
+    // Terminal kFailed with a durable .result, so restarts stop re-running
+    // the session and reattaching clients get a clean error.
+    auto fail_terminally = [&](StatusCode code, const std::string& message) {
+      entry.state = SessionState::kFailed;
+      entry.result.status_code = static_cast<uint8_t>(code);
+      entry.result.message = Truncate(message);
+      Status written = WriteResult(id, entry);
+      if (!written.ok()) {
+        ATUNE_LOG(Warning) << "recovery: failed result for " << id
+                           << " not durable: " << written.ToString();
+      }
+    };
+
+    // A sidecar that admission would refuse never runs.
+    std::string error = SpecError(spec, registry_);
+    if (!error.empty()) {
+      fail_terminally(StatusCode::kInvalidArgument,
+                      "invalid session spec: " + error);
+      ATUNE_LOG(Warning) << "recovery: refusing session " << id << ": "
+                         << error;
+      continue;
+    }
+
     // Interrupted (or admitted-but-never-run). A session that was already
     // re-queued max_resume_attempts times and still never reached a durable
     // result is a crash-looper — deterministically killing the daemon (or
-    // the machine) every time it runs. Quarantine it: terminal kFailed with
-    // kInternal and a durable .result, so restarts stop re-running it and
-    // reattaching clients get a clean error; the daemon stays up for
-    // everyone else. Operators can clear the .result (and .meta counter)
-    // to retry after a fix.
+    // the machine) every time it runs. Quarantine it as kInternal; the
+    // daemon stays up for everyone else. Operators can clear the .result
+    // (and .meta counter) to retry after a fix.
     const uint64_t attempts = ParseU64(kv, "resume_attempts", 0);
     if (options_.max_resume_attempts > 0 &&
         attempts >= options_.max_resume_attempts) {
-      entry.state = SessionState::kFailed;
-      entry.result.status_code = static_cast<uint8_t>(StatusCode::kInternal);
-      entry.result.message =
-          "quarantined: " + std::to_string(attempts) +
-          " resume attempts without a durable result (crash loop)";
       stats_.quarantined++;
-      Status written = WriteResult(id, entry);
-      if (!written.ok()) {
-        ATUNE_LOG(Warning) << "recovery: quarantine result for " << id
-                           << " not durable: " << written.ToString();
-      }
+      fail_terminally(StatusCode::kInternal,
+                      "quarantined: " + std::to_string(attempts) +
+                          " resume attempts without a durable result (crash "
+                          "loop)");
       ATUNE_LOG(Warning) << "recovery: quarantined session " << id
                          << " after " << attempts << " failed resume attempts";
       continue;
@@ -822,27 +864,7 @@ void TuningDaemon::ReapIdleConns() {
 void TuningDaemon::HandleStart(Conn* conn, const StartRequest& req) {
   // Validate before admitting: bad ids/names are the *request's* fault
   // (kErrorResp), not a shed.
-  std::string error;
-  if (!ValidSessionId(req.session_id)) {
-    error = "invalid session id (want [A-Za-z0-9._-], <= 128 chars)";
-  } else if (!req.tenant.empty() && !ValidSessionId(req.tenant)) {
-    error = "invalid tenant name (want [A-Za-z0-9._-], <= 128 chars)";
-  } else if (!registry_.Contains(req.tuner)) {
-    error = "unknown tuner '" + req.tuner + "'";
-  } else if (req.budget == 0) {
-    error = "budget must be positive";
-  } else if (req.contention > kMaxContention) {
-    error = StrFormat("contention must be at most %" PRIu64 ", got %" PRIu64,
-                      kMaxContention, req.contention);
-  } else {
-    auto system = MakeSystemByName(req.system, 0, req.seed);
-    if (!system.ok()) {
-      error = system.status().message();
-    } else {
-      auto workload = WorkloadByName(req.system, req.workload, req.scale);
-      if (!workload.ok()) error = workload.status().message();
-    }
-  }
+  std::string error = SpecError(req, registry_);
   if (!error.empty()) {
     ErrorResponse err;
     err.status_code = static_cast<uint8_t>(StatusCode::kInvalidArgument);

@@ -76,8 +76,6 @@ class FdTransport : public Transport {
   void Backoff(size_t attempt) override;
   Status Close() override;
 
-  int fd() const { return fd_; }
-
  private:
   int fd_ = -1;
 };

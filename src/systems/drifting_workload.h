@@ -123,10 +123,6 @@ class DriftingWorkload : public IterativeSystem {
                                       size_t unit_index) override;
   double ReconfigurationCost() const override;
 
-  const DriftSchedule& schedule() const { return schedule_; }
-  uint64_t run_index() const { return run_index_; }
-  TunableSystem* inner() { return inner_; }
-
  private:
   std::unique_ptr<TunableSystem> owned_;
   TunableSystem* inner_;

@@ -89,9 +89,6 @@ class FaultInjectingSystem : public IterativeSystem {
                                       size_t unit_index) override;
   double ReconfigurationCost() const override;
 
-  const FaultProfile& profile() const { return profile_; }
-  TunableSystem* inner() { return inner_; }
-
  private:
   /// Applies this run's fault draw (if any) to a clean inner result.
   /// `scale` shrinks the hang runtime for unit-level runs so a hung unit

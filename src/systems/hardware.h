@@ -38,7 +38,6 @@ class ClusterSpec {
 
   size_t num_nodes() const { return nodes_.size(); }
   const std::vector<NodeSpec>& nodes() const { return nodes_; }
-  const NodeSpec& node(size_t i) const { return nodes_[i]; }
 
   double TotalCores() const;
   double TotalRamMb() const;

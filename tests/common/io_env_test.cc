@@ -144,22 +144,6 @@ TEST(IoEnvTest, SyncFailureDropsUnsyncedBytes) {
             StatusCode::kNotFound);
 }
 
-TEST(IoEnvTest, StatShrinkLiesLowByOneByte) {
-  std::string path = TempPath("io_env_stat.txt");
-  std::remove(path.c_str());
-  ASSERT_TRUE(AtomicWriteFile(path, "1234567890").ok());
-
-  IoFaultSchedule schedule;
-  schedule.rules.push_back({IoOpKind::kStat, 0, IoFaultKind::kStatShrink, 1});
-  FaultInjectingIoEnv env(IoEnv::Default(), schedule);
-  auto lied = env.FileSize(path);
-  ASSERT_TRUE(lied.ok());
-  EXPECT_EQ(*lied, 9u);
-  auto honest = env.FileSize(path);  // rule consumed: next stat is honest
-  ASSERT_TRUE(honest.ok());
-  EXPECT_EQ(*honest, 10u);
-}
-
 TEST(IoEnvTest, RateBasedFaultsAreSeedDeterministic) {
   auto run = [](uint64_t seed) {
     IoFaultSchedule schedule;

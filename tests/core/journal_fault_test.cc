@@ -1,7 +1,7 @@
 // Journal behavior on a hostile filesystem: every fault FaultInjectingIoEnv
 // can produce — short writes mid-record, ENOSPC mid-header, fsync failure on
 // the final record or a wave's group commit (fsyncgate: the cached bytes are
-// GONE), mmap/stat races — must surface as a clean Status and leave the
+// GONE), a failing replay read — must surface as a clean Status and leave the
 // on-disk journal the longest valid record prefix, which never holds part
 // of a wave. Session level (serial and batched): --journal-policy strict
 // aborts with kIoError, degrade finishes un-journaled and refuses later
@@ -94,19 +94,6 @@ uint64_t RecoveredCount(const std::string& path) {
   EXPECT_TRUE(recovered.ok()) << recovered.status().message();
   return recovered.ok() ? recovered->records.size() : 0;
 }
-
-// RAII restore for the process-wide replay-mode override.
-class ScopedReplayMode {
- public:
-  explicit ScopedReplayMode(JournalReplayMode mode)
-      : previous_(JournalReplayModeForTesting()) {
-    SetJournalReplayModeForTesting(mode);
-  }
-  ~ScopedReplayMode() { SetJournalReplayModeForTesting(previous_); }
-
- private:
-  JournalReplayMode previous_;
-};
 
 // Op-index map for a journal lifetime under FaultInjectingIoEnv (per-kind
 // indices): Create = write#0 (preamble) + sync#0; the i-th Append (0-based)
@@ -310,8 +297,10 @@ TEST(JournalFaultTest, PersistentEioMidWaveDiscardsEarlierLanes) {
   EXPECT_EQ(RecoveredCount(path), 8u);
 }
 
-TEST(JournalFaultTest, MapFailureFallsBackToStreamingRecovery) {
-  std::string path = TempPath("journal_fault_mapfail.wal");
+// Recovery reads the journal once, whole; a read that fails is the read's
+// kIoError, and the file is left exactly as it was.
+TEST(JournalFaultTest, ReplayReadFailureIsIoErrorAndLeavesTheFile) {
+  std::string path = TempPath("journal_fault_readfail.wal");
   std::remove(path.c_str());
   {
     auto journal = TrialJournal::Create(path, TestHeader());
@@ -320,57 +309,20 @@ TEST(JournalFaultTest, MapFailureFallsBackToStreamingRecovery) {
       ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
     }
   }
-  IoFaultSchedule schedule;
-  schedule.rules.push_back({IoOpKind::kRead, 0, IoFaultKind::kMapFail, 1});
-  FaultInjectingIoEnv env(IoEnv::Default(), schedule);
-  ScopedIoEnv install(&env);
-  auto recovered = TrialJournal::OpenForResume(path);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_FALSE(recovered->used_mmap);
-  EXPECT_EQ(recovered->records.size(), 4u);
-  EXPECT_EQ(env.injected(IoFaultKind::kMapFail), 1u);
-}
-
-// A concurrent truncation between mmap() and the post-map size check must
-// divert recovery to the streaming reader instead of risking a SIGBUS on
-// the mapped pages.
-TEST(JournalFaultTest, StatSizeMismatchTripsTruncationGuard) {
-  std::string path = TempPath("journal_fault_statrace.wal");
-  std::remove(path.c_str());
+  const std::string before = Slurp(path);
   {
-    auto journal = TrialJournal::Create(path, TestHeader());
-    ASSERT_TRUE(journal.ok());
-    for (uint64_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
-    }
-  }
-  {
-    IoFaultSchedule schedule;
-    schedule.rules.push_back(
-        {IoOpKind::kStat, 0, IoFaultKind::kStatShrink, 1});
-    FaultInjectingIoEnv env(IoEnv::Default(), schedule);
-    ScopedIoEnv install(&env);
-    auto recovered = TrialJournal::OpenForResume(path);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-    EXPECT_FALSE(recovered->used_mmap);
-    EXPECT_EQ(recovered->records.size(), 3u);
-  }
-  {
-    // Under kMmap the guard cannot fall back, so it must surface the race.
-    ScopedReplayMode force_mmap(JournalReplayMode::kMmap);
-    IoFaultSchedule schedule;
-    schedule.rules.push_back(
-        {IoOpKind::kStat, 0, IoFaultKind::kStatShrink, 1});
-    FaultInjectingIoEnv env(IoEnv::Default(), schedule);
+    FaultInjectingIoEnv env(
+        IoEnv::Default(),
+        IoFaultSchedule::Single(IoOpKind::kRead, 0,
+                                IoFaultKind::kPersistentEio));
     ScopedIoEnv install(&env);
     auto recovered = TrialJournal::OpenForResume(path);
     ASSERT_FALSE(recovered.ok());
     EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+    EXPECT_EQ(env.injected(IoFaultKind::kPersistentEio), 1u);
   }
-  // Untouched file, honest stat: the mmap path works and agrees.
-  auto recovered = TrialJournal::OpenForResume(path);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->records.size(), 3u);
+  EXPECT_EQ(Slurp(path), before);
+  EXPECT_EQ(RecoveredCount(path), 4u);
 }
 
 TEST(JournalFaultTest, CreateRemovesStaleDegradedSidecar) {

@@ -87,8 +87,11 @@ void Overwrite(const std::string& path, const std::string& contents) {
 
 TEST(JournalTest, RoundTripPreservesHeaderAndRecords) {
   std::string path = WriteJournal("journal_roundtrip.wal", 5);
+  std::string original = Slurp(path);
   auto recovered = TrialJournal::OpenForResume(path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  // Recovery must not rewrite an intact file.
+  EXPECT_EQ(Slurp(path), original);
   EXPECT_TRUE(recovered->header_valid);
   EXPECT_EQ(recovered->header, TestHeader());
   EXPECT_TRUE(recovered->warnings.empty());
@@ -125,6 +128,49 @@ TEST(JournalTest, AppendAfterResumeExtendsThePrefix) {
   auto again = TrialJournal::OpenForResume(path);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->records.size(), 4u);
+}
+
+TEST(JournalTest, AppendRefFileByteIdenticalToAppend) {
+  std::string via_append_path = TempPath("journal_append.wal");
+  std::string via_ref_path = TempPath("journal_appendref.wal");
+  {
+    auto journal = TrialJournal::Create(via_append_path, TestHeader());
+    ASSERT_TRUE(journal.ok());
+    (*journal)->set_sync(false);
+    for (uint64_t i = 0; i < 7; ++i) {
+      ASSERT_TRUE((*journal)->Append(TestRecord(i)).ok());
+    }
+  }
+  {
+    auto journal = TrialJournal::Create(via_ref_path, TestHeader());
+    ASSERT_TRUE(journal.ok());
+    (*journal)->set_sync(false);
+    for (uint64_t i = 0; i < 7; ++i) {
+      JournalRecord rec = TestRecord(i);
+      JournalRecordRef ref;
+      ref.kind = rec.kind;
+      ref.seq = rec.seq;
+      ref.config = &rec.config;
+      ref.result = &rec.result;
+      ref.objective = rec.objective;
+      ref.cost = rec.cost;
+      ref.scaled = rec.scaled;
+      ref.round = rec.round;
+      ref.batch_size = rec.batch_size;
+      ref.lane = rec.lane;
+      ref.unit_index = rec.unit_index;
+      ref.system_runs = rec.system_runs;
+      ref.used = rec.used;
+      ref.retried_runs = rec.retried_runs;
+      ref.timed_out_runs = rec.timed_out_runs;
+      ref.remeasured_runs = rec.remeasured_runs;
+      ASSERT_TRUE((*journal)->AppendRef(ref).ok());
+    }
+  }
+  std::string a, b;
+  ASSERT_TRUE(ReadFileToString(via_append_path, &a).ok());
+  ASSERT_TRUE(ReadFileToString(via_ref_path, &b).ok());
+  EXPECT_EQ(a, b);
 }
 
 TEST(JournalTest, MissingFileIsNotFound) {

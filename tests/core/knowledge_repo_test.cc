@@ -133,9 +133,8 @@ TEST(KnowledgeRepoTest, IngestLoadAllRoundTrip) {
         repo.Ingest(TestRecord("sess-" + std::to_string(i), double(i))).ok());
   }
   size_t skipped = 99;
-  auto all = repo.LoadAll(&skipped);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 3u);
+  std::vector<KnowledgeRecord> all = repo.LoadAll(&skipped);
+  EXPECT_EQ(all.size(), 3u);
   EXPECT_EQ(skipped, 0u);
   EXPECT_EQ(repo.ListShards().size(), 3u);
 }
@@ -144,10 +143,9 @@ TEST(KnowledgeRepoTest, ReingestSameIdIsIdempotentAtomicReplace) {
   KnowledgeRepository repo(TempDirFor("krs_reingest"));
   ASSERT_TRUE(repo.Ingest(TestRecord("sess-x", 1.0)).ok());
   ASSERT_TRUE(repo.Ingest(TestRecord("sess-x", 2.0)).ok());
-  auto all = repo.LoadAll();
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 1u);  // same shard path, replaced not duplicated
-  EXPECT_EQ((*all)[0].fingerprint[0], 102.0);  // latest write wins
+  std::vector<KnowledgeRecord> all = repo.LoadAll();
+  ASSERT_EQ(all.size(), 1u);  // same shard path, replaced not duplicated
+  EXPECT_EQ(all[0].fingerprint[0], 102.0);  // latest write wins
 }
 
 TEST(KnowledgeRepoTest, InvalidSessionIdIsRejected) {
@@ -192,10 +190,9 @@ TEST(KnowledgeRepoTest, ConcurrentIngestStormNeverTearsShards) {
   // Every shard decodes (DecodeKnowledgeRecord re-verifies the CRC) and the
   // store holds exactly the records written.
   size_t skipped = 99;
-  auto all = repo.LoadAll(&skipped);
-  ASSERT_TRUE(all.ok());
+  std::vector<KnowledgeRecord> all = repo.LoadAll(&skipped);
   EXPECT_EQ(skipped, 0u);
-  EXPECT_EQ(all->size(), kThreads * kPerThread);
+  EXPECT_EQ(all.size(), kThreads * kPerThread);
   for (const std::string& shard : repo.ListShards()) {
     std::string bytes;
     ASSERT_TRUE(IoEnv::Default()
@@ -251,12 +248,11 @@ TEST(KnowledgeRepoTest, CrashAtEveryIngestIoOpLeavesStoreReadable) {
     }
 
     size_t skipped = 99;
-    auto all = repo.LoadAll(&skipped);
-    ASSERT_TRUE(all.ok());
+    std::vector<KnowledgeRecord> all = repo.LoadAll(&skipped);
     EXPECT_EQ(skipped, 0u) << "corrupt shard after crash at op " << op;
-    ASSERT_GE(all->size(), 2u) << "lost a pre-existing shard at op " << op;
+    ASSERT_GE(all.size(), 2u) << "lost a pre-existing shard at op " << op;
     bool found_new = false;
-    for (const KnowledgeRecord& rec : *all) {
+    for (const KnowledgeRecord& rec : all) {
       if (rec.session_id == "crashed") {
         found_new = true;
         // If published at all, the shard is bit-complete.
@@ -268,7 +264,7 @@ TEST(KnowledgeRepoTest, CrashAtEveryIngestIoOpLeavesStoreReadable) {
         EXPECT_EQ(bytes, expected_new);
       }
     }
-    EXPECT_EQ(all->size(), found_new ? 3u : 2u);
+    EXPECT_EQ(all.size(), found_new ? 3u : 2u);
     // Reset for the next crash point.
     (void)IoEnv::Default()->Unlink(dir + "/" + repo.ShardName("crashed"));
   }
@@ -292,23 +288,21 @@ TEST(KnowledgeRepoTest, CorruptShardIsSkippedNotFatal) {
   EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
 
   size_t skipped = 0;
-  auto all = repo.LoadAll(&skipped);
-  ASSERT_TRUE(all.ok());
+  std::vector<KnowledgeRecord> all = repo.LoadAll(&skipped);
   EXPECT_EQ(skipped, 1u);
-  ASSERT_EQ(all->size(), 1u);
-  EXPECT_EQ((*all)[0].session_id, "good-0");
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].session_id, "good-0");
 }
 
 TEST(KnowledgeRepoTest, LoadShardsPinnedListSkipsMissingEntries) {
   KnowledgeRepository repo(TempDirFor("krs_pinned"));
   ASSERT_TRUE(repo.Ingest(TestRecord("keep", 0.0)).ok());
   size_t skipped = 0;
-  auto loaded = repo.LoadShards(
+  std::vector<KnowledgeRecord> loaded = repo.LoadShards(
       {repo.ShardName("keep"), repo.ShardName("never-written")}, &skipped);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 1u);
+  ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(skipped, 1u);
-  EXPECT_EQ((*loaded)[0].session_id, "keep");
+  EXPECT_EQ(loaded[0].session_id, "keep");
 }
 
 TEST(KnowledgeRepoTest, InFlightTempFilesAreNeverListed) {
@@ -345,10 +339,9 @@ TEST(KnowledgeRepoTest, MappingCarriesNoStateAcrossTenantQueries) {
     b.fingerprint = {1e-3 + i * 1e-4, 2e-3 - i * 1e-4, double(i) * 1e-5};
     ASSERT_TRUE(repo.Ingest(b).ok());
   }
-  auto all = repo.LoadAll();
-  ASSERT_TRUE(all.ok());
+  std::vector<KnowledgeRecord> all = repo.LoadAll();
   std::vector<KnowledgeRecord> a_records, b_records;
-  for (const KnowledgeRecord& rec : *all) {
+  for (const KnowledgeRecord& rec : all) {
     (rec.tenant == "tenant-a" ? a_records : b_records).push_back(rec);
   }
   ASSERT_EQ(a_records.size(), 5u);

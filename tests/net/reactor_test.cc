@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_util.h"
+#include "core/knowledge_repo.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/transport.h"
@@ -481,6 +483,50 @@ TEST_F(DaemonTest, CrashLoopingSessionIsQuarantinedAfterMaxResumeAttempts) {
   auto stats2 = again.Stats();
   ASSERT_TRUE(stats2.ok());
   EXPECT_EQ(stats2->quarantined, 0u);
+}
+
+TEST_F(DaemonTest, RecoveryRefusesSidecarsThatAdmissionWouldRefuse) {
+  // Two hand-edited .meta sidecars: one over the contention cap, one whose
+  // budget does not parse (it reads as 0). Recovery must hold them to the
+  // admission checks: terminal kFailed/kInvalidArgument with a durable
+  // .result, never queued, run, journaled or ingested.
+  const std::string state = dir_ + "/state";
+  ASSERT_EQ(::mkdir(state.c_str(), 0777), 0);
+  auto meta = [](const std::string& budget, const std::string& contention) {
+    return "tenant=test\ntuner=random-search\nsystem=dbms\nworkload=\n"
+           "scale_bits=0x3ff0000000000000\nbudget=" + budget +
+           "\nseed=3\ndeadline_ms=0\ncontention=" + contention +
+           "\nwarm_start=0\nresume_attempts=0\n";
+  };
+  ASSERT_TRUE(AtomicWriteFile(state + "/over-cap.meta", meta("4", "65")).ok());
+  ASSERT_TRUE(
+      AtomicWriteFile(state + "/zero-budget.meta", meta("abc", "0")).ok());
+
+  StartDaemon();
+  TuningClient client = MakeClient();
+  for (const char* id : {"over-cap", "zero-budget"}) {
+    auto attach = client.Attach(id, /*wait_ms=*/0);
+    ASSERT_TRUE(attach.ok()) << id;
+    EXPECT_EQ(attach->state, SessionState::kFailed) << id;
+    EXPECT_EQ(attach->result.status_code,
+              static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << id;
+    struct stat st;
+    EXPECT_EQ(::stat((state + "/" + id + ".result").c_str(), &st), 0) << id;
+  }
+
+  // Still serving: a valid session submitted next runs to completion.
+  ASSERT_TRUE(client.StartSession(QuickSession("valid", 8)).ok());
+  auto done = client.AwaitResult("valid", 30000, 200);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, SessionState::kDone);
+  for (const char* id : {"over-cap", "zero-budget"}) {
+    struct stat st;
+    EXPECT_NE(::stat((state + "/" + id + ".wal").c_str(), &st), 0) << id;
+  }
+  KnowledgeRepository repo(state + "/knowledge");
+  EXPECT_EQ(repo.ListShards(),
+            std::vector<std::string>{repo.ShardName("valid")});
 }
 
 TEST_F(DaemonTest, FaultyTransportClientStillCompletesSessions) {

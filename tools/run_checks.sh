@@ -34,9 +34,8 @@
 #                                   # where it runs), the rng candidate
 #                                   # draw (bits equal to the std engine's
 #                                   # and distributions', >= 2x), whole-session
-#                                   # fast-vs-scalar bit-identity, zero-alloc
-#                                   # Evaluator commits, and mmap replay
-#                                   # fallback
+#                                   # fast-vs-scalar bit-identity, and
+#                                   # zero-alloc Evaluator commits
 #   tools/run_checks.sh --crashsafety
 #                                   # Release build + bench_crashsafety at
 #                                   # full scale, gated on the pass flags in
@@ -108,7 +107,17 @@
 #                                   # "correct": true with "failed": 0 (the
 #                                   # seed-1 goldens, and every resumed twin
 #                                   # equal to its reference), so a broken
-#                                   # checksum shows before a timed run
+#                                   # checksum shows before a timed run.
+#                                   # Then runs each workload once at seed 1
+#                                   # with --seconds 10 --trace 1 and fails
+#                                   # unless its deterministic per-layer
+#                                   # counts (GP fits, executions, journal
+#                                   # appends, fsyncs, dir syncs, bytes
+#                                   # written, mutating ops, the quality
+#                                   # geomean) equal the values pinned in the
+#                                   # stage; the load-dependent served-probe
+#                                   # counters (net.*, core.knowledge.shards)
+#                                   # stay out
 #   tools/run_checks.sh --deadcode  # builds the tree and perfbench at -O0
 #                                   # -fno-inline with one section per
 #                                   # function and links with --gc-sections
@@ -340,16 +349,16 @@ if [ "${1:-}" = "--hotpath" ]; then
   jobs="$(nproc 2>/dev/null || echo 2)"
   echo "=== [hotpath] configure + build (default preset, Release) ==="
   # Must be an optimized build: the speedup floors below are meaningless at
-  # -O0, and the identity/alloc/replay flags are what actually gate.
+  # -O0, and the identity/alloc flags are what actually gate.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j "$jobs"
   echo "=== [hotpath] bench_hotpath (ATUNE_SMOKE=1) ==="
   # Like durability and supervision, the hot-path layer gates correctness
-  # (whole-session fast-vs-scalar bit-identity, zero-alloc commits, mmap
-  # replay fallback) alongside its speedup floors. The binary exits 0 under
+  # (whole-session fast-vs-scalar bit-identity, zero-alloc commits)
+  # alongside its speedup floors. The binary exits 0 under
   # ATUNE_SMOKE; the recorded pass flags in BENCH_hotpath.json do not lie.
   ATUNE_SMOKE=1 ./build/bench/bench_hotpath
-  if ! grep -q '"pass": {"cholesky": true, "argmax": true, "exact_quotient": true, "kernel_tail": true, "rng": true, "identity": true, "alloc": true, "replay": true}' \
+  if ! grep -q '"pass": {"cholesky": true, "argmax": true, "exact_quotient": true, "kernel_tail": true, "rng": true, "identity": true, "alloc": true}' \
       BENCH_hotpath.json; then
     echo "hotpath gate FAILED:" >&2
     grep '"pass"' BENCH_hotpath.json >&2 || true
@@ -361,8 +370,7 @@ if [ "${1:-}" = "--hotpath" ]; then
   fi
   echo "hotpath checks passed: blocked kernels, the pruned argmax scan, the"
   echo "exact-quotient distance pass, the ExpV4 kernel tail and the rng"
-  echo "candidate draw at speed, bit-identical sessions, zero-alloc commits,"
-  echo "mmap replay ok"
+  echo "candidate draw at speed, bit-identical sessions, zero-alloc commits ok"
   exit 0
 fi
 
@@ -544,8 +552,42 @@ if [ "${1:-}" = "--perfbench" ]; then
     fi
     echo "perfbench $workload: correct, 0 failed"
   done
+  # Traced seed-1 runs do a fixed amount of work, so these counts are exact:
+  # a change that moves one has changed what a session executes, journals
+  # or syncs. Re-pin them only in a change that means to.
+  declare -A pinned=(
+    [gp-serial]='{"ml.gp_fit.calls": 770, "ml.gp.hyper_searches": 770,
+      "ml.acquisition.calls": 770, "ml.gp.incremental_refits": 0,
+      "systems.execute.calls": 884, "core.journal.appends": 800,
+      "common.io.fsyncs": 804, "common.io.dir_syncs": 4,
+      "common.io.bytes_written": 634630, "common.io.mutating_ops": 1620,
+      "quality.best_speedup_geomean": 5.888985771840202}'
+    [batch-durable]='{"systems.execute.calls": 28944,
+      "core.journal.appends": 28854, "common.io.fsyncs": 9504,
+      "common.io.dir_syncs": 72, "common.io.bytes_written": 18577773,
+      "common.io.mutating_ops": 38718,
+      "quality.best_speedup_geomean": 15.90921585015245}'
+  )
+  for workload in gp-serial batch-durable; do
+    echo "=== [perfbench] $workload counts (seed 1, --seconds 10 --trace 1) ==="
+    if ! result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 10 --trace 1 | tail -n 1)" ||
+        ! python3 -c '
+import json, sys
+want = json.loads(sys.argv[1])
+metrics = json.loads(sys.argv[2]).get("metrics", {})
+bad = [(k, v, metrics.get(k, {}).get("value")) for k, v in want.items()
+       if metrics.get(k, {}).get("value") != v]
+for name, pinned, got in bad:
+    print("  %s: pinned %r, got %r" % (name, pinned, got), file=sys.stderr)
+sys.exit(1 if bad else 0)' "${pinned[$workload]}" "$result"; then
+      echo "perfbench $workload count gate FAILED: ${result:-<no result line>}" >&2
+      exit 1
+    fi
+    echo "perfbench $workload: traced seed-1 counts equal the pinned values"
+  done
   echo "perfbench checks passed: goldens and resumed twins match on both"
-  echo "workloads"
+  echo "workloads, and their traced seed-1 counts equal the pinned values"
   exit 0
 fi
 
@@ -593,6 +635,12 @@ if [ "${1:-}" = "--deadcode" ]; then
     'atune::NetFaultKindToString('  # names the injected fault in test output
     'atune::FaultInjectingTransport::injected_total('  # proves the faults fired
     'atune::GetLogLevel('  # tests restore the global log level they change
+    # The journal's wave-of-one append (AppendRef + Commit) on an owning
+    # record: the journal tests write their fixtures with it, and
+    # JournalTest.AppendRefFileByteIdenticalToAppend pins AppendRef's bytes
+    # against it. The Evaluator appends through AppendRef only.
+    'atune::TrialJournal::Append('
+    'atune::(anonymous namespace)::RefOf(atune::JournalRecord'  # Append's view
     # atuned API that the ROADMAP's atuned item gives production callers.
     'atune::MetricsSnapshot::ToJson('  # the planned stats wire payload
     'atune::MetricsRegistry::PublishJson('  # publishes that payload
